@@ -28,6 +28,8 @@ CREATE = "A"
 
 DEFAULT_WORD_CAP = 64
 
+_SWAP_LETTERS = str.maketrans({ANNIHILATE: CREATE, CREATE: ANNIHILATE})
+
 
 class WordLengthError(ValueError):
     """Input word longer than the configured rewriting cap."""
@@ -135,13 +137,12 @@ def normalize(
                 else:
                     terms.pop(key, None)
                 continue
-            positions = _reducible_positions(w)
             if strategy == "leftmost":
-                i = positions[0]
+                i = w.find(ANNIHILATE + CREATE)
             elif strategy == "rightmost":
-                i = positions[-1]
+                i = w.rfind(ANNIHILATE + CREATE)
             else:
-                i = rng.choice(positions)
+                i = rng.choice(_reducible_positions(w))
             push(w[:i] + CREATE + ANNIHILATE + w[i + 2 :], c)
             push(w[:i] + w[i + 2 :], c)
     return NormalForm(terms=terms)
@@ -150,49 +151,19 @@ def normalize(
 def antinormalize(word: str, max_len: int = DEFAULT_WORD_CAP) -> AntiNormalForm:
     """Anti-normal order: all annihilators to the left.
 
-    Mirror rewriting: "Aa" becomes "aA" minus the word with the pair
-    removed (from Aa = aA - 1), so coefficients may be negative.
+    The letter swap a -> a+, a+ -> -a preserves [a, a+] = 1 and sends
+    normal order to anti-normal order, so no second rewrite engine is
+    needed.  Normal-order the swapped word w' instead: its term
+    (a+)^i a^j with coefficient d maps back to a^i (a+)^j with
+    coefficient (-1)^(#A(w) - j) d, where #A(w) - j is the number of
+    contractions (each "Aa -> aA - 1" step contributes one minus sign).
     """
     word = _validate_word(word, max_len)
-
-    def anti_inversions(w: str) -> int:
-        inv = 0
-        seen_creators = 0
-        for ch in w:
-            if ch == CREATE:
-                seen_creators += 1
-            else:
-                inv += seen_creators
-        return inv
-
-    buckets: Dict[int, Dict[str, int]] = {}
-
-    def push(w: str, c: int) -> None:
-        level = buckets.setdefault(anti_inversions(w), {})
-        level[w] = level.get(w, 0) + c
-
-    push(word, 1)
-    terms: Dict[Tuple[int, int], int] = {}
-    while buckets:
-        inv = max(buckets)
-        for w, c in buckets.pop(inv).items():
-            if c == 0:
-                continue
-            if inv == 0:
-                key = (w.count(ANNIHILATE), w.count(CREATE))
-                total = terms.get(key, 0) + c
-                if total:
-                    terms[key] = total
-                else:
-                    terms.pop(key, None)
-                continue
-            i = next(
-                i for i in range(len(w) - 1)
-                if w[i] == CREATE and w[i + 1] == ANNIHILATE
-            )
-            push(w[:i] + ANNIHILATE + CREATE + w[i + 2 :], c)
-            push(w[:i] + w[i + 2 :], -c)
-    return AntiNormalForm(terms=terms)
+    creators = word.count(CREATE)
+    swapped = normalize(word.translate(_SWAP_LETTERS), max_len=max_len)
+    return AntiNormalForm(terms={
+        (i, j): -c if (creators - j) % 2 else c for (i, j), c in swapped.terms.items()
+    })
 
 
 def power_word(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> NormalForm:
@@ -200,6 +171,23 @@ def power_word(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> NormalForm
     if n < 1:
         raise ValueError(f"power_word requires n >= 1, got n={n}")
     return normalize((CREATE * p.r + ANNIHILATE * p.s) * n, max_len=max_len)
+
+
+def _banded_row(nf: NormalForm, n: int, d: int, band: range) -> Dict[int, int]:
+    """Map k -> coefficient of a normal form whose terms must all have the
+    creator surplus i - j = n d and the smaller exponent k = min(i, j) in
+    ``band``.  Any other shape means the oracle itself is broken and
+    raises :class:`OracleStructureError`.
+    """
+    row: Dict[int, int] = {}
+    for (i, j), c in nf.sorted_terms():
+        if i - j != n * d:
+            raise OracleStructureError(f"term (a+)^{i} a^{j} breaks the offset n(r-s)={n*d}")
+        k = min(i, j)
+        if k not in band:
+            raise OracleStructureError(f"index k={k} outside band [{band.start}, {band.stop - 1}]")
+        row[k] = c
+    return row
 
 
 def extract_stirling_row(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> Dict[int, int]:
@@ -210,23 +198,7 @@ def extract_stirling_row(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> 
     r <= k <= n r.  Any other shape means the oracle itself is broken
     and raises :class:`OracleStructureError`.
     """
-    nf = power_word(p, n, max_len=max_len)
-    d = p.r - p.s
-    row: Dict[int, int] = {}
-    for (i, j), c in nf.sorted_terms():
-        if d >= 0:
-            k, expected = j, j + n * d
-            if i != expected:
-                raise OracleStructureError(f"term (a+)^{i} a^{j} breaks the offset n(r-s)={n*d}")
-        else:
-            k, expected = i, i - n * d
-            if j != expected:
-                raise OracleStructureError(f"term (a+)^{i} a^{j} breaks the offset n(s-r)={-n*d}")
-        lo = min(p.r, p.s)
-        if not lo <= k <= n * lo:
-            raise OracleStructureError(f"index k={k} outside band [{lo}, {n*lo}]")
-        row[k] = c
-    return row
+    return _banded_row(power_word(p, n, max_len=max_len), n, p.r - p.s, p.band(n))
 
 
 def extract_anti_stirling_row(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> Dict[int, int]:
@@ -241,15 +213,7 @@ def extract_anti_stirling_row(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     nf = normalize((ANNIHILATE * p.s + CREATE * p.r) * n, max_len=max_len)
-    d = p.r - p.s
-    row: Dict[int, int] = {}
-    for (i, j), c in nf.sorted_terms():
-        if i != j + n * d:
-            raise OracleStructureError(f"term (a+)^{i} a^{j} breaks the offset n(r-s)={n*d}")
-        if not 0 <= j <= n * p.s:
-            raise OracleStructureError(f"index k={j} outside band [0, {n*p.s}]")
-        row[j] = c
-    return row
+    return _banded_row(nf, n, p.r - p.s, range(n * p.s + 1))
 
 
 def coherent_expectation_exact(nf: NormalForm, z: RationalLike) -> Fraction:

@@ -21,8 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import boson_oracle, fock_numeric, series_eval, stirling_bell
+from .boson_oracle import OracleStructureError
 from .exact_core import DEFAULT_PRECISION_BITS, binomial
-from .stirling_bell import Params
+from .fock_numeric import FockTruncationError
+from .series_eval import MIN_PRECISION_BITS, TermBudgetError
+from .stirling_bell import DivisibilityError, Params
+
+# exit 3; DivisibilityError is an ArithmeticError but signals a bug, not bad input
+_INTERNAL_ERRORS = (TermBudgetError, FockTruncationError, OracleStructureError, DivisibilityError)
 
 SUITES = (
     "oracle", "symmetry", "anti", "dobinski", "laguerre", "kummer",
@@ -390,7 +396,8 @@ _SUITE_DEFAULT_NMAX = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, perturbed=None) -> int:
+    """Run the suites; ``perturbed`` is the (Params, n, k) of a corrupted entry."""
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     all_checks = []
     for name in suites:
@@ -399,6 +406,13 @@ def cmd_verify(args) -> int:
             local.nmax = _SUITE_DEFAULT_NMAX.get(name, 4)
         results = _SUITE_RUNNERS[name](local)
         all_checks.extend((name, c) for c in results)
+    if perturbed:
+        # a perturbation that no check reads cannot be caught, so it must fail
+        p, n, k = perturbed
+        reads = stirling_bell.perturbation_reads(p, n, k)
+        all_checks.append(("perturb", Check(
+            f"perturbed entry S_({p.r},{p.s})({n},{k}) was read by a check",
+            reads > 0, f"reads={reads}")))
     failed = [(s, c) for s, c in all_checks if not c.ok]
     if args.json:
         payload = {
@@ -433,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generalized Stirling and Bell numbers from boson normal ordering.",
     )
     parser.add_argument("--prec", type=int, default=DEFAULT_PRECISION_BITS,
-                        help="working precision in bits (default 256)")
+                        help=f"working precision in bits (default 256, at least {MIN_PRECISION_BITS})")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized strategy tests")
     parser.add_argument("--json", action="store_true",
@@ -481,9 +495,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit 0 if every check passed, 1 if one failed, 2 on a usage or
+    domain error, 3 on an internal error or an exceeded budget."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.prec < MIN_PRECISION_BITS:
+            raise ValueError(f"--prec must be at least {MIN_PRECISION_BITS} bits, got {args.prec}")
         if args.command == "triangle":
             print(cmd_triangle(args.r, args.s, args.n_max, args.format))
             return 0
@@ -494,19 +512,21 @@ def main(argv=None) -> int:
             print(cmd_normalize(args.word, args.format))
             return 0
         if args.command == "verify":
+            perturbed = None
             if args.perturb:
                 parts = [int(x) for x in args.perturb.split(",")]
                 if len(parts) == 4:
                     parts.append(1)
                 r, s, n, k, delta = parts
-                stirling_bell.set_perturbation(Params(r, s), n, k, delta)
+                perturbed = (Params(r, s), n, k)
+                stirling_bell.set_perturbation(*perturbed, delta)
             try:
-                return cmd_verify(args)
+                return cmd_verify(args, perturbed)
             finally:
                 stirling_bell.clear_perturbations()
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, *_INTERNAL_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, _INTERNAL_ERRORS) else 2
     raise AssertionError("unreachable")
 
 

@@ -220,24 +220,9 @@ def dobinski_bell(
     the generalization of Dobinski's B(n) = (1/e) sum k^n / k!.  Valid for
     r >= s; for r < s the parameters are swapped first (the Bell numbers
     are symmetric in r and s).  The returned interval brackets the exact
-    integer B_{r,s}(n).
+    integer B_{r,s}(n).  This is :func:`dobinski_polynomial` at t = 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if p.r < p.s:
-        p = p.swapped()
-    r, s = p.r, p.s
-
-    def term(k: int) -> Fraction:
-        return Fraction(_falling_product(r, s, n, k), factorial(k))
-
-    def ratio_bound(k: int) -> Fraction:
-        return (1 + Fraction(s, k - s + 1)) ** n / (k + 1)
-
-    partial, tail, used = _sum_positive_series(
-        term, ratio_bound, s, _rel_tol(precision), max_terms, min_terms)
-    iv = _Interval(partial, partial + tail) * _inv_e_bounds(precision)
-    return _series_value(iv, used, precision)
+    return dobinski_polynomial(p, n, _ONE, precision, max_terms, min_terms)
 
 
 def dobinski_gamma_form(
@@ -298,7 +283,8 @@ def dobinski_polynomial(
     r, s = p.r, p.s
 
     def term(k: int) -> Fraction:
-        return t**k * Fraction(_falling_product(r, s, n, k), factorial(k))
+        return Fraction(t.numerator**k * _falling_product(r, s, n, k),
+                        t.denominator**k * factorial(k))
 
     def ratio_bound(k: int) -> Fraction:
         return t * (1 + Fraction(s, k - s + 1)) ** n / (k + 1)
@@ -354,6 +340,9 @@ def _hyp_ratio_bound(uppers, lowers_full, x_abs: Fraction, m: int) -> Fraction:
     return bound
 
 
+_HYP_MAX_TERMS = 100_000
+
+
 def _hyp_enclosure(
     uppers: tuple, lowers: tuple, x: Fraction, bits: int, max_terms: int,
 ) -> Tuple[_Interval, int]:
@@ -401,11 +390,25 @@ def _hyp_enclosure(
 
 
 def hypergeometric(
-    h: HyperParams, precision: int = DEFAULT_PRECISION_BITS, max_terms: int = 100_000,
+    h: HyperParams, precision: int = DEFAULT_PRECISION_BITS, max_terms: int = _HYP_MAX_TERMS,
 ) -> SeriesValue:
     """Evaluate pFq at a rational argument with a certified tail bound."""
     iv, used = _hyp_enclosure(h.upper, h.lower, h.argument, precision, max_terms)
     return _series_value(iv, used, precision)
+
+
+def _hyp_combination(parts, x: Fraction, bits: int) -> Tuple[_Interval, int]:
+    """Certified (1/e) sum coefficient * pFq(uppers; lowers; x) over the
+    ``(uppers, lowers, coefficient)`` triples in ``parts``, with the total
+    number of terms summed.  Coefficients must be exact rationals.
+    """
+    total = _Interval.point(_ZERO)
+    used = 0
+    for uppers, lowers, coefficient in parts:
+        iv, terms = _hyp_enclosure(uppers, lowers, x, bits, _HYP_MAX_TERMS)
+        total += iv * coefficient
+        used += terms
+    return total * _inv_e_bounds(bits), used
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +449,8 @@ def kummer_bell_value(r: int, n: int, precision: int = DEFAULT_PRECISION_BITS) -
     """
     if r < 1 or n < 1:
         raise ValueError("r and n must be >= 1")
-    iv, used = _hyp_enclosure((Fraction(r * n + 1),), (Fraction(r + 1),), _ONE,
-                              precision, 100_000)
-    iv = iv * Fraction(factorial(r * n), factorial(r)) * _inv_e_bounds(precision)
+    parts = [((r * n + 1,), (r + 1,), Fraction(factorial(r * n), factorial(r)))]
+    iv, used = _hyp_combination(parts, _ONE, precision)
     return _series_value(iv, used, precision)
 
 
@@ -472,10 +474,9 @@ def family_bell_check(p: int, r: int, n: int, precision: int = DEFAULT_PRECISION
     prefactor = _ONE
     for j in range(1, r + 1):
         prefactor *= Fraction(factorial(p * (n - 1 + j)), factorial(p * j))
-    uppers = tuple(Fraction(p * n + 1 + p * i) for i in range(r))
-    lowers = tuple(Fraction(1 + p * j) for j in range(1, r + 1))
-    iv, _ = _hyp_enclosure(uppers, lowers, _ONE, precision, 100_000)
-    iv = iv * prefactor * _inv_e_bounds(precision)
+    uppers = tuple(p * n + 1 + p * i for i in range(r))
+    lowers = tuple(1 + p * j for j in range(1, r + 1))
+    iv, _ = _hyp_combination([(uppers, lowers, prefactor)], _ONE, precision)
     return iv.contains(bell_number(Params(p * (r + 1), p * r), n))
 
 
@@ -489,35 +490,28 @@ def bell_r1_hypergeometric_check(r: int, n: int, precision: int = DEFAULT_PRECIS
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    bits = precision
-    budget = 100_000
     if r == 2:
-        iv, _ = _hyp_enclosure((Fraction(n + 1),), (Fraction(2),), _ONE, bits, budget)
-        iv = iv * Fraction(factorial(n))
+        x, scale = _ONE, _ONE
+        parts = [((n + 1,), (2,), factorial(n))]
     elif r == 3:
-        x = Fraction(1, 4)
-        iv1, _ = _hyp_enclosure((Fraction(2 * n + 1, 2),),
-                                (Fraction(1, 2), Fraction(3, 2)), x, bits, budget)
-        iv2, _ = _hyp_enclosure((Fraction(n + 1),),
-                                (Fraction(3, 2), Fraction(2)), x, bits, budget)
-        combo = iv1 * (2 * rising_factorial(Fraction(1, 2), n)) \
-            + iv2 * Fraction(factorial(n))
-        iv = combo * Fraction(2) ** (n - 1)
+        x, scale = Fraction(1, 4), Fraction(2) ** (n - 1)
+        parts = [
+            ((Fraction(2 * n + 1, 2),), (Fraction(1, 2), Fraction(3, 2)),
+             2 * rising_factorial(Fraction(1, 2), n)),
+            ((n + 1,), (Fraction(3, 2), 2), factorial(n)),
+        ]
     elif r == 4:
-        x = Fraction(1, 27)
-        iv1, _ = _hyp_enclosure((Fraction(3 * n + 1, 3),),
-                                (Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)), x, bits, budget)
-        iv2, _ = _hyp_enclosure((Fraction(3 * n + 2, 3),),
-                                (Fraction(2, 3), Fraction(4, 3), Fraction(5, 3)), x, bits, budget)
-        iv3, _ = _hyp_enclosure((Fraction(n + 1),),
-                                (Fraction(4, 3), Fraction(5, 3), Fraction(2)), x, bits, budget)
-        combo = iv1 * (6 * rising_factorial(Fraction(1, 3), n)) \
-            + iv2 * (3 * rising_factorial(Fraction(2, 3), n)) \
-            + iv3 * Fraction(factorial(n))
-        iv = combo * Fraction(3 ** (n - 1), 2)
+        x, scale = Fraction(1, 27), Fraction(3 ** (n - 1), 2)
+        parts = [
+            ((Fraction(3 * n + 1, 3),), (Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)),
+             6 * rising_factorial(Fraction(1, 3), n)),
+            ((Fraction(3 * n + 2, 3),), (Fraction(2, 3), Fraction(4, 3), Fraction(5, 3)),
+             3 * rising_factorial(Fraction(2, 3), n)),
+            ((n + 1,), (Fraction(4, 3), Fraction(5, 3), 2), factorial(n)),
+        ]
     else:
         raise ValueError(f"combination formulas are implemented for r in 2..4, got {r}")
-    iv = iv * _inv_e_bounds(bits)
+    iv, _ = _hyp_combination([(u, l, c * scale) for u, l, c in parts], x, precision)
     return iv.contains(bell_number(Params(r, 1), n))
 
 
@@ -689,6 +683,10 @@ def _hgf_family(r: int, s: int, lam: Fraction):
     raise ValueError(f"no hypergeometric generating function family for (r, s) = ({r}, {s})")
 
 
+# hgf_check aims its outer tail at 2^-(precision - MIN_PRECISION_BITS)
+MIN_PRECISION_BITS = 16
+
+
 def hgf_check(
     r: int, s: int, lam: RationalLike, order: int,
     precision: int = DEFAULT_PRECISION_BITS, max_outer: int = 10_000,
@@ -710,6 +708,8 @@ def hgf_check(
     enclosure of the k-summed route.
     """
     lam = Fraction(lam)
+    if precision < MIN_PRECISION_BITS:
+        raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {precision}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if lam < 0:
@@ -727,7 +727,7 @@ def hgf_check(
         if u > 2**24:
             raise ConvergenceError("cannot certify tails this close to the radius")
 
-    target = Fraction(1, 2 ** (precision - 16))
+    target = Fraction(1, 2 ** (precision - MIN_PRECISION_BITS))
     acc = _ZERO
     k = 0
     tail = None

@@ -179,8 +179,10 @@ def stirling_symmetric(p: Params, n: int, k: int) -> int:
 
 
 # Entry perturbation hook, used by the verification CLI to prove that the
-# cross-check suites actually detect a wrong table entry.
+# cross-check suites actually detect a wrong table entry.  The read counts
+# let the CLI tell a caught perturbation from one no check ever looked at.
 _perturbations: Dict[tuple, int] = {}
+_perturbation_reads: Dict[tuple, int] = {}
 _cache_lock = threading.Lock()
 _triangle_cache: Dict[tuple, Dict[int, Dict[int, int]]] = {}
 
@@ -189,13 +191,20 @@ def set_perturbation(p: Params, n: int, k: int, delta: int) -> None:
     """Additively corrupt S_{r,s}(n,k) as seen by ``stirling`` and callers."""
     with _cache_lock:
         _perturbations[(p.r, p.s, n, k)] = delta
+        _perturbation_reads[(p.r, p.s, n, k)] = 0
         _triangle_cache.clear()
 
 
 def clear_perturbations() -> None:
     with _cache_lock:
         _perturbations.clear()
+        _perturbation_reads.clear()
         _triangle_cache.clear()
+
+
+def perturbation_reads(p: Params, n: int, k: int) -> int:
+    """How often ``stirling`` has returned the perturbed S_{r,s}(n,k)."""
+    return _perturbation_reads.get((p.r, p.s, n, k), 0)
 
 
 def stirling(p: Params, n: int, k: int) -> int:
@@ -208,8 +217,13 @@ def stirling(p: Params, n: int, k: int) -> int:
         value = stirling_explicit(p, n, k)
     else:
         value = stirling_symmetric(p, n, k)
-    if _perturbations:
-        value += _perturbations.get((p.r, p.s, n, k), 0)
+    key = (p.r, p.s, n, k)
+    delta = _perturbations.get(key)
+    if delta is not None:
+        # no lock: triangle() already holds _cache_lock, and a lost update
+        # between threads cannot turn a nonzero count back into zero
+        _perturbation_reads[key] = _perturbation_reads.get(key, 0) + 1
+        value += delta
     return value
 
 

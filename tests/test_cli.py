@@ -148,6 +148,41 @@ class TestVerifyCommand:
         assert code == 1
 
 
+class TestExitCodes:
+    def test_internal_error_exits_three_with_one_line(self, capsys):
+        # dim 128 cannot hold the coherent vector to 2048-bit accuracy
+        code, out, err = run_cli(capsys, "--prec", "2048", "verify", "fock")
+        assert code == 3
+        assert out == ""
+        assert "tail mass" in err and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_precision_below_floor_exits_two_before_any_work(self, capsys, monkeypatch):
+        def must_not_run(args):
+            raise AssertionError("suite ran despite an invalid --prec")
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "hgf", must_not_run)
+        code, out, err = run_cli(capsys, "--prec", "8", "verify", "hgf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --prec") and err.count("\n") == 1
+
+    def test_unread_perturbation_fails_by_name(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "verify", "connection",
+                               "--perturb", "9,9,1,1")
+        assert code == 1
+        payload = json.loads(out)
+        failed = [(c["suite"], c["name"]) for c in payload["checks"] if not c["ok"]]
+        assert failed == [("perturb", "perturbed entry S_(9,9)(1,1) was read by a check")]
+
+    def test_read_perturbation_passes_the_read_check(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "verify", "connection", "--nmax", "2",
+                               "--perturb", "2,1,2,1")
+        assert code == 1
+        read_check = json.loads(out)["checks"][-1]
+        assert read_check["name"] == "perturbed entry S_(2,1)(2,1) was read by a check"
+        assert read_check["ok"]
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "bosonbell", "bell", "1", "1", "5", "--format", "oeis"],

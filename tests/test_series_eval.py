@@ -237,6 +237,10 @@ class TestHgf:
         with pytest.raises(ValueError):
             hgf_check(3, 2, Fraction(-1, 5), 4)
 
+    def test_precision_below_floor_rejected(self):
+        with pytest.raises(ValueError):
+            hgf_check(3, 2, Fraction(1, 5), 4, precision=8)
+
     def test_order_zero_reduces_to_the_convention_constant(self):
         res = hgf_check(4, 2, Fraction(1, 30), 0)
         assert res.ok and res.rhs_exact == 1
