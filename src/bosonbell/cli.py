@@ -313,6 +313,8 @@ def _suite_hgf(args) -> list:
 def _suite_fock(args) -> list:
     checks = []
     prec = args.prec
+    # the coherent tail at z = 1 is about 1/dim!, and must fall below 2^(-prec/2)
+    dim = max(128, prec // 8)
     tol = Fraction(1, 10**30)
     cases = [(1, 1, n) for n in range(1, 7)]
     cases += [(2, 1, n) for n in range(1, 4)]
@@ -321,16 +323,16 @@ def _suite_fock(args) -> list:
     for (r, s, n) in cases:
         p = Params(r, s)
         for z in (Fraction(1, 2), Fraction(1)):
-            got = fock_numeric.expectation_power(p, n, z, 128, precision=prec)
+            got = fock_numeric.expectation_power(p, n, z, dim, precision=prec)
             exact = z ** (n * abs(r - s)) * stirling_bell.bell_polynomial(p, n, z * z)
             err = abs(got.to_fraction() - exact)
             ok = err <= tol * max(abs(exact), Fraction(1))
             checks.append(Check(
-                f"<z|[(a+)^{r} a^{s}]^{n}|z> at z={z}, dim 128(+16) matches the exact polynomial",
+                f"<z|[(a+)^{r} a^{s}]^{n}|z> at z={z}, dim {dim}(+16) matches the exact polynomial",
                 ok, f"err={float(err):.2e}"))
     for n, expected in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)):
         ok = (stirling_bell.bell_number(Params(1, 1), n) == expected
-              and fock_numeric.katriel_check(n, precision=prec))
+              and fock_numeric.katriel_check(n, dim, precision=prec))
         checks.append(Check(f"number-operator expectation at z=1 gives {expected} (n={n})", ok))
     return checks
 
@@ -514,10 +516,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             perturbed = None
             if args.perturb:
-                parts = [int(x) for x in args.perturb.split(",")]
-                if len(parts) == 4:
-                    parts.append(1)
-                r, s, n, k, delta = parts
+                try:
+                    parts = [int(x) for x in args.perturb.split(",")]
+                    r, s, n, k, delta = parts + [1] if len(parts) == 4 else parts
+                except ValueError:
+                    raise ValueError(
+                        f"--perturb expects integers R,S,N,K[,DELTA], got {args.perturb!r}") from None
                 perturbed = (Params(r, s), n, k)
                 stirling_bell.set_perturbation(*perturbed, delta)
             try:

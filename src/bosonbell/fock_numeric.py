@@ -1,11 +1,12 @@
 """Truncated Fock-space verification of coherent-state expectations.
 
 The annihilation and creation operators act on the number basis
-|0>, ..., |D-1> as dense matrices with arbitrary-precision entries
-(a[n-1, n] = sqrt(n), creator = transpose).  Expectation values
-<z| [(a+)^r a^s]^n |z> are formed by repeated matrix-vector products on
-a truncated coherent vector and compared against the exact values
-z^(n|r-s|) B_{r,s}(n, z^2) from the triangle.
+|0>, ..., |D-1> as bidiagonal operators: a|n> = sqrt(n)|n-1> and
+a+|n-1> = sqrt(n)|n>, so both are one shared table of arbitrary-precision
+square roots and a shift.  Expectation values <z| [(a+)^r a^s]^n |z> are
+formed by repeated O(D) shift-and-scale steps on a truncated coherent
+vector and compared against the exact values z^(n|r-s|) B_{r,s}(n, z^2)
+from the triangle.
 
 Only real z >= 0 is supported.  For r = s the expectation depends on z
 only through z^2 (the phases cancel pairwise), so unit-modulus statements
@@ -40,10 +41,13 @@ class FockTruncationError(RuntimeError):
 class FockOperator:
     dim: int
     precision_bits: int
-    rows: tuple  # tuple of row tuples of mpf entries
+    roots: tuple  # roots[n] = sqrt(n) for n < dim, shared by a and a+
+    shift: int  # +1 for a (|n> -> |n-1>), -1 for a+ (|n-1> -> |n>)
 
     def entry(self, i: int, j: int):
-        return self.rows[i][j]
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"entry ({i}, {j}) outside dim {self.dim}")
+        return self.roots[max(i, j)] if j - i == self.shift else mp.mpf(0)
 
 
 @dataclass(frozen=True)
@@ -64,39 +68,30 @@ def _to_mpf(x) -> mpmath.mpf:
 
 
 def build_ops(dim: int, precision: int = DEFAULT_PRECISION_BITS) -> Tuple[FockOperator, FockOperator]:
-    """Dense truncated (annihilator, creator) pair on dimension ``dim``.
+    """Truncated (annihilator, creator) pair on dimension ``dim``.
 
-    On the truncated space [a, a+] equals the identity except for the
-    corner entry (D-1, D-1), which is 1 - D.
+    Both share one table of sqrt(n) rounded at ``precision``.  On the
+    truncated space [a, a+] equals the identity except for the corner
+    entry (D-1, D-1), which is 1 - D.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     with mp.workprec(precision):
-        zero = mp.mpf(0)
-        a_rows = [[zero] * dim for _ in range(dim)]
-        for n in range(1, dim):
-            a_rows[n - 1][n] = mp.sqrt(n)
-        adag_rows = [[a_rows[j][i] for j in range(dim)] for i in range(dim)]
-    return (
-        FockOperator(dim=dim, precision_bits=precision,
-                     rows=tuple(tuple(r) for r in a_rows)),
-        FockOperator(dim=dim, precision_bits=precision,
-                     rows=tuple(tuple(r) for r in adag_rows)),
-    )
+        roots = tuple(mp.sqrt(n) for n in range(dim))
+    return (FockOperator(dim, precision, roots, 1), FockOperator(dim, precision, roots, -1))
 
 
 def apply_operator(op: FockOperator, vec: List[mpmath.mpf]) -> List[mpmath.mpf]:
-    """Dense matrix-vector product; zero entries are skipped."""
+    """Shift and scale in O(D); products are rounded at the caller's precision.
+
+    a:  out[n] = sqrt(n+1) vec[n+1], out[D-1] = 0.
+    a+: out[n] = sqrt(n) vec[n-1],   out[0] = 0.
+    """
     if len(vec) != op.dim:
         raise ValueError(f"vector length {len(vec)} does not match dim {op.dim}")
-    out = []
-    for row in op.rows:
-        acc = mp.mpf(0)
-        for entry, x in zip(row, vec):
-            if entry:
-                acc += entry * x
-        out.append(acc)
-    return out
+    if op.shift > 0:
+        return [r * x for r, x in zip(op.roots[1:], vec[1:])] + [mp.mpf(0)]
+    return [mp.mpf(0)] + [r * x for r, x in zip(op.roots[1:], vec)]
 
 
 def coherent_state(
@@ -152,8 +147,8 @@ def expectation_power(
 ) -> BigFloat:
     """<z| [(a+)^r a^s]^n |z> on the truncated space.
 
-    The word is applied factor by factor as matrix-vector products, never
-    as an n-th power matrix.  With ``check_stability`` the value is
+    The word is applied letter by letter to the vector, never as a
+    precomputed n-th power.  With ``check_stability`` the value is
     recomputed at dim + stability_step and the two must agree to
     ``stability_rtol`` (default 2^(-precision/2)), otherwise the
     truncation is reported as too small.  The exact target is

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from bosonbell import cli
+from bosonbell.fock_numeric import FockTruncationError
 from bosonbell.stirling_bell import Params, stirling
 
 
@@ -149,12 +150,33 @@ class TestVerifyCommand:
 
 
 class TestExitCodes:
-    def test_internal_error_exits_three_with_one_line(self, capsys):
-        # dim 128 cannot hold the coherent vector to 2048-bit accuracy
-        code, out, err = run_cli(capsys, "--prec", "2048", "verify", "fock")
+    def test_internal_error_exits_three_with_one_line(self, capsys, monkeypatch):
+        def truncated(args):
+            raise FockTruncationError(
+                "coherent tail mass 9.6e-217 above threshold at dim=128", suggested_dim=256)
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "fock", truncated)
+        code, out, err = run_cli(capsys, "verify", "fock")
         assert code == 3
         assert out == ""
         assert "tail mass" in err and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_fock_dimension_follows_precision(self, capsys):
+        # dim 128 holds the coherent vector only to about 1400 bits
+        code, out, err = run_cli(capsys, "--prec", "2048", "verify", "fock")
+        assert code == 0, err
+        assert "dim 256(+16)" in out and out.endswith("36 passed, 0 failed\n")
+
+    @pytest.mark.parametrize("spec", ["1,2", "1,1,2,x", "1,1,2,1,1,1"])
+    def test_malformed_perturbation_names_the_form(self, capsys, monkeypatch, spec):
+        def must_not_run(args):
+            raise AssertionError("suite ran despite a malformed --perturb")
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "oracle", must_not_run)
+        code, out, err = run_cli(capsys, "verify", "oracle", "--perturb", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "R,S,N,K[,DELTA]" in err and err.count("\n") == 1
 
     def test_precision_below_floor_exits_two_before_any_work(self, capsys, monkeypatch):
         def must_not_run(args):

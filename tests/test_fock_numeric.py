@@ -52,6 +52,37 @@ class TestBuildOps:
             assert abs(comm[dim - 1] - (1 - dim)) < dim * eps
 
 
+class TestBandedOperators:
+    @pytest.mark.parametrize("precision", [64, 300])
+    def test_apply_equals_the_sum_over_entries(self, precision):
+        dim = 12
+        for op in build_ops(dim, precision=precision):
+            with mp.workprec(precision):
+                vec = [mp.mpf(j + 1) / 3 - mp.sqrt(j + 2) for j in range(dim)]
+                got = apply_operator(op, vec)
+                want = [mp.fsum(op.entry(i, j) * vec[j] for j in range(dim))
+                        for i in range(dim)]
+            assert got == want
+
+    def test_wrong_vector_length_rejected(self):
+        a, adag = build_ops(4)
+        for op in (a, adag):
+            with pytest.raises(ValueError, match="does not match dim"):
+                apply_operator(op, [mp.mpf(1)] * 5)
+
+    def test_entry_outside_the_basis_rejected(self):
+        a, adag = build_ops(4)
+        for op in (a, adag):
+            for i, j in ((4, 3), (3, 4), (-1, 0)):
+                with pytest.raises(IndexError):
+                    op.entry(i, j)
+
+    @pytest.mark.parametrize("dim", [1, 0])
+    def test_dimension_below_two_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            build_ops(dim)
+
+
 class TestCoherentState:
     def test_vacuum(self):
         ket = coherent_state(0, 8)
