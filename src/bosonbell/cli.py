@@ -54,66 +54,48 @@ def _positive_int(text: str) -> int:
 # Data commands
 
 
-def _format_int_table(rows, fmt: str, r: int, s: int) -> str:
-    if fmt == "plain":
-        return "\n".join(
-            " ".join(str(v) for _, v in sorted(entries.items()))
-            for _, entries in rows
-        )
-    if fmt == "csv":
-        lines = []
-        for n, entries in rows:
-            lines.extend(f"{n},{k},{v}" for k, v in sorted(entries.items()))
-        return "\n".join(lines)
-    if fmt == "json":
-        payload = {
-            "r": r, "s": s,
-            "rows": [
-                {"n": n, "entries": {str(k): str(v) for k, v in sorted(entries.items())}}
-                for n, entries in rows
-            ],
-        }
-        return json.dumps(payload)
-    if fmt == "oeis":
-        flat = [str(v) for _, entries in rows for _, v in sorted(entries.items())]
-        return ", ".join(flat)
-    raise ValueError(f"unknown format {fmt!r}")
+# (command, format) -> renderer; triangle rows arrive as (n, sorted (k, v) pairs)
+_FORMATTERS = {
+    ("triangle", "plain"): lambda rows, r, s: "\n".join(
+        " ".join(str(v) for _, v in entries) for _, entries in rows),
+    ("triangle", "csv"): lambda rows, r, s: "\n".join(
+        f"{n},{k},{v}" for n, entries in rows for k, v in entries),
+    ("triangle", "json"): lambda rows, r, s: json.dumps({"r": r, "s": s, "rows": [
+        {"n": n, "entries": {str(k): str(v) for k, v in entries}} for n, entries in rows]}),
+    ("triangle", "oeis"): lambda rows, r, s: ", ".join(
+        str(v) for _, entries in rows for _, v in entries),
+    ("bell", "plain"): lambda values, r, s: "\n".join(str(v) for v in values),
+    ("bell", "csv"): lambda values, r, s: "\n".join(f"{n},{v}" for n, v in enumerate(values)),
+    ("bell", "json"): lambda values, r, s: json.dumps(
+        {"r": r, "s": s, "values": [str(v) for v in values]}),
+    ("bell", "oeis"): lambda values, r, s: ", ".join(str(v) for v in values),
+    ("normalize", "plain"): lambda terms, word: " ".join(
+        f"({i},{j}):{c}" for (i, j), c in terms),
+    ("normalize", "csv"): lambda terms, word: "\n".join(f"{i},{j},{c}" for (i, j), c in terms),
+    ("normalize", "json"): lambda terms, word: json.dumps({"word": word, "terms": [
+        {"i": i, "j": j, "coeff": str(c)} for (i, j), c in terms]}),
+}
+
+
+def _render(command: str, fmt: str, *data) -> str:
+    renderer = _FORMATTERS.get((command, fmt))
+    if renderer is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    return renderer(*data)
 
 
 def cmd_triangle(r: int, s: int, n_max: int, fmt: str = "plain") -> str:
     tri = stirling_bell.triangle(Params(r, s), n_max)
-    rows = [(n, tri.row(n)) for n in range(1, n_max + 1)]
-    return _format_int_table(rows, fmt, r, s)
+    rows = [(n, sorted(tri.row(n).items())) for n in range(1, n_max + 1)]
+    return _render("triangle", fmt, rows, r, s)
 
 
 def cmd_bell(r: int, s: int, n_max: int, fmt: str = "plain") -> str:
-    seq = stirling_bell.bell_sequence(Params(r, s), n_max)
-    values = list(seq.values)
-    if fmt == "plain":
-        return "\n".join(str(v) for v in values)
-    if fmt == "csv":
-        return "\n".join(f"{n},{v}" for n, v in enumerate(values))
-    if fmt == "json":
-        return json.dumps({"r": r, "s": s, "values": [str(v) for v in values]})
-    if fmt == "oeis":
-        return ", ".join(str(v) for v in values)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render("bell", fmt, stirling_bell.bell_sequence(Params(r, s), n_max).values, r, s)
 
 
 def cmd_normalize(word: str, fmt: str = "plain") -> str:
-    nf = boson_oracle.normalize(word)
-    terms = nf.sorted_terms()
-    if fmt == "plain":
-        return " ".join(f"({i},{j}):{c}" for (i, j), c in terms)
-    if fmt == "csv":
-        return "\n".join(f"{i},{j},{c}" for (i, j), c in terms)
-    if fmt == "json":
-        payload = {
-            "word": word,
-            "terms": [{"i": i, "j": j, "coeff": str(c)} for (i, j), c in terms],
-        }
-        return json.dumps(payload)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render("normalize", fmt, boson_oracle.normalize(word).sorted_terms(), word)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +107,7 @@ def _suite_oracle(args) -> list:
     for r in range(1, args.rmax + 1):
         for s in range(1, r + 1):
             p = Params(r, s)
+            explicit_rows = {}
             for n in range(1, args.nmax + 1):
                 oracle_row = boson_oracle.extract_stirling_row(p, n)
                 lib_row = stirling_bell.triangle(p, n).row(n)
@@ -132,19 +115,22 @@ def _suite_oracle(args) -> list:
                     k: v for k in p.band(n)
                     if (v := stirling_bell.stirling_diffop(p, n, k))
                 }
-                ok = oracle_row == lib_row == diffop_row
+                explicit_rows[n] = explicit_row = {
+                    k: v for k in p.band(n) if (v := stirling_bell.stirling(p, n, k))
+                }
+                ok = oracle_row == lib_row == diffop_row == explicit_row
                 detail = ""
                 if not ok:
-                    detail = f"oracle={oracle_row} table={lib_row} diffop={diffop_row}"
+                    detail = (f"oracle={oracle_row} table={lib_row} diffop={diffop_row} "
+                              f"explicit={explicit_row}")
                 checks.append(Check(
                     f"S_({r},{s})(n={n},.): finite sum = differential route = word rewriting",
                     ok, detail))
             if r == s:
+                # the recurrence shares _next_row with the table, so it is held
+                # against the explicit sum alone
                 tri = stirling_bell.stirling_diag_recurrence(r, args.nmax)
-                ok = all(
-                    tri.row(n) == stirling_bell.triangle(p, n).row(n)
-                    for n in range(1, args.nmax + 1)
-                )
+                ok = all(tri.row(n) == explicit_rows[n] for n in range(1, args.nmax + 1))
                 checks.append(Check(
                     f"S_({r},{r}): diagonal recurrence matches the finite sum", ok))
     rng = random.Random(args.seed)

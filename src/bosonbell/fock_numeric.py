@@ -16,7 +16,7 @@ factor conj(z)^(n(r-s)) that this module does not model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -126,10 +126,10 @@ def coherent_state(
                           amps=tuple(amps), tail_mass=tail)
 
 
-def _expectation_once(p: Params, n: int, z, dim: int, precision: int) -> mpmath.mpf:
+def _expectation_once(p: Params, n: int, z, ops, precision: int) -> mpmath.mpf:
+    a_op, adag_op = ops
     with mp.workprec(precision + _GUARD_BITS):
-        a_op, adag_op = build_ops(dim, precision + _GUARD_BITS)
-        ket = coherent_state(z, dim, precision)
+        ket = coherent_state(z, a_op.dim, precision)
         vec = list(ket.amps)
         for _ in range(n):
             for _ in range(p.s):
@@ -161,9 +161,12 @@ def expectation_power(
             f"dim={dim} cannot hold {n} applications of a word of height {max(p.r, p.s)}",
             suggested_dim=n * max(p.r, p.s) + 18,
         )
-    value = _expectation_once(p, n, z, dim, precision)
+    # one sqrt table at the widest dimension; the narrow pass reads its prefix
+    ops = build_ops(dim + stability_step if check_stability else dim, precision + _GUARD_BITS)
+    narrow = [replace(op, dim=dim, roots=op.roots[:dim]) for op in ops]
+    value = _expectation_once(p, n, z, narrow, precision)
     if check_stability:
-        wider = _expectation_once(p, n, z, dim + stability_step, precision)
+        wider = _expectation_once(p, n, z, ops, precision)
         with mp.workprec(precision + _GUARD_BITS):
             if stability_rtol is None:
                 stability_rtol = mp.mpf(2) ** (-(precision // 2))

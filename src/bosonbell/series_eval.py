@@ -727,25 +727,33 @@ def hgf_check(
         if u > 2**24:
             raise ConvergenceError("cannot certify tails this close to the radius")
 
+    # the outer sum stops at the first k whose tail bound meets the target;
+    # once defined, each step multiplies the bound by at most 1/2, so that k
+    # is found by galloping and bisection before any term is summed
     target = Fraction(1, 2 ** (precision - MIN_PRECISION_BITS))
+
+    def certified(k: int) -> bool:
+        tail = tail_bound(u, k)
+        return tail is not None and tail <= target
+
+    lo, k = -1, 0
+    while not certified(k):
+        if k >= max_outer - 1:
+            raise TermBudgetError(f"outer sum needed more than {max_outer} terms")
+        lo, k = k, min(2 * k + 1, max_outer - 1)
+    while k - lo > 1:
+        mid = (lo + k) // 2
+        lo, k = (lo, mid) if certified(mid) else (mid, k)
     acc = _ZERO
-    k = 0
-    tail = None
-    while True:
+    for j in range(k + 1):
         inner = _ZERO
         u_m = _ONE
         for m in range(1, order + 1):
-            u_m *= term_ratio(k, m)
+            u_m *= term_ratio(j, m)
             inner += u_m
-        acc += Fraction(1, factorial(k + pref_shift)) * inner
-        tail = tail_bound(u, k)
-        if tail is not None and tail <= target:
-            break
-        k += 1
-        if k >= max_outer:
-            raise TermBudgetError(f"outer sum needed more than {max_outer} terms")
+        acc += Fraction(1, factorial(j + pref_shift)) * inner
 
-    iv = _Interval(acc, acc + tail) * _inv_e_bounds(precision) + 1
+    iv = _Interval(acc, acc + tail_bound(u, k)) * _inv_e_bounds(precision) + 1
     rhs = _ONE + sum(
         (Fraction(bell_number(Params(r, s), n), factorial(n) ** (t_power + 1)) * lam**n
          for n in range(1, order + 1)),

@@ -4,12 +4,11 @@ S_{r,s}(n,k) is the integer coefficient of (a+)^k a^k in the normally
 ordered expansion of [(a+)^r a^s]^n, where a, a+ are boson operators with
 [a, a+] = 1.  For r >= s the entries are nonzero exactly on the band
 s <= k <= n s; for r < s the band is r <= k <= n r and the values follow
-from the symmetry S_{r,s} = S_{s,r}.  Several independent computation
-routes are provided so they can be cross-checked:
+from the symmetry S_{r,s} = S_{s,r}.  Triangles are grown row by row with
+the Wick recurrence of ``_next_row``; independent routes check them:
 
-* an explicit alternating finite sum,
+* the explicit alternating finite sum, also the route of ``stirling``,
 * a differential-operator route (apply x^r d^s/dx^s repeatedly),
-* a recurrence for the diagonal r = s,
 * and, in :mod:`bosonbell.boson_oracle`, literal rewriting of boson words.
 
 B_{r,s}(n) is the row sum of the triangle, with B_{r,s}(0) = 1 by
@@ -179,8 +178,9 @@ def stirling_symmetric(p: Params, n: int, k: int) -> int:
 
 
 # Entry perturbation hook, used by the verification CLI to prove that the
-# cross-check suites actually detect a wrong table entry.  The read counts
-# let the CLI tell a caught perturbation from one no check ever looked at.
+# cross-check suites actually detect a wrong table entry.  It is a read
+# overlay on clean memo rows, so a corrupted entry never reaches later rows;
+# the read counts tell a caught perturbation from one no check looked at.
 _perturbations: Dict[tuple, int] = {}
 _perturbation_reads: Dict[tuple, int] = {}
 _cache_lock = threading.Lock()
@@ -188,11 +188,10 @@ _triangle_cache: Dict[tuple, Dict[int, Dict[int, int]]] = {}
 
 
 def set_perturbation(p: Params, n: int, k: int, delta: int) -> None:
-    """Additively corrupt S_{r,s}(n,k) as seen by ``stirling`` and callers."""
+    """Additively corrupt S_{r,s}(n,k) as seen by ``stirling`` and ``triangle``."""
     with _cache_lock:
         _perturbations[(p.r, p.s, n, k)] = delta
         _perturbation_reads[(p.r, p.s, n, k)] = 0
-        _triangle_cache.clear()
 
 
 def clear_perturbations() -> None:
@@ -203,8 +202,17 @@ def clear_perturbations() -> None:
 
 
 def perturbation_reads(p: Params, n: int, k: int) -> int:
-    """How often ``stirling`` has returned the perturbed S_{r,s}(n,k)."""
+    """How often ``stirling`` or ``triangle`` has returned the perturbed S_{r,s}(n,k)."""
     return _perturbation_reads.get((p.r, p.s, n, k), 0)
+
+
+def _perturbed(key: tuple, value: int) -> int:
+    delta = _perturbations.get(key)
+    if delta is None:
+        return value
+    # no lock: triangle() holds _cache_lock, and a lost update cannot zero a count
+    _perturbation_reads[key] = _perturbation_reads.get(key, 0) + 1
+    return value + delta
 
 
 def stirling(p: Params, n: int, k: int) -> int:
@@ -213,63 +221,55 @@ def stirling(p: Params, n: int, k: int) -> int:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1 if k == 0 else 0
-    if p.r >= p.s:
-        value = stirling_explicit(p, n, k)
-    else:
-        value = stirling_symmetric(p, n, k)
-    key = (p.r, p.s, n, k)
-    delta = _perturbations.get(key)
-    if delta is not None:
-        # no lock: triangle() already holds _cache_lock, and a lost update
-        # between threads cannot turn a nonzero count back into zero
-        _perturbation_reads[key] = _perturbation_reads.get(key, 0) + 1
-        value += delta
-    return value
+    value = stirling_explicit(p, n, k) if p.r >= p.s else stirling_symmetric(p, n, k)
+    return _perturbed((p.r, p.s, n, k), value)
+
+
+def _next_row(p: Params, row: Dict[int, int]) -> Dict[int, int]:
+    """Row n+1 from row n (row 0 is {0: 1}) by Wick reordering: for r >= s
+    (swapped otherwise) right-multiply sum_k S(n,k) (a+)^(k+n(r-s)) a^k by
+    (a+)^r a^s, and a^k (a+)^r = sum_j C(k,j) r^falling(j) (a+)^(r-j) a^(k-j)
+    gives S(n+1, k-j+s) += C(k,j) r^falling(j) S(n,k)."""
+    r, s = max(p.r, p.s), min(p.r, p.s)
+    out = [0] * (max(row) + s + 1)
+    for k, v in row.items():
+        for j in range(min(k, r) + 1):
+            out[k - j + s] += binomial(k, j) * falling_factorial(r, j) * v
+    return {k: v for k, v in enumerate(out) if v}
+
+
+def _overlay(p: Params, n: int, clean: Dict[int, int]) -> Dict[int, int]:
+    """A copy of a clean row with the in-band perturbations of (r, s, n) added."""
+    row = dict(clean)
+    for key in _perturbations:
+        if key[:3] == (p.r, p.s, n) and key[3] in p.band(n):
+            row[key[3]] = _perturbed(key, row[key[3]])
+            if not row[key[3]]:
+                del row[key[3]]
+    return row
 
 
 def triangle(p: Params, n_max: int) -> StirlingTriangle:
     """Rows 1..n_max of the (r, s) triangle, memoized per parameter pair."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    key = (p.r, p.s)
     with _cache_lock:
-        rows = _triangle_cache.setdefault(key, {})
-        for n in range(1, n_max + 1):
-            if n not in rows:
-                rows[n] = {k: v for k in p.band(n) if (v := stirling(p, n, k))}
-        snapshot = {n: dict(rows[n]) for n in range(1, n_max + 1)}
+        rows = _triangle_cache.setdefault((p.r, p.s), {0: {0: 1}})
+        for n in range(len(rows), n_max + 1):
+            rows[n] = _next_row(p, rows[n - 1])
+        snapshot = {n: _overlay(p, n, rows[n]) for n in range(1, n_max + 1)}
     return StirlingTriangle(params=p, n_max=n_max, rows=snapshot)
 
 
 def stirling_diag_recurrence(r: int, n_max: int) -> StirlingTriangle:
-    """Build the diagonal triangle S_{r,r} from its recurrence:
-
-    S_{r,r}(1,r) = 1 and
-    S_{r,r}(n+1,k) = sum_{q=0}^{r} C(k+q-r, q) r^falling(q) S_{r,r}(n, k+q-r),
-
-    with entries outside r <= k <= n r treated as zero.  For r = 1 this is
-    the classical S(n+1,k) = k S(n,k) + S(n,k-1).
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    """S_{r,r} from the row recurrence, unmemoized and unperturbed.  For r = 1
+    it is the classical S(n+1,k) = k S(n,k) + S(n,k-1)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    p = Params(r, r)
-    rows: Dict[int, Dict[int, int]] = {1: {r: 1}}
-    weights = [falling_factorial(r, q) for q in range(r + 1)]
-    for n in range(1, n_max):
-        prev = rows[n]
-        nxt: Dict[int, int] = {}
-        for k in range(r, (n + 1) * r + 1):
-            total = 0
-            for q in range(r + 1):
-                src = prev.get(k + q - r)
-                if src:
-                    total += binomial(k + q - r, q) * weights[q] * src
-            if total:
-                nxt[k] = total
-        rows[n + 1] = nxt
-    return StirlingTriangle(params=p, n_max=n_max, rows=rows)
+    p, rows = Params(r, r), [{0: 1}]
+    for _ in range(n_max):
+        rows.append(_next_row(p, rows[-1]))
+    return StirlingTriangle(params=p, n_max=n_max, rows=dict(enumerate(rows[1:], 1)))
 
 
 def anti_stirling(p: Params, n: int, k: int) -> int:

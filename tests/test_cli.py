@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from bosonbell import cli
+from bosonbell import cli, stirling_bell
 from bosonbell.fock_numeric import FockTruncationError
 from bosonbell.stirling_bell import Params, stirling
 
@@ -89,6 +89,14 @@ class TestNormalizeCommand:
         assert code == 0
         assert out.strip() == "(2,2):1"
 
+    def test_unknown_format_raises(self):
+        with pytest.raises(ValueError, match="unknown format"):
+            cli.cmd_normalize("aA", "oeis")
+        with pytest.raises(ValueError, match="unknown format"):
+            cli.cmd_triangle(1, 1, 2, "xml")
+        with pytest.raises(ValueError, match="unknown format"):
+            cli.cmd_bell(1, 1, 2, "xml")
+
     def test_bad_alphabet_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "normalize", "abc")
         assert code == 2
@@ -138,6 +146,24 @@ class TestVerifyCommand:
             code, _, _ = run_cli(capsys, "verify", "oracle", "--nmax", "3",
                                  "--perturb", f"{r},{s},{n},{k}")
             assert code == 1, (r, s, n, k)
+
+    def test_corrupted_row_recurrence_is_caught(self, capsys, monkeypatch):
+        next_row = stirling_bell._next_row
+
+        def corrupt(p, row):
+            out = next_row(p, row)
+            if (p.r, p.s) == (2, 1) and max(out) == 3:
+                out[2] += 1
+            return out
+
+        stirling_bell.clear_perturbations()
+        monkeypatch.setattr(stirling_bell, "_next_row", corrupt)
+        try:
+            code, out, _ = run_cli(capsys, "verify", "oracle")
+        finally:
+            stirling_bell.clear_perturbations()
+        assert code == 1
+        assert "FAIL [oracle] S_(2,1)(n=3,.)" in out
 
     @pytest.mark.parametrize("perturb,suite", [
         ("3,3,2,4", "oracle"),      # diagonal entry, caught by route equivalence

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from bosonbell import fock_numeric
 from bosonbell.fock_numeric import (
     FockTruncationError,
     apply_operator,
@@ -144,6 +145,18 @@ class TestExpectationPower:
         forward = expectation_power(Params(2, 1), 3, Fraction(1, 2), 128)
         conjugate = expectation_power(Params(1, 2), 3, Fraction(1, 2), 128)
         assert forward.value == conjugate.value
+
+    @pytest.mark.parametrize("check_stability", [True, False])
+    def test_one_sqrt_table_per_expectation(self, monkeypatch, check_stability):
+        dims = []
+
+        def counting_build_ops(dim, precision):
+            dims.append(dim)
+            return build_ops(dim, precision)
+
+        monkeypatch.setattr(fock_numeric, "build_ops", counting_build_ops)
+        expectation_power(Params(2, 1), 2, Fraction(1, 2), 128, check_stability=check_stability)
+        assert dims == [144 if check_stability else 128]
 
     def test_truncation_rejected_when_word_cannot_fit(self):
         with pytest.raises(FockTruncationError):

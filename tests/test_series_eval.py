@@ -6,6 +6,7 @@ import pytest
 from bosonbell.series_eval import (
     ConvergenceError,
     HyperParams,
+    TermBudgetError,
     bell_diag_egf_coefficient_check,
     bell_r1_hypergeometric_check,
     dobinski_bell,
@@ -21,6 +22,7 @@ from bosonbell.series_eval import (
     laguerre_bell_check,
     laguerre_value,
 )
+from bosonbell import series_eval
 from bosonbell.stirling_bell import Params, bell_number, bell_polynomial
 
 TAIL_CAP_256 = Fraction(1, 2**200)
@@ -244,3 +246,22 @@ class TestHgf:
     def test_order_zero_reduces_to_the_convention_constant(self):
         res = hgf_check(4, 2, Fraction(1, 30), 0)
         assert res.ok and res.rhs_exact == 1
+
+    def test_unreachable_tail_fails_before_summing(self, monkeypatch):
+        # at lambda = 9/10 the certified tail needs more than 10_000 outer terms
+        family = series_eval._hgf_family
+        calls = []
+
+        def counting_family(r, s, lam):
+            t_power, radius, shift, term_ratio, tail_bound = family(r, s, lam)
+
+            def counted(k, m):
+                calls.append((k, m))
+                return term_ratio(k, m)
+            return t_power, radius, shift, counted, tail_bound
+
+        monkeypatch.setattr(series_eval, "_hgf_family", counting_family)
+        with pytest.raises(TermBudgetError):
+            hgf_check(3, 2, Fraction(9, 10), 12)
+        assert calls == []
+        assert hgf_check(3, 2, Fraction(1, 5), 12).ok and calls

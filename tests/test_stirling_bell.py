@@ -15,6 +15,7 @@ from bosonbell.stirling_bell import (
     clear_perturbations,
     connection_identity_check,
     lah_closed_form,
+    perturbation_reads,
     set_perturbation,
     stirling,
     stirling_diag_recurrence,
@@ -279,3 +280,52 @@ def test_triangle_cache_is_thread_safe():
     for t in threads:
         t.join()
     assert not errors and all(results)
+
+
+class TestRowRecurrence:
+    def test_matches_the_explicit_sum_for_every_order(self):
+        clear_perturbations()
+        for r in range(1, 5):
+            for s in range(1, 5):
+                p = Params(r, s)
+                route = stirling_explicit if r >= s else stirling_symmetric
+                tri = triangle(p, 6)
+                for n in range(1, 7):
+                    assert tri.row(n) == {k: route(p, n, k) for k in p.band(n)}, (r, s, n)
+
+    def test_perturbation_stays_one_entry(self):
+        p = Params(2, 1)
+        clear_perturbations()
+        clean = triangle(p, 6)
+        try:
+            set_perturbation(p, 3, 2, +5)
+            tri = triangle(p, 6)
+            assert tri.row(3) == {**clean.row(3), 2: clean.value(3, 2) + 5}
+            for n in (1, 2, 4, 5, 6):
+                assert tri.row(n) == clean.row(n)
+            assert perturbation_reads(p, 3, 2) == 1
+            assert triangle(Params(1, 2), 6).row(3) == clean.row(3)  # keyed by (r, s)
+        finally:
+            clear_perturbations()
+
+    def test_perturbation_to_zero_drops_the_entry(self):
+        p = Params(2, 1)
+        try:
+            set_perturbation(p, 3, 2, -stirling(p, 3, 2))
+            row = triangle(p, 4).row(3)
+            assert 2 not in row and set(row) == {1, 3}
+        finally:
+            clear_perturbations()
+
+    def test_out_of_band_perturbation_reaches_point_reads_only(self):
+        p = Params(2, 1)
+        clear_perturbations()
+        clean = triangle(p, 4)
+        try:
+            set_perturbation(p, 3, 7, 4)
+            assert triangle(p, 4).rows == clean.rows
+            assert perturbation_reads(p, 3, 7) == 0
+            assert stirling(p, 3, 7) == 4
+            assert perturbation_reads(p, 3, 7) == 1
+        finally:
+            clear_perturbations()
