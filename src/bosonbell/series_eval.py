@@ -1,12 +1,14 @@
 """Arbitrary-precision evaluation of the infinite-series identities.
 
 Every series here is summed in exact rational arithmetic and rounded
-once at the end.  Truncation is certified: a term-ratio upper bound that
-is valid for *all* later terms and non-increasing in the index turns the
-remainder into a geometric series, giving an exact rational tail bound.
-The only irrational constant, e, enters through an exact rational
-enclosure of exp(t), so every :class:`SeriesValue` brackets the true sum
-of the identity it evaluates.
+once at the end: terms and partial sums are integers over one running
+integer denominator, reduced once when the sum stops.  Truncation is
+certified: a term-ratio upper bound that is valid for *all* later terms
+and non-increasing in the index turns the remainder into a geometric
+series, giving an exact rational tail bound.  The only irrational
+constant, e, enters through an exact rational enclosure of exp(t), so
+every :class:`SeriesValue` brackets the true sum of the identity it
+evaluates.
 
 Divisions by Gamma-function values never happen in floating point:
 all Gamma ratios that appear are reduced to rational Pochhammer products
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial
+from math import ceil, factorial, prod
 from typing import Callable, Tuple
 
 from .exact_core import (
@@ -33,7 +35,7 @@ from .exact_core import (
     series_exp,
     series_exp_linear,
 )
-from .stirling_bell import Params, bell_number, stirling
+from .stirling_bell import Params, bell_number, bell_sequence, stirling
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -141,19 +143,21 @@ def _exp_bounds(t: Fraction, bits: int) -> _Interval:
     """Exact rational enclosure of exp(t) for rational t >= 0."""
     if t < 0:
         raise ValueError("negative arguments go through reciprocal()")
-    target = Fraction(1, 2 ** (bits + 8))
-    partial = _ONE
-    term = _ONE
+    tn, td = t.numerator, t.denominator
+    num = partial = den = 1  # term t^m/m! = num/den, den = td^m m!
     m = 0
     while True:
         m += 1
-        term *= Fraction(t, m)
-        partial += term
-        if 2 * t <= m + 1:
-            # remaining terms fall at least geometrically with ratio <= 1/2
-            tail = 2 * term * Fraction(t, m + 1)
-            if tail <= target * partial:
-                return _Interval(partial, partial + tail)
+        num *= tn
+        partial = partial * td * m + num
+        den *= td * m
+        step = (m + 1) * td
+        if 2 * tn <= step:
+            # remaining terms fall at least geometrically with ratio <= 1/2,
+            # so the tail is at most 2 num tn / (den step)
+            if (2 * num * tn) << (bits + 8) <= partial * step:
+                return _Interval(Fraction(partial, den),
+                                 Fraction(partial * step + 2 * num * tn, den * step))
         if m > 64 * bits + 1024:
             raise TermBudgetError("exp series did not converge in budget")
 
@@ -163,41 +167,44 @@ def _inv_e_bounds(bits: int) -> _Interval:
 
 
 def _sum_positive_series(
-    term: Callable[[int], Fraction],
-    ratio_bound: Callable[[int], Fraction],
+    numerator: Callable[[int], int],
+    den_step: Callable[[int], int],
+    ratio_bound: Callable[[int], Tuple[int, int]],
     first_index: int,
-    rel_tol: Fraction,
+    bits: int,
     max_terms: int,
     min_terms: int = 0,
 ) -> Tuple[Fraction, Fraction, int]:
     """Certified truncation of sum_{k >= first_index} term(k).
 
-    ``term(k)`` must be nonnegative and ``ratio_bound(k)`` must bound
-    term(j+1)/term(j) for every j >= k while being non-increasing in k.
-    Then sum_{j > k} term(j) <= term(k) * rho / (1 - rho) with
-    rho = ratio_bound(k).  Returns (partial_sum, tail_bound, terms_used).
+    term(k) = numerator(k) / den(k) must be nonnegative, where the running
+    denominator den(k) is the product of den_step(j) for first_index <= j <= k.
+    ``ratio_bound(k)`` is a pair (num, den > 0) whose quotient rho bounds
+    term(j+1)/term(j) for every j >= k and is non-increasing in k.  Then
+    sum_{j > k} term(j) <= term(k) * rho / (1 - rho).  The sum stops once
+    that tail is at most 2^-(bits+8) of the partial sum, tested by integer
+    cross-multiplication.  Returns (partial_sum, tail_bound, terms_used).
     """
-    partial = _ZERO
+    partial, den = 0, 1
     k = first_index
     used = 0
     while True:
-        t = term(k)
-        partial += t
+        step = den_step(k)
+        num = numerator(k)
+        partial = partial * step + num
+        den *= step
         used += 1
-        rho = ratio_bound(k)
-        if rho < 1 and used >= min_terms:
-            tail = t * rho / (1 - rho)
-            if partial > 0 and tail <= rel_tol * partial:
-                return partial, tail, used
+        if used >= min_terms:
+            rho_num, rho_den = ratio_bound(k)
+            if rho_num < rho_den and partial > 0 and \
+                    (num * rho_num) << (bits + 8) <= partial * (rho_den - rho_num):
+                return (Fraction(partial, den),
+                        Fraction(num * rho_num, den * (rho_den - rho_num)), used)
         if used >= max_terms:
             raise TermBudgetError(
                 f"series needed more than {max_terms} terms for the requested precision"
             )
         k += 1
-
-
-def _rel_tol(bits: int) -> Fraction:
-    return Fraction(1, 2 ** (bits + 8))
 
 
 def _falling_product(r: int, s: int, n: int, k: int) -> int:
@@ -244,21 +251,18 @@ def dobinski_gamma_form(
     r, s = p.r, p.s
     d = r - s
 
-    def term(k: int) -> Fraction:
-        prod = Fraction(1, factorial(k))
-        for j in range(1, s + 1):
-            x = Fraction(k + j, d)
-            for m in range(1, n):
-                prod *= x + m
-        return prod
+    # (r-s)^(s(n-1)) times term k, over the running denominator k!:
+    # each factor (k+j)/d + m is (k+j+md)/d
+    def numerator(k: int) -> int:
+        return prod(k + j + m * d for j in range(1, s + 1) for m in range(1, n))
 
-    def ratio_bound(k: int) -> Fraction:
-        return (1 + Fraction(1, k + 1 + d)) ** (s * (n - 1)) / (k + 1)
+    def ratio_bound(k: int) -> Tuple[int, int]:
+        # (1 + 1/(k+1+d))^(s(n-1)) / (k+1)
+        return (k + 2 + d) ** (s * (n - 1)), (k + 1 + d) ** (s * (n - 1)) * (k + 1)
 
     partial, tail, used = _sum_positive_series(
-        term, ratio_bound, 0, _rel_tol(precision), max_terms, min_terms)
-    prefactor = Fraction(d) ** (s * (n - 1))
-    iv = _Interval(partial, partial + tail) * prefactor * _inv_e_bounds(precision)
+        numerator, lambda k: max(k, 1), ratio_bound, 0, precision, max_terms, min_terms)
+    iv = _Interval(partial, partial + tail) * _inv_e_bounds(precision)
     return _series_value(iv, used, precision)
 
 
@@ -281,16 +285,19 @@ def dobinski_polynomial(
     if p.r < p.s:
         p = p.swapped()
     r, s = p.r, p.s
+    tn, td = t.numerator, t.denominator
 
-    def term(k: int) -> Fraction:
-        return Fraction(t.numerator**k * _falling_product(r, s, n, k),
-                        t.denominator**k * factorial(k))
+    def den_step(k: int) -> int:
+        # the running denominator of term k is td^k k!
+        return td**s * factorial(s) if k == s else td * k
 
-    def ratio_bound(k: int) -> Fraction:
-        return t * (1 + Fraction(s, k - s + 1)) ** n / (k + 1)
+    def ratio_bound(k: int) -> Tuple[int, int]:
+        # t (1 + s/(k-s+1))^n / (k+1)
+        return tn * (k + 1) ** n, td * (k - s + 1) ** n * (k + 1)
 
     partial, tail, used = _sum_positive_series(
-        term, ratio_bound, s, _rel_tol(precision), max_terms, min_terms)
+        lambda k: tn**k * _falling_product(r, s, n, k), den_step, ratio_bound, s,
+        precision, max_terms, min_terms)
     iv = _Interval(partial, partial + tail) * _exp_bounds(t, precision).reciprocal()
     return _series_value(iv, used, precision)
 
@@ -320,33 +327,17 @@ def _is_terminating(uppers: tuple) -> bool:
     return any(a <= 0 and a.denominator == 1 for a in uppers)
 
 
-def _hyp_ratio_bound(uppers, lowers_full, x_abs: Fraction, m: int) -> Fraction:
-    """Upper bound for |t_{j+1}/t_j| valid for all j >= m, non-increasing in m.
-
-    Valid once every a+m >= 0 and every b+m >= 1.  Upper and lower
-    parameters are rank-paired; each pair contributes
-    max(1, (a+m)/(b+m)), which dominates (a+j)/(b+j) for all j >= m,
-    and unpaired lower parameters contribute 1/(b+m).
-    """
-    ups = sorted(uppers, reverse=True)
-    downs = sorted(lowers_full, reverse=True)
-    bound = x_abs
-    for a, b in zip(ups, downs):
-        ratio = Fraction(a + m) / (b + m)
-        if ratio > 1:
-            bound *= ratio
-    for b in downs[len(ups):]:
-        bound /= b + m
-    return bound
-
-
 _HYP_MAX_TERMS = 100_000
 
 
 def _hyp_enclosure(
     uppers: tuple, lowers: tuple, x: Fraction, bits: int, max_terms: int,
 ) -> Tuple[_Interval, int]:
-    """Certified enclosure of pFq(uppers; lowers; x) with rational data."""
+    """Certified enclosure of pFq(uppers; lowers; x) with rational data.
+
+    Term m is num/den and the partial sum partial/den over one running
+    integer denominator; term m+1 is term m times p(m)/q(m), with q > 0.
+    """
     uppers = tuple(Fraction(a) for a in uppers)
     lowers = tuple(Fraction(b) for b in lowers)
     x = Fraction(x)
@@ -363,29 +354,48 @@ def _hyp_enclosure(
         m_start = max(m_start, ceil(-a))
     for b in lowers_full:
         m_start = max(m_start, ceil(1 - b))
+    # Bound on |t_{j+1}/t_j| for all j >= m >= m_start, non-increasing in m:
+    # rank-paired parameters each contribute max(1, (a+m)/(b+m)), which
+    # dominates (a+j)/(b+j) for j >= m; unpaired lowers contribute 1/(b+m).
+    downs = sorted(lowers_full, reverse=True)
+    pairs = tuple(zip(sorted(uppers, reverse=True), downs))
+    unpaired = downs[len(uppers):]
+    p0 = x.numerator * prod(b.denominator for b in lowers)
+    q0 = x.denominator * prod(a.denominator for a in uppers)
 
-    partial = _ZERO
-    term = _ONE
+    num = partial = den = 1
     m = 0
     while True:
-        partial += term
-        if terminating or m >= m_start:
-            rho = _hyp_ratio_bound(uppers, lowers_full, abs(x), m) if not terminating else _ZERO
-            if terminating and term == 0:
-                return _Interval.point(partial), m + 1
-            if not terminating and rho < 1:
-                tail = abs(term) * rho / (1 - rho)
-                scale = max(abs(partial), _ONE)
-                if tail <= _rel_tol(bits) * scale:
-                    return _Interval(partial - tail, partial + tail), m + 1
+        if terminating:
+            if num == 0:
+                return _Interval.point(Fraction(partial, den)), m + 1
+        elif m >= m_start:
+            rho_num, rho_den = abs(x.numerator), x.denominator
+            for a, b in pairs:
+                up = (a.numerator + m * a.denominator) * b.denominator
+                down = (b.numerator + m * b.denominator) * a.denominator
+                if up > down:
+                    rho_num, rho_den = rho_num * up, rho_den * down
+            for b in unpaired:
+                rho_num, rho_den = rho_num * b.denominator, rho_den * (b.numerator + m * b.denominator)
+            # tail <= 2^-(bits+8) max(|partial|, 1), cross-multiplied
+            if rho_num < rho_den and (abs(num) * rho_num) << (bits + 8) <= \
+                    max(abs(partial), den) * (rho_den - rho_num):
+                tail = Fraction(abs(num) * rho_num, den * (rho_den - rho_num))
+                mid = Fraction(partial, den)
+                return _Interval(mid - tail, mid + tail), m + 1
         if m + 1 >= max_terms:
             raise TermBudgetError(f"pFq did not converge within {max_terms} terms")
-        ratio = Fraction(x, m + 1)
+        p, q = p0, q0 * (m + 1)
         for a in uppers:
-            ratio *= a + m
+            p *= a.numerator + m * a.denominator
         for b in lowers:
-            ratio /= b + m
-        term *= ratio
+            q *= b.numerator + m * b.denominator
+        if q < 0:
+            p, q = -p, -q
+        num *= p
+        partial = partial * q + num
+        den *= q
         m += 1
 
 
@@ -534,11 +544,8 @@ def egf_bell_r1_check(r: int, order: int) -> bool:
         inner = series_binomial_power(Fraction(-1, r - 1), Fraction(r - 1), order) \
             - PowerSeries.one(order)
     egf = series_exp(inner)
-    p = Params(r, 1)
-    return all(
-        egf.coeff(n) * factorial(n) == bell_number(p, n)
-        for n in range(order + 1)
-    )
+    bells = bell_sequence(Params(r, 1), order).values
+    return all(egf.coeff(n) * factorial(n) == bells[n] for n in range(order + 1))
 
 
 def egf_stirling_diag_check(r: int, k: int, order: int) -> bool:
@@ -635,16 +642,18 @@ def _hgf_family(r: int, s: int, lam: Fraction):
 
     Returns (t_power, radius, pref_shift, inner_term_ratio, tail_bound)
     where the generating function is evaluated as
-    (1/e) sum_k 1/(k+pref_shift)! * sum_{m>=1} u_m(k) plus the constant 1.
+    (1/e) sum_k 1/(k+pref_shift)! * sum_{m>=1} u_m(k) plus the constant 1,
+    and inner_term_ratio(k, m) is u_m/u_{m-1} as an integer pair (num, den > 0).
     """
+    ln, ld = lam.numerator, lam.denominator
     if (r, s) == (3, 2):
         t_power = 1
         radius = _ONE
         pref_shift = 2
 
-        def term_ratio(k: int, m: int) -> Fraction:
+        def term_ratio(k: int, m: int) -> Tuple[int, int]:
             # u_m / u_{m-1} for 2F1(k+2, k+1; 1; lam)
-            return Fraction((k + m + 1) * (k + m), m * m) * lam
+            return (k + m + 1) * (k + m) * ln, m * m * ld
 
         def tail_bound(u: int, K: int) -> Fraction:
             # sum_{k>K} 2F1(k+2,k+1;1;lam)/(k+2)! via
@@ -662,14 +671,14 @@ def _hgf_family(r: int, s: int, lam: Fraction):
         t_power = rr - 1
         radius = Fraction(1, rr**rr)
         pref_shift = rr
-        arg = Fraction(rr**rr) * lam
 
-        def term_ratio(k: int, m: int) -> Fraction:
-            # u_m / u_{m-1} for rFr-1((k+1)/rr, ..., (k+rr)/rr; 1, ..., 1; rr^rr lam)
-            ratio = Fraction(arg, m**rr)
+        def term_ratio(k: int, m: int) -> Tuple[int, int]:
+            # u_m / u_{m-1} for rFr-1((k+1)/rr, ..., (k+rr)/rr; 1, ..., 1; rr^rr lam);
+            # each factor (k+i)/rr + m-1 brings a 1/rr, and the rr of them cancel rr^rr
+            num = ln
             for i in range(1, rr + 1):
-                ratio *= Fraction(k + i, rr) + (m - 1)
-            return ratio
+                num *= k + i + rr * (m - 1)
+            return num, ld * m**rr
 
         def tail_bound(u: int, K: int) -> Fraction:
             # (k+1)_{rr m}/(m!)^rr <= (1+u)^k (1+1/u)^(rr m) rr^(rr m)
@@ -746,17 +755,19 @@ def hgf_check(
         lo, k = (lo, mid) if certified(mid) else (mid, k)
     acc = _ZERO
     for j in range(k + 1):
-        inner = _ZERO
-        u_m = _ONE
+        # u_m = num/den and the inner sum inner/den over one running denominator
+        num, inner, den = 1, 0, 1
         for m in range(1, order + 1):
-            u_m *= term_ratio(j, m)
-            inner += u_m
-        acc += Fraction(1, factorial(j + pref_shift)) * inner
+            p, q = term_ratio(j, m)
+            num *= p
+            inner = inner * q + num
+            den *= q
+        acc += Fraction(inner, den * factorial(j + pref_shift))
 
     iv = _Interval(acc, acc + tail_bound(u, k)) * _inv_e_bounds(precision) + 1
+    bells = bell_sequence(Params(r, s), order).values
     rhs = _ONE + sum(
-        (Fraction(bell_number(Params(r, s), n), factorial(n) ** (t_power + 1)) * lam**n
-         for n in range(1, order + 1)),
+        (Fraction(bells[n], factorial(n) ** (t_power + 1)) * lam**n for n in range(1, order + 1)),
         _ZERO,
     )
     lhs = _series_value(iv, k + 1, precision)

@@ -299,7 +299,10 @@ def bell_number(p: Params, n: int) -> int:
 
 
 def bell_sequence(p: Params, n_max: int) -> BellSequence:
-    return BellSequence(params=p, values=tuple(bell_number(p, n) for n in range(n_max + 1)))
+    """B_{r,s}(0..n_max) as the row sums of one triangle snapshot."""
+    rows = triangle(p, n_max).rows if n_max >= 1 else {}
+    values = (1,) + tuple(sum(rows[n].values()) for n in range(1, n_max + 1))
+    return BellSequence(params=p, values=values[:n_max + 1])
 
 
 def bell_polynomial(p: Params, n: int, t: RationalLike) -> Fraction:

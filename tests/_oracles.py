@@ -9,7 +9,8 @@ polynomials, no floating point involved).
 
 from __future__ import annotations
 
-from math import comb, factorial
+from fractions import Fraction
+from math import ceil, comb, factorial
 
 
 def set_partitions(items):
@@ -95,3 +96,166 @@ def normal_form_product(t1: dict, t2: dict) -> dict:
                 key = (i1 + i2 - m, j1 - m + j2)
                 out[key] = out.get(key, 0) + coeff
     return {k: v for k, v in out.items() if v}
+
+
+# --- per-term Fraction series loops ----------------------------------------
+# The certified series loops in their first form: every term is a reduced
+# Fraction and the stop test compares Fractions.  The package now sums over
+# one running integer denominator and must stop at the same index with the
+# same exact endpoints.  A budget overrun raises RuntimeError and a
+# divergent argument ValueError, with the package's messages.
+
+
+def exp_bounds_reference(t, bits: int):
+    """(lo, hi) enclosing exp(t) for rational t >= 0."""
+    t = Fraction(t)
+    target = Fraction(1, 2 ** (bits + 8))
+    partial = term = Fraction(1)
+    m = 0
+    while True:
+        m += 1
+        term *= Fraction(t, m)
+        partial += term
+        if 2 * t <= m + 1:
+            tail = 2 * term * Fraction(t, m + 1)
+            if tail <= target * partial:
+                return partial, partial + tail
+        if m > 64 * bits + 1024:
+            raise RuntimeError("exp series did not converge in budget")
+
+
+def _positive_series_reference(term, ratio_bound, first_index, bits, max_terms, min_terms):
+    rel_tol = Fraction(1, 2 ** (bits + 8))
+    partial = Fraction(0)
+    k, used = first_index, 0
+    while True:
+        t = term(k)
+        partial += t
+        used += 1
+        rho = ratio_bound(k)
+        if rho < 1 and used >= min_terms:
+            tail = t * rho / (1 - rho)
+            if partial > 0 and tail <= rel_tol * partial:
+                return partial, tail, used
+        if used >= max_terms:
+            raise RuntimeError(
+                f"series needed more than {max_terms} terms for the requested precision")
+        k += 1
+
+
+def dobinski_polynomial_reference(r, s, n, t, bits, max_terms=200_000, min_terms=0):
+    """(lo, hi, terms_used) of e^(-t) sum_{k>=s} (t^k/k!) prod_j (k+(j-1)(r-s))^falling(s)."""
+    t = Fraction(t)
+    r, s = max(r, s), min(r, s)
+
+    def term(k):
+        prod = 1
+        for j in range(n):
+            for i in range(s):
+                prod *= k + j * (r - s) - i
+        return Fraction(t.numerator**k * prod, t.denominator**k * factorial(k))
+
+    def ratio_bound(k):
+        return t * (1 + Fraction(s, k - s + 1)) ** n / (k + 1)
+
+    partial, tail, used = _positive_series_reference(term, ratio_bound, s, bits, max_terms, min_terms)
+    e_lo, e_hi = exp_bounds_reference(t, bits)
+    return partial / e_hi, (partial + tail) / e_lo, used
+
+
+def dobinski_gamma_form_reference(r, s, n, bits, max_terms=200_000, min_terms=0):
+    """(lo, hi, terms_used) of the Gamma-ratio series for B_{r,s}(n), r > s."""
+    d = r - s
+
+    def term(k):
+        prod = Fraction(1, factorial(k))
+        for j in range(1, s + 1):
+            for m in range(1, n):
+                prod *= Fraction(k + j, d) + m
+        return prod
+
+    def ratio_bound(k):
+        return (1 + Fraction(1, k + 1 + d)) ** (s * (n - 1)) / (k + 1)
+
+    partial, tail, used = _positive_series_reference(term, ratio_bound, 0, bits, max_terms, min_terms)
+    prefactor = Fraction(d) ** (s * (n - 1))
+    e_lo, e_hi = exp_bounds_reference(1, bits)
+    return partial * prefactor / e_hi, (partial + tail) * prefactor / e_lo, used
+
+
+def _hyp_ratio_bound_reference(uppers, lowers_full, x_abs, m):
+    ups = sorted(uppers, reverse=True)
+    downs = sorted(lowers_full, reverse=True)
+    bound = x_abs
+    for a, b in zip(ups, downs):
+        ratio = Fraction(a + m) / (b + m)
+        if ratio > 1:
+            bound *= ratio
+    for b in downs[len(ups):]:
+        bound /= b + m
+    return bound
+
+
+def hyp_enclosure_reference(uppers, lowers, x, bits, max_terms):
+    """(lo, hi, terms_used) enclosing pFq(uppers; lowers; x)."""
+    uppers = tuple(Fraction(a) for a in uppers)
+    lowers = tuple(Fraction(b) for b in lowers)
+    x = Fraction(x)
+    rel_tol = Fraction(1, 2 ** (bits + 8))
+    terminating = any(a <= 0 and a.denominator == 1 for a in uppers)
+    if not terminating and x != 0:
+        if len(uppers) == len(lowers) + 1:
+            if abs(x) >= 1:
+                raise ValueError(f"pFq with p = q+1 needs |x| < 1, got {x}")
+        elif len(uppers) > len(lowers) + 1:
+            raise ValueError("pFq with p > q+1 diverges for nonzero argument")
+    lowers_full = lowers + (Fraction(1),)
+    m_start = max([0] + [ceil(-a) for a in uppers] + [ceil(1 - b) for b in lowers_full])
+    partial, term, m = Fraction(0), Fraction(1), 0
+    while True:
+        partial += term
+        if terminating and term == 0:
+            return partial, partial, m + 1
+        if not terminating and m >= m_start:
+            rho = _hyp_ratio_bound_reference(uppers, lowers_full, abs(x), m)
+            if rho < 1:
+                tail = abs(term) * rho / (1 - rho)
+                if tail <= rel_tol * max(abs(partial), Fraction(1)):
+                    return partial - tail, partial + tail, m + 1
+        if m + 1 >= max_terms:
+            raise RuntimeError(f"pFq did not converge within {max_terms} terms")
+        ratio = Fraction(x, m + 1)
+        for a in uppers:
+            ratio *= a + m
+        for b in lowers:
+            ratio /= b + m
+        term *= ratio
+        m += 1
+
+
+def hgf_outer_sum_reference(r, s, lam, order, k_max):
+    """sum_{k <= k_max} 1/(k+shift)! sum_{m=1}^{order} u_m(k), the k-indexed
+    route of hgf_check, for the (3, 2) and (2r', r') families."""
+    lam = Fraction(lam)
+    if (r, s) == (3, 2):
+        shift = 2
+
+        def term_ratio(k, m):
+            return Fraction((k + m + 1) * (k + m), m * m) * lam
+    else:
+        rr = shift = s
+        arg = Fraction(rr**rr) * lam
+
+        def term_ratio(k, m):
+            ratio = Fraction(arg, m**rr)
+            for i in range(1, rr + 1):
+                ratio *= Fraction(k + i, rr) + (m - 1)
+            return ratio
+    acc = Fraction(0)
+    for k in range(k_max + 1):
+        inner, u_m = Fraction(0), Fraction(1)
+        for m in range(1, order + 1):
+            u_m *= term_ratio(k, m)
+            inner += u_m
+        acc += Fraction(1, factorial(k + shift)) * inner
+    return acc

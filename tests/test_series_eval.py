@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bosonbell.series_eval import (
     ConvergenceError,
     HyperParams,
+    SeriesValue,
     TermBudgetError,
     bell_diag_egf_coefficient_check,
     bell_r1_hypergeometric_check,
@@ -23,7 +25,16 @@ from bosonbell.series_eval import (
     laguerre_value,
 )
 from bosonbell import series_eval
+from bosonbell.exact_core import mpf_to_fraction
 from bosonbell.stirling_bell import Params, bell_number, bell_polynomial
+
+from _oracles import (
+    dobinski_gamma_form_reference,
+    dobinski_polynomial_reference,
+    exp_bounds_reference,
+    hgf_outer_sum_reference,
+    hyp_enclosure_reference,
+)
 
 TAIL_CAP_256 = Fraction(1, 2**200)
 
@@ -265,3 +276,135 @@ class TestHgf:
             hgf_check(3, 2, Fraction(9, 10), 12)
         assert calls == []
         assert hgf_check(3, 2, Fraction(1, 5), 12).ok and calls
+
+
+PRECISIONS = (16, 256, 4096)
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the builtin base class and message of
+    what it raised: TermBudgetError is a RuntimeError and ConvergenceError
+    a ValueError, as the reference loops raise them."""
+    try:
+        return fn(*args)
+    except (RuntimeError, ValueError) as exc:
+        return (RuntimeError if isinstance(exc, RuntimeError) else ValueError), str(exc)
+
+
+@pytest.fixture
+def enclosures(monkeypatch):
+    """Every (lo, hi, terms_used) passed to the final rounding step."""
+    seen = []
+    rounding = series_eval._series_value
+
+    def recording(iv, terms_used, bits):
+        seen.append((iv.lo, iv.hi, terms_used))
+        return rounding(iv, terms_used, bits)
+
+    monkeypatch.setattr(series_eval, "_series_value", recording)
+    return seen
+
+
+def _enclosure_of(fn, seen, *args):
+    outcome = _outcome(fn, *args)
+    return seen.pop() if isinstance(outcome, SeriesValue) else outcome
+
+
+class TestAgainstFractionLoops:
+    """The running-denominator loops stop where the per-term Fraction loops
+    stopped, with the same exact endpoints, or raise the same error."""
+
+    HYPER_CASES = [
+        ((1,), (2,), Fraction(-3), 100_000),                                # x < 0
+        ((1, 1), (2,), Fraction(-1, 2), 100_000),                           # alternating 2F1
+        ((Fraction(1, 3),), (Fraction(-1, 2),), Fraction(3, 4), 100_000),   # lower -1/2
+        ((2,), (Fraction(-5, 3),), Fraction(-2, 5), 100_000),               # lower -5/3, x < 0
+        ((Fraction(-5, 2), 1), (Fraction(-5, 3), Fraction(1, 2)), Fraction(-4, 5), 100_000),
+        ((-3, Fraction(1, 2)), (Fraction(-1, 2),), Fraction(7, 3), 100_000),  # terminating
+        ((-4,), (Fraction(5, 2),), Fraction(-3), 100_000),                  # terminating, x < 0
+        ((1,), (2,), Fraction(1), 5),                                       # small max_terms
+        ((Fraction(1, 2),), (Fraction(-1, 2),), Fraction(-1), 8),          # small max_terms
+        ((1, 1), (2,), Fraction(3, 2), 100_000),                            # divergent
+    ]
+
+    @pytest.mark.parametrize("bits", PRECISIONS)
+    @pytest.mark.parametrize("uppers,lowers,x,max_terms", HYPER_CASES)
+    def test_hypergeometric(self, enclosures, uppers, lowers, x, max_terms, bits):
+        h = HyperParams(uppers, lowers, x)
+        got = _enclosure_of(hypergeometric, enclosures, h, bits, max_terms)
+        assert got == _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, max_terms)
+
+    @pytest.mark.parametrize("r,s,n", [(1, 1, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (3, 3, 4)])
+    @pytest.mark.parametrize("bits,min_terms,max_terms", [
+        (16, 0, 200_000), (256, 0, 200_000), (4096, 0, 200_000),
+        (16, 40, 200_000), (256, 150, 200_000),  # min_terms past the certified stop
+        (256, 0, 5),
+    ])
+    def test_dobinski(self, enclosures, r, s, n, min_terms, max_terms, bits):
+        p = Params(r, s)
+        got = _enclosure_of(dobinski_bell, enclosures, p, n, bits, max_terms, min_terms)
+        assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms, min_terms)
+        for t in (Fraction(1, 3), Fraction(5, 2)):
+            got = _enclosure_of(dobinski_polynomial, enclosures, p, n, t, bits, max_terms, min_terms)
+            assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms, min_terms)
+        if r > s:
+            got = _enclosure_of(dobinski_gamma_form, enclosures, p, n, bits, max_terms, min_terms)
+            assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms, min_terms)
+
+    @pytest.mark.parametrize("bits", PRECISIONS)
+    @pytest.mark.parametrize("r,s,lam,order", [
+        (3, 2, Fraction(1, 5), 12), (4, 2, Fraction(1, 50), 12),
+        (2, 1, Fraction(1, 5), 10), (6, 3, Fraction(1, 135), 6),
+    ])
+    def test_hgf_inner_sums(self, enclosures, r, s, lam, order, bits):
+        res = hgf_check(r, s, lam, order, precision=bits)
+        lo, _, terms_used = enclosures.pop()
+        acc = hgf_outer_sum_reference(r, s, lam, order, terms_used - 1)
+        assert lo == acc / exp_bounds_reference(1, bits)[1] + 1
+        assert res.ok
+        assert res.rhs_exact == 1 + sum(
+            Fraction(bell_number(Params(r, s), n), factorial(n) ** (res.t_power + 1)) * lam**n
+            for n in range(1, order + 1))
+
+
+class TestExpBounds:
+    @pytest.mark.parametrize("bits", (16, 64, 256, 1024, 4096))
+    @pytest.mark.parametrize("t", [0, Fraction(1, 7), 1, Fraction(4, 3), Fraction(3, 2), 5, 40])
+    def test_endpoints_match_the_fraction_loop(self, t, bits):
+        iv = series_eval._exp_bounds(Fraction(t), bits)
+        assert (iv.lo, iv.hi) == exp_bounds_reference(t, bits)
+
+    def test_cache_interface_kept(self):
+        # the benchmark empties and reads this cache
+        series_eval._exp_bounds.cache_clear()
+        series_eval._exp_bounds(Fraction(1), 64)
+        series_eval._exp_bounds(Fraction(1), 64)
+        info = series_eval._exp_bounds.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+class TestAlternatingHypergeometric:
+    """pFq whose terms change sign, against mpmath within the certified tail."""
+
+    @staticmethod
+    def _assert_within_tail(sv, reference):
+        v = sv.value.to_fraction()
+        slack = Fraction(1, 2 ** (sv.precision_bits + 64)) * (1 + abs(reference))
+        assert abs(v - reference) <= sv.tail_bound.to_fraction() + slack
+        assert sv.tail_bound.to_fraction() <= Fraction(1, 2 ** (sv.precision_bits - 8)) * (1 + abs(v))
+
+    @pytest.mark.parametrize("bits", (64, 512))
+    def test_negative_argument(self, bits):
+        uppers, lowers, x = (Fraction(1, 2), 1), (Fraction(5, 2),), Fraction(-3, 4)
+        sv = hypergeometric(HyperParams(uppers, lowers, x), precision=bits)
+        with mpmath.workprec(bits + 128):
+            ref = mpmath.hyper([mpmath.mpf(1) / 2, 1], [mpmath.mpf(5) / 2], mpmath.mpf(-3) / 4)
+            self._assert_within_tail(sv, mpf_to_fraction(ref))
+
+    @pytest.mark.parametrize("bits", (64, 512))
+    def test_negative_non_integer_lower_parameter(self, bits):
+        uppers, lowers, x = (Fraction(1, 3),), (Fraction(-5, 3),), Fraction(2)
+        sv = hypergeometric(HyperParams(uppers, lowers, x), precision=bits)
+        with mpmath.workprec(bits + 128):
+            ref = mpmath.hyper([mpmath.mpf(1) / 3], [mpmath.mpf(-5) / 3], 2)
+            self._assert_within_tail(sv, mpf_to_fraction(ref))

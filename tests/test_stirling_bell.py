@@ -12,6 +12,7 @@ from bosonbell.stirling_bell import (
     bell_number,
     bell_polynomial,
     bell_recurrence_r1,
+    bell_sequence,
     clear_perturbations,
     connection_identity_check,
     lah_closed_form,
@@ -327,5 +328,25 @@ class TestRowRecurrence:
             assert perturbation_reads(p, 3, 7) == 0
             assert stirling(p, 3, 7) == 4
             assert perturbation_reads(p, 3, 7) == 1
+        finally:
+            clear_perturbations()
+
+
+class TestBellSequence:
+    def test_row_sums_of_one_snapshot(self):
+        clear_perturbations()
+        for r, s in ((1, 1), (2, 1), (1, 2), (3, 3)):
+            p = Params(r, s)
+            assert bell_sequence(p, 7).values == tuple(bell_number(p, n) for n in range(8))
+        assert bell_sequence(Params(2, 1), 0).values == (1,)
+
+    def test_perturbed_entry_read_once_per_sequence(self):
+        p = Params(1, 1)
+        clear_perturbations()
+        try:
+            set_perturbation(p, 3, 2, +1)
+            values = bell_sequence(p, 8).values
+            assert values[:5] == (1, 1, 2, 6, 15)
+            assert perturbation_reads(p, 3, 2) == 1
         finally:
             clear_perturbations()
