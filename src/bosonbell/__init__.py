@@ -57,7 +57,6 @@ from .series_eval import (
     laguerre_value,
 )
 from .stirling_bell import (
-    BellPolynomialValue,
     BellSequence,
     Params,
     StirlingTriangle,

@@ -3,7 +3,8 @@
 The annihilation and creation operators act on the number basis
 |0>, ..., |D-1> as bidiagonal operators: a|n> = sqrt(n)|n-1> and
 a+|n-1> = sqrt(n)|n>, so both are one shared table of arbitrary-precision
-square roots and a shift.  Expectation values <z| [(a+)^r a^s]^n |z> are
+square roots and a shift; the coherent amplitudes e^(-z^2/2) z^n / sqrt(n!)
+are built from the same table.  Expectation values <z| [(a+)^r a^s]^n |z> are
 formed by repeated O(D) shift-and-scale steps on a truncated coherent
 vector and compared against the exact values z^(n|r-s|) B_{r,s}(n, z^2)
 from the triangle.
@@ -94,25 +95,19 @@ def apply_operator(op: FockOperator, vec: List[mpmath.mpf]) -> List[mpmath.mpf]:
     return [mp.mpf(0)] + [r * x for r, x in zip(op.roots[1:], vec)]
 
 
-def coherent_state(
-    z: RationalLike, dim: int, precision: int = DEFAULT_PRECISION_BITS,
-    tail_threshold=None,
+def _coherent_from_roots(
+    z: RationalLike, roots, precision: int, tail_threshold=None,
 ) -> CoherentVector:
-    """Truncated coherent vector with amplitudes e^(-z^2/2) z^n / sqrt(n!).
-
-    ``tail_mass`` is the probability weight lost to truncation,
-    1 - sum_n amps[n]^2; if it exceeds ``tail_threshold`` (default
-    2^(-precision/2)) the dimension is rejected as too small.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    """Coherent amplitudes on dim = len(roots), with roots[n] = sqrt(n)
+    rounded at precision + _GUARD_BITS, and the tail-mass guard."""
+    dim = len(roots)
     with mp.workprec(precision + _GUARD_BITS):
         zf = _to_mpf(z)
         if zf < 0:
             raise ValueError("only real z >= 0 is supported")
         amps = [mp.exp(-(zf**2) / 2)]
         for n in range(1, dim):
-            amps.append(amps[-1] * zf / mp.sqrt(n))
+            amps.append(amps[-1] * zf / roots[n])
         norm2 = mp.fsum(a * a for a in amps)
         tail = max(mp.mpf(0), 1 - norm2)
         if tail_threshold is None:
@@ -126,10 +121,28 @@ def coherent_state(
                           amps=tuple(amps), tail_mass=tail)
 
 
+def coherent_state(
+    z: RationalLike, dim: int, precision: int = DEFAULT_PRECISION_BITS,
+    tail_threshold=None,
+) -> CoherentVector:
+    """Truncated coherent vector with amplitudes e^(-z^2/2) z^n / sqrt(n!).
+
+    ``tail_mass`` is the probability weight lost to truncation,
+    1 - sum_n amps[n]^2; if it exceeds ``tail_threshold`` (default
+    2^(-precision/2)) the dimension is rejected as too small.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    with mp.workprec(precision + _GUARD_BITS):
+        roots = [mp.sqrt(n) for n in range(dim)]
+    return _coherent_from_roots(z, roots, precision, tail_threshold)
+
+
 def _expectation_once(p: Params, n: int, z, ops, precision: int) -> mpmath.mpf:
     a_op, adag_op = ops
     with mp.workprec(precision + _GUARD_BITS):
-        ket = coherent_state(z, a_op.dim, precision)
+        # the operators' table (rounded at the same precision) feeds the amplitudes
+        ket = _coherent_from_roots(z, a_op.roots, precision)
         vec = list(ket.amps)
         for _ in range(n):
             for _ in range(p.s):
@@ -161,7 +174,8 @@ def expectation_power(
             f"dim={dim} cannot hold {n} applications of a word of height {max(p.r, p.s)}",
             suggested_dim=n * max(p.r, p.s) + 18,
         )
-    # one sqrt table at the widest dimension; the narrow pass reads its prefix
+    # one sqrt table at the widest dimension, for both operators and the
+    # coherent vector; the narrow pass reads its prefix
     ops = build_ops(dim + stability_step if check_stability else dim, precision + _GUARD_BITS)
     narrow = [replace(op, dim=dim, roots=op.roots[:dim]) for op in ops]
     value = _expectation_once(p, n, z, narrow, precision)

@@ -123,11 +123,6 @@ class SeriesValue:
         v = self.value.to_fraction()
         return abs(v - Fraction(target)) <= self.tail_bound.to_fraction()
 
-    def enclosure(self) -> _Interval:
-        v = self.value.to_fraction()
-        t = self.tail_bound.to_fraction()
-        return _Interval(v - t, v + t)
-
 
 def _series_value(iv: _Interval, terms_used: int, bits: int) -> SeriesValue:
     mid = iv.midpoint
@@ -753,16 +748,20 @@ def hgf_check(
     while k - lo > 1:
         mid = (lo + k) // 2
         lo, k = (lo, mid) if certified(mid) else (mid, k)
-    acc = _ZERO
+    # both families' ratio denominators depend on m alone, so every inner sum
+    # is inner/den over one den, and the outer sum is total/(den * fact) with
+    # the running integer denominator fact = (j + pref_shift)!
+    total, fact = 0, factorial(pref_shift - 1)
     for j in range(k + 1):
-        # u_m = num/den and the inner sum inner/den over one running denominator
         num, inner, den = 1, 0, 1
         for m in range(1, order + 1):
             p, q = term_ratio(j, m)
             num *= p
             inner = inner * q + num
             den *= q
-        acc += Fraction(inner, den * factorial(j + pref_shift))
+        total = total * (j + pref_shift) + inner
+        fact *= j + pref_shift
+    acc = Fraction(total, den * fact)
 
     iv = _Interval(acc, acc + tail_bound(u, k)) * _inv_e_bounds(precision) + 1
     bells = bell_sequence(Params(r, s), order).values

@@ -85,14 +85,6 @@ class BellSequence:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
-class BellPolynomialValue:
-    params: Params
-    n: int
-    t: Fraction
-    value: Fraction
-
-
 class DivisibilityError(ArithmeticError):
     """The alternating sum failed the exact k! divisibility check.
 
@@ -314,11 +306,6 @@ def bell_polynomial(p: Params, n: int, t: RationalLike) -> Fraction:
         return Fraction(1)
     tri = triangle(p, n)
     return sum((v * t**k for k, v in tri.row(n).items()), Fraction(0))
-
-
-def bell_polynomial_value(p: Params, n: int, t: RationalLike) -> BellPolynomialValue:
-    t = Fraction(t)
-    return BellPolynomialValue(params=p, n=n, t=t, value=bell_polynomial(p, n, t))
 
 
 def lah_closed_form(n: int, k: int) -> int:

@@ -1,10 +1,14 @@
 import json
+import pathlib
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
-from bosonbell import cli, stirling_bell
+from bosonbell import cli, fock_numeric, stirling_bell
 from bosonbell.fock_numeric import FockTruncationError
 from bosonbell.stirling_bell import Params, stirling
 
@@ -173,6 +177,55 @@ class TestVerifyCommand:
     def test_perturbations_in_every_parameter_regime(self, capsys, perturb, suite):
         code, _, _ = run_cli(capsys, "verify", suite, "--perturb", perturb)
         assert code == 1
+
+
+def test_verify_all_json_matches_the_snapshot(capsys):
+    """A refactor keeps every check's suite, name, verdict and detail; the
+    projection leaves room for added report fields."""
+    code, out, _ = run_cli(capsys, "--json", "verify", "all")
+    assert code == 0
+    got = [{key: c[key] for key in ("suite", "name", "ok", "detail")}
+           for c in json.loads(out)["checks"]]
+    snapshot = pathlib.Path(__file__).with_name("verify_all_checks.json")
+    assert got == json.loads(snapshot.read_text())
+
+
+class TestFockSuiteComputesEachValueOnce:
+    @staticmethod
+    def recording(monkeypatch, shifted=None):
+        """Record each (r, s, n, z) passed to expectation_power, and move the
+        value of the ``shifted`` case by 2^-70."""
+        calls = []
+        expectation_power = fock_numeric.expectation_power
+
+        def wrapper(p, n, z, *args, **kwargs):
+            case = (p.r, p.s, n, Fraction(z))
+            calls.append(case)
+            value = expectation_power(p, n, z, *args, **kwargs)
+            if case == shifted:
+                with mp.workprec(value.precision_bits + 64):
+                    value = replace(value, value=value.value + mp.mpf(2) ** -70)
+            return value
+
+        monkeypatch.setattr(fock_numeric, "expectation_power", wrapper)
+        return calls
+
+    def test_one_expectation_per_case(self, capsys, monkeypatch):
+        calls = self.recording(monkeypatch)
+        code, out, _ = run_cli(capsys, "verify", "fock")
+        assert code == 0 and out.endswith("36 passed, 0 failed\n")
+        assert len(calls) == len(set(calls)) == 30
+
+    def test_katriel_checks_read_the_suite_value(self, capsys, monkeypatch):
+        calls = self.recording(monkeypatch, shifted=(1, 1, 3, 1))
+        code, out, _ = run_cli(capsys, "--json", "verify", "fock")
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+        assert failed == [
+            "<z|[(a+)^1 a^1]^3|z> at z=1, dim 128(+16) matches the exact polynomial",
+            "number-operator expectation at z=1 gives 5 (n=3)",
+        ]
+        assert calls.count((1, 1, 3, 1)) == 1
 
 
 class TestExitCodes:

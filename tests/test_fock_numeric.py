@@ -158,6 +158,28 @@ class TestExpectationPower:
         expectation_power(Params(2, 1), 2, Fraction(1, 2), 128, check_stability=check_stability)
         assert dims == [144 if check_stability else 128]
 
+    def test_operators_and_coherent_vector_share_one_sqrt_table(self, monkeypatch):
+        # build_ops at dim + 16 takes all 144 roots; both coherent vectors
+        # (dim 128 and 144) read the same table instead of their own
+        calls = []
+        sqrt = mp.sqrt
+
+        def counting_sqrt(x):
+            calls.append(x)
+            return sqrt(x)
+
+        monkeypatch.setattr(mp, "sqrt", counting_sqrt)
+        expectation_power(Params(1, 1), 3, 1, 128)
+        assert calls == list(range(144))
+
+    def test_amplitudes_from_the_shared_table_match_coherent_state(self):
+        # the operators' table is rounded at precision + 64 bits, as coherent_state's is
+        for precision in (64, 256, 2048):
+            a, _ = build_ops(40, precision + 64)
+            shared = fock_numeric._coherent_from_roots(Fraction(3, 2), a.roots, precision, 1)
+            own = coherent_state(Fraction(3, 2), 40, precision, tail_threshold=1)
+            assert shared == own
+
     def test_truncation_rejected_when_word_cannot_fit(self):
         with pytest.raises(FockTruncationError):
             expectation_power(Params(3, 1), 5, 1, 8)
