@@ -48,13 +48,6 @@ class NormalForm:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def excess(self) -> int:
-        """The common value of i - j across terms (creator surplus)."""
-        offsets = {i - j for (i, j) in self.terms}
-        if len(offsets) != 1:
-            raise OracleStructureError(f"mixed creator surplus {sorted(offsets)}")
-        return offsets.pop()
-
 
 @dataclass(frozen=True)
 class AntiNormalForm:
@@ -148,7 +141,7 @@ def normalize(
     return NormalForm(terms=terms)
 
 
-def antinormalize(word: str, max_len: int = DEFAULT_WORD_CAP) -> AntiNormalForm:
+def antinormalize(word: str) -> AntiNormalForm:
     """Anti-normal order: all annihilators to the left.
 
     The letter swap a -> a+, a+ -> -a preserves [a, a+] = 1 and sends
@@ -158,19 +151,19 @@ def antinormalize(word: str, max_len: int = DEFAULT_WORD_CAP) -> AntiNormalForm:
     coefficient (-1)^(#A(w) - j) d, where #A(w) - j is the number of
     contractions (each "Aa -> aA - 1" step contributes one minus sign).
     """
-    word = _validate_word(word, max_len)
+    word = _validate_word(word, DEFAULT_WORD_CAP)
     creators = word.count(CREATE)
-    swapped = normalize(word.translate(_SWAP_LETTERS), max_len=max_len)
+    swapped = normalize(word.translate(_SWAP_LETTERS))
     return AntiNormalForm(terms={
         (i, j): -c if (creators - j) % 2 else c for (i, j), c in swapped.terms.items()
     })
 
 
-def power_word(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> NormalForm:
+def power_word(p: Params, n: int) -> NormalForm:
     """Normal form of [(a+)^r a^s]^n, by rewriting the concatenated word."""
     if n < 1:
         raise ValueError(f"power_word requires n >= 1, got n={n}")
-    return normalize((CREATE * p.r + ANNIHILATE * p.s) * n, max_len=max_len)
+    return normalize((CREATE * p.r + ANNIHILATE * p.s) * n)
 
 
 def _banded_row(nf: NormalForm, n: int, d: int, band: range) -> Dict[int, int]:
@@ -190,7 +183,7 @@ def _banded_row(nf: NormalForm, n: int, d: int, band: range) -> Dict[int, int]:
     return row
 
 
-def extract_stirling_row(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> Dict[int, int]:
+def extract_stirling_row(p: Params, n: int) -> Dict[int, int]:
     """Read row n of S_{r,s} off the normal form of [(a+)^r a^s]^n.
 
     For r >= s every term must look like (a+)^(k + n(r-s)) a^k with
@@ -198,10 +191,10 @@ def extract_stirling_row(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> 
     r <= k <= n r.  Any other shape means the oracle itself is broken
     and raises :class:`OracleStructureError`.
     """
-    return _banded_row(power_word(p, n, max_len=max_len), n, p.r - p.s, p.band(n))
+    return _banded_row(power_word(p, n), n, p.r - p.s, p.band(n))
 
 
-def extract_anti_stirling_row(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP) -> Dict[int, int]:
+def extract_anti_stirling_row(p: Params, n: int) -> Dict[int, int]:
     """Row n of the anti-Stirling numbers, from the word [a^s (a+)^r]^n.
 
     Requires r >= s.  The normal form must factor as
@@ -212,7 +205,7 @@ def extract_anti_stirling_row(p: Params, n: int, max_len: int = DEFAULT_WORD_CAP
         raise ValueError("extract_anti_stirling_row requires r >= s")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    nf = normalize((ANNIHILATE * p.s + CREATE * p.r) * n, max_len=max_len)
+    nf = normalize((ANNIHILATE * p.s + CREATE * p.r) * n)
     return _banded_row(nf, n, p.r - p.s, range(n * p.s + 1))
 
 

@@ -192,12 +192,13 @@ def _suite_anti(args) -> list:
 def _suite_dobinski(args) -> list:
     checks = []
     prec = args.prec
-    tail_cap = Fraction(1, 2 ** max(prec - 56, 8))
     for r in range(1, args.rmax + 1):
         for s in range(1, args.rmax + 1):
             p = Params(r, s)
             for n in range(1, args.nmax + 1):
                 exact = stirling_bell.bell_number(p, n)
+                # the sums stop at a tail relative to the value, so the cap is too
+                tail_cap = Fraction(max(1, exact), 2 ** max(prec - 56, 8))
                 sv = series_eval.dobinski_bell(p, n, precision=prec)
                 ok = sv.brackets(exact) and sv.tail_bound.to_fraction() <= tail_cap
                 checks.append(Check(
@@ -280,10 +281,10 @@ def _suite_egf(args) -> list:
 def _suite_hgf(args) -> list:
     checks = []
     cases = ((3, 2, Fraction(1, 5)), (4, 2, Fraction(1, 20)))
+    target = Fraction(1, 2 ** (args.prec - MIN_PRECISION_BITS))  # hgf_check's own
     for (r, s, lam) in cases:
         res = series_eval.hgf_check(r, s, lam, 12, precision=args.prec)
-        tail = res.lhs.tail_bound.to_fraction()
-        ok = res.ok and tail <= Fraction(1, 10**15)
+        ok = res.ok and res.lhs.tail_bound.to_fraction() <= target
         checks.append(Check(
             f"hgf G_({r},{s}) at lambda={lam}, order 12: k-sum route equals exact route",
             ok, f"diff={res.difference} tail={res.lhs.tail_bound}"))
@@ -311,7 +312,8 @@ def _suite_fock(args) -> list:
             if r == s == 1 and z == 1:
                 katriel[n] = ok
             checks.append(Check(
-                f"<z|[(a+)^{r} a^{s}]^{n}|z> at z={z}, dim {dim}(+16) matches the exact polynomial",
+                f"<z|[(a+)^{r} a^{s}]^{n}|z> at z={z}, dim {dim}(+{fock_numeric.STABILITY_STEP}) "
+                "matches the exact polynomial",
                 ok, f"err={float(err):.2e}"))
     for n, expected in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)):
         ok = stirling_bell.bell_number(Params(1, 1), n) == expected and katriel[n]
@@ -504,6 +506,8 @@ def main(argv=None) -> int:
                 except ValueError:
                     raise ValueError(
                         f"--perturb expects integers R,S,N,K[,DELTA], got {args.perturb!r}") from None
+                if delta == 0:
+                    raise ValueError(f"--perturb DELTA must be nonzero, got {args.perturb!r}")
                 perturbed = (Params(r, s), n, k)
                 stirling_bell.set_perturbation(*perturbed, delta)
             try:

@@ -29,6 +29,9 @@ from .stirling_bell import Params, bell_number
 
 _GUARD_BITS = 64
 
+# expectation_power re-checks every value at dim + STABILITY_STEP
+STABILITY_STEP = 16
+
 
 class FockTruncationError(RuntimeError):
     """Truncation dimension too small for the requested accuracy."""
@@ -41,7 +44,6 @@ class FockTruncationError(RuntimeError):
 @dataclass(frozen=True)
 class FockOperator:
     dim: int
-    precision_bits: int
     roots: tuple  # roots[n] = sqrt(n) for n < dim, shared by a and a+
     shift: int  # +1 for a (|n> -> |n-1>), -1 for a+ (|n-1> -> |n>)
 
@@ -53,9 +55,6 @@ class FockOperator:
 
 @dataclass(frozen=True)
 class CoherentVector:
-    z: mpmath.mpf
-    dim: int
-    precision_bits: int
     amps: tuple
     tail_mass: mpmath.mpf
 
@@ -79,7 +78,7 @@ def build_ops(dim: int, precision: int = DEFAULT_PRECISION_BITS) -> Tuple[FockOp
         raise ValueError(f"dim must be >= 2, got {dim}")
     with mp.workprec(precision):
         roots = tuple(mp.sqrt(n) for n in range(dim))
-    return (FockOperator(dim, precision, roots, 1), FockOperator(dim, precision, roots, -1))
+    return (FockOperator(dim, roots, 1), FockOperator(dim, roots, -1))
 
 
 def apply_operator(op: FockOperator, vec: List[mpmath.mpf]) -> List[mpmath.mpf]:
@@ -117,8 +116,7 @@ def _coherent_from_roots(
                 f"coherent tail mass {mp.nstr(tail, 8)} above threshold at dim={dim}",
                 suggested_dim=2 * dim,
             )
-    return CoherentVector(z=zf, dim=dim, precision_bits=precision,
-                          amps=tuple(amps), tail_mass=tail)
+    return CoherentVector(amps=tuple(amps), tail_mass=tail)
 
 
 def coherent_state(
@@ -155,17 +153,15 @@ def _expectation_once(p: Params, n: int, z, ops, precision: int) -> mpmath.mpf:
 def expectation_power(
     p: Params, n: int, z: RationalLike, dim: int,
     precision: int = DEFAULT_PRECISION_BITS,
-    check_stability: bool = True, stability_step: int = 16,
-    stability_rtol=None,
+    check_stability: bool = True,
 ) -> BigFloat:
     """<z| [(a+)^r a^s]^n |z> on the truncated space.
 
     The word is applied letter by letter to the vector, never as a
     precomputed n-th power.  With ``check_stability`` the value is
-    recomputed at dim + stability_step and the two must agree to
-    ``stability_rtol`` (default 2^(-precision/2)), otherwise the
-    truncation is reported as too small.  The exact target is
-    z^(n|r-s|) B_{r,s}(n, z^2).
+    recomputed at dim + STABILITY_STEP and the two must agree to
+    2^(-precision/2), otherwise the truncation is reported as too
+    small.  The exact target is z^(n|r-s|) B_{r,s}(n, z^2).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -176,32 +172,28 @@ def expectation_power(
         )
     # one sqrt table at the widest dimension, for both operators and the
     # coherent vector; the narrow pass reads its prefix
-    ops = build_ops(dim + stability_step if check_stability else dim, precision + _GUARD_BITS)
+    ops = build_ops(dim + STABILITY_STEP if check_stability else dim, precision + _GUARD_BITS)
     narrow = [replace(op, dim=dim, roots=op.roots[:dim]) for op in ops]
     value = _expectation_once(p, n, z, narrow, precision)
     if check_stability:
         wider = _expectation_once(p, n, z, ops, precision)
         with mp.workprec(precision + _GUARD_BITS):
-            if stability_rtol is None:
-                stability_rtol = mp.mpf(2) ** (-(precision // 2))
             scale = max(abs(value), abs(wider), mp.mpf(1))
-            if abs(value - wider) > stability_rtol * scale:
+            if abs(value - wider) > mp.mpf(2) ** (-(precision // 2)) * scale:
                 raise FockTruncationError(
                     f"value moved by {mp.nstr(abs(value - wider), 8)} when widening "
-                    f"dim {dim} -> {dim + stability_step}",
-                    suggested_dim=dim + 4 * stability_step,
+                    f"dim {dim} -> {dim + STABILITY_STEP}",
+                    suggested_dim=dim + 4 * STABILITY_STEP,
                 )
         value = wider
     with mp.workprec(precision):
         return BigFloat(value=+value, precision_bits=precision)
 
 
-def katriel_check(
-    n: int, dim: int = 128, precision: int = DEFAULT_PRECISION_BITS,
-    rel_tol: float = 1e-30,
-) -> bool:
-    """<z|(a+ a)^n|z> at z = 1 against the exact Bell number B_{1,1}(n)."""
+def katriel_check(n: int, dim: int = 128, precision: int = DEFAULT_PRECISION_BITS) -> bool:
+    """<z|(a+ a)^n|z> at z = 1 against the exact Bell number B_{1,1}(n),
+    to a relative 1e-30."""
     value = expectation_power(Params(1, 1), n, 1, dim, precision)
     exact = bell_number(Params(1, 1), n)
     with mp.workprec(precision + _GUARD_BITS):
-        return abs(value.value - exact) <= mp.mpf(rel_tol) * exact
+        return abs(value.value - exact) <= mp.mpf(1e-30) * exact

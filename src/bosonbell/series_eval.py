@@ -71,8 +71,6 @@ class _Interval:
         other = Fraction(other)
         return _Interval(self.lo + other, self.hi + other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, _Interval):
             products = (
@@ -84,8 +82,6 @@ class _Interval:
         if other >= 0:
             return _Interval(self.lo * other, self.hi * other)
         return _Interval(self.hi * other, self.lo * other)
-
-    __rmul__ = __mul__
 
     def reciprocal(self) -> "_Interval":
         if self.lo <= 0 <= self.hi:
@@ -139,22 +135,19 @@ def _exp_bounds(t: Fraction, bits: int) -> _Interval:
     if t < 0:
         raise ValueError("negative arguments go through reciprocal()")
     tn, td = t.numerator, t.denominator
-    num = partial = den = 1  # term t^m/m! = num/den, den = td^m m!
-    m = 0
-    while True:
-        m += 1
-        num *= tn
-        partial = partial * td * m + num
-        den *= td * m
-        step = (m + 1) * td
-        if 2 * tn <= step:
-            # remaining terms fall at least geometrically with ratio <= 1/2,
-            # so the tail is at most 2 num tn / (den step)
-            if (2 * num * tn) << (bits + 8) <= partial * step:
-                return _Interval(Fraction(partial, den),
-                                 Fraction(partial * step + 2 * num * tn, den * step))
-        if m > 64 * bits + 1024:
-            raise TermBudgetError("exp series did not converge in budget")
+
+    def ratio_bound(k: int) -> Tuple[int, int]:
+        # once t/(k+1) <= 1/2, rho = 2t/(k+1+2t) bounds every later t/(j+1),
+        # and the tail is term(k) rho/(1-rho) = term(k) 2t/(k+1)
+        if 2 * tn <= (k + 1) * td:
+            return 2 * tn, (k + 1) * td + 2 * tn
+        return 1, 1
+
+    # term k is tn^k over the running denominator td^k k!
+    partial, tail, _ = _sum_positive_series(
+        lambda k: tn**k, lambda k: max(td * k, 1), ratio_bound, 0, bits,
+        64 * bits + 1026, min_terms=2)
+    return _Interval(partial, partial + tail)
 
 
 def _inv_e_bounds(bits: int) -> _Interval:

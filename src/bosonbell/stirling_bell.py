@@ -80,10 +80,6 @@ class BellSequence:
     params: Params
     values: tuple  # B(0) .. B(n_max)
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
 
 class DivisibilityError(ArithmeticError):
     """The alternating sum failed the exact k! divisibility check.
@@ -284,10 +280,7 @@ def bell_number(p: Params, n: int) -> int:
     """B_{r,s}(n): row sum of the triangle; B_{r,s}(0) = 1 by convention."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 1
-    tri = triangle(p, n)
-    return sum(tri.row(n).values())
+    return bell_sequence(p, n).values[n]
 
 
 def bell_sequence(p: Params, n_max: int) -> BellSequence:

@@ -257,6 +257,38 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "R,S,N,K[,DELTA]" in err and err.count("\n") == 1
 
+    def test_zero_perturbation_exits_two_before_any_work(self, capsys, monkeypatch):
+        # a zero DELTA corrupts nothing, so no suite could fail on it
+        def must_not_run(args):
+            raise AssertionError("suite ran despite a zero --perturb DELTA")
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "oracle", must_not_run)
+        code, out, err = run_cli(capsys, "verify", "oracle", "--perturb", "1,1,2,1,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --perturb") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("prec", ["16", "32", "62"])
+    @pytest.mark.parametrize("suite", ["hgf", "dobinski"])
+    def test_series_caps_follow_an_accepted_precision(self, capsys, prec, suite):
+        code, out, _ = run_cli(capsys, "--prec", prec, "verify", suite)
+        assert code == 0, out
+
+    def test_fock_names_and_table_follow_the_stability_step(self, capsys, monkeypatch):
+        dims = []
+        build_ops = fock_numeric.build_ops
+
+        def recording_build_ops(dim, precision):
+            dims.append(dim)
+            return build_ops(dim, precision)
+
+        monkeypatch.setattr(fock_numeric, "STABILITY_STEP", 8)
+        monkeypatch.setattr(fock_numeric, "build_ops", recording_build_ops)
+        code, out, _ = run_cli(capsys, "verify", "fock")
+        assert code == 0
+        assert "dim 128(+8)" in out and "(+16)" not in out
+        assert set(dims) == {136}
+
     def test_precision_below_floor_exits_two_before_any_work(self, capsys, monkeypatch):
         def must_not_run(args):
             raise AssertionError("suite ran despite an invalid --prec")

@@ -382,6 +382,18 @@ class TestExpBounds:
         info = series_eval._exp_bounds.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
+    def test_tiny_argument_still_sums_the_linear_term(self):
+        # below 2^-(bits+9) the constant term alone would already meet the
+        # stop test; the enclosure must not depend on that
+        t = Fraction(1, 2**80)
+        iv = series_eval._exp_bounds(t, 64)
+        assert (iv.lo, iv.hi) == exp_bounds_reference(t, 64)
+
+    def test_term_budget_exhaustion_reported(self):
+        # t/(k+1) stays above 1/2 for all 64*16 + 1026 budgeted terms
+        with pytest.raises(TermBudgetError):
+            series_eval._exp_bounds(Fraction(10**4), 16)
+
 
 class TestAlternatingHypergeometric:
     """pFq whose terms change sign, against mpmath within the certified tail."""
