@@ -281,7 +281,9 @@ def _suite_egf(args) -> list:
 def _suite_hgf(args) -> list:
     checks = []
     cases = ((3, 2, Fraction(1, 5)), (4, 2, Fraction(1, 20)))
-    target = Fraction(1, 2 ** (args.prec - MIN_PRECISION_BITS))  # hgf_check's own
+    # the certified tail is the final rounding, about 2^-prec of a value near 1,
+    # plus a k-sum tail below 2^-(prec+8) of the sum; the cap leaves 16 bits
+    target = Fraction(1, 2 ** (args.prec - MIN_PRECISION_BITS))
     for (r, s, lam) in cases:
         res = series_eval.hgf_check(r, s, lam, 12, precision=args.prec)
         ok = res.ok and res.lhs.tail_bound.to_fraction() <= target
@@ -294,9 +296,8 @@ def _suite_hgf(args) -> list:
 def _suite_fock(args) -> list:
     checks = []
     prec = args.prec
-    # the coherent tail at z = 1 is about 1/dim!, and must fall below 2^(-prec/2)
-    dim = max(128, prec // 8)
-    tol = Fraction(1, 10**30)
+    dim = fock_numeric.dimension_for(prec)
+    tol = fock_numeric.tolerance(prec)
     cases = [(1, 1, n) for n in range(1, 7)]
     cases += [(2, 1, n) for n in range(1, 4)]
     cases += [(2, 2, n) for n in range(1, 4)]

@@ -33,6 +33,19 @@ _GUARD_BITS = 64
 STABILITY_STEP = 16
 
 
+def dimension_for(precision: int) -> int:
+    """Truncation dimension for z <= 1 at ``precision`` bits: the coherent
+    tail at z = 1 is about 1/dim!, and must fall below 2^(-precision/2)."""
+    return max(128, precision // 8)
+
+
+def tolerance(precision: int) -> Fraction:
+    """Relative agreement 2^(-precision//2) of an expectation with its
+    exact value: the bound expectation_power enforces between dim and
+    dim + STABILITY_STEP."""
+    return Fraction(1, 2 ** (precision // 2))
+
+
 class FockTruncationError(RuntimeError):
     """Truncation dimension too small for the requested accuracy."""
 
@@ -190,10 +203,9 @@ def expectation_power(
         return BigFloat(value=+value, precision_bits=precision)
 
 
-def katriel_check(n: int, dim: int = 128, precision: int = DEFAULT_PRECISION_BITS) -> bool:
+def katriel_check(n: int, precision: int = DEFAULT_PRECISION_BITS) -> bool:
     """<z|(a+ a)^n|z> at z = 1 against the exact Bell number B_{1,1}(n),
-    to a relative 1e-30."""
-    value = expectation_power(Params(1, 1), n, 1, dim, precision)
+    on dimension_for(precision) and to the relative tolerance(precision)."""
+    value = expectation_power(Params(1, 1), n, 1, dimension_for(precision), precision)
     exact = bell_number(Params(1, 1), n)
-    with mp.workprec(precision + _GUARD_BITS):
-        return abs(value.value - exact) <= mp.mpf(1e-30) * exact
+    return abs(value.to_fraction() - exact) <= tolerance(precision) * exact

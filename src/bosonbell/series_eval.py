@@ -628,10 +628,13 @@ class HgfCheckResult:
 def _hgf_family(r: int, s: int, lam: Fraction):
     """Dispatch table for the supported hgf families.
 
-    Returns (t_power, radius, pref_shift, inner_term_ratio, tail_bound)
-    where the generating function is evaluated as
+    Returns (t_power, radius, pref_shift, inner_term_ratio, growth) where
+    the generating function is evaluated as
     (1/e) sum_k 1/(k+pref_shift)! * sum_{m>=1} u_m(k) plus the constant 1,
-    and inner_term_ratio(k, m) is u_m/u_{m-1} as an integer pair (num, den > 0).
+    inner_term_ratio(k, m) is u_m/u_{m-1} as an integer pair (num, den > 0),
+    and growth(k, M) is u_M(k+1)/u_M(k) as such a pair.  In both families
+    u_m(k+1)/u_m(k) increases in m and does not increase in k, so growth(k, M)
+    bounds the ratio of the inner sums cut at m = M, for k and every later k.
     """
     ln, ld = lam.numerator, lam.denominator
     if (r, s) == (3, 2):
@@ -643,16 +646,11 @@ def _hgf_family(r: int, s: int, lam: Fraction):
             # u_m / u_{m-1} for 2F1(k+2, k+1; 1; lam)
             return (k + m + 1) * (k + m) * ln, m * m * ld
 
-        def tail_bound(u: int, K: int) -> Fraction:
-            # sum_{k>K} 2F1(k+2,k+1;1;lam)/(k+2)! via
-            # C(k+m+1,m) C(k+m,m) <= (1+u)^(2k+1) (1+1/u)^(2m)
-            q = (1 + Fraction(1, u)) ** 2 * lam
-            v = (1 + u) ** 2
-            if q >= 1 or Fraction(v, K + 4) > Fraction(1, 2):
-                return None
-            return Fraction(2 * (1 + u) * v ** (K + 1), factorial(K + 3)) / (1 - q)
+        def growth(k: int, M: int) -> Tuple[int, int]:
+            # u_m(k) = C(k+m+1, m) C(k+m, m) lam^m
+            return (k + M + 2) * (k + M + 1), (k + 2) * (k + 1)
 
-        return t_power, radius, pref_shift, term_ratio, tail_bound
+        return t_power, radius, pref_shift, term_ratio, growth
 
     if s >= 1 and r == 2 * s:
         rr = s
@@ -668,19 +666,16 @@ def _hgf_family(r: int, s: int, lam: Fraction):
                 num *= k + i + rr * (m - 1)
             return num, ld * m**rr
 
-        def tail_bound(u: int, K: int) -> Fraction:
-            # (k+1)_{rr m}/(m!)^rr <= (1+u)^k (1+1/u)^(rr m) rr^(rr m)
-            q = (1 + Fraction(1, u)) ** rr * Fraction(rr**rr) * lam
-            if q >= 1 or Fraction(1 + u, K + 2 + rr) > Fraction(1, 2):
-                return None
-            return Fraction(2 * (1 + u) ** (K + 1), factorial(K + 1 + rr)) / (1 - q)
+        def growth(k: int, M: int) -> Tuple[int, int]:
+            # u_m(k) = (k+1)_{rr m} lam^m / (m!)^rr
+            return k + 1 + rr * M, k + 1
 
-        return t_power, radius, pref_shift, term_ratio, tail_bound
+        return t_power, radius, pref_shift, term_ratio, growth
 
     raise ValueError(f"no hypergeometric generating function family for (r, s) = ({r}, {s})")
 
 
-# hgf_check aims its outer tail at 2^-(precision - MIN_PRECISION_BITS)
+# the smallest working precision that hgf_check and the CLI's --prec accept
 MIN_PRECISION_BITS = 16
 
 
@@ -694,8 +689,8 @@ def hgf_check(
 
     truncated at degree ``order``: once through the k-indexed sum of
     hypergeometric functions (inner series truncated at m = order, outer
-    k-sum carried to a certified tail below the target), and once from
-    the exact Bell numbers.  Supported families: (3, 2) with t = 1 using
+    k-sum carried to a certified tail within ``max_outer`` terms), and once
+    from the exact Bell numbers.  Supported families: (3, 2) with t = 1 using
     2F1(k+2, k+1; 1; lambda)/(k+2)!, and (2r', r') with t = r'-1 using
     rF(r'-1)((k+1)/r', ..., (k+r')/r'; 1, ..., 1; r'^r' lambda)/(k+r')!.
 
@@ -711,58 +706,43 @@ def hgf_check(
         raise ValueError(f"order must be >= 0, got {order}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    t_power, radius, pref_shift, term_ratio, tail_bound = _hgf_family(r, s, lam)
+    t_power, radius, pref_shift, term_ratio, growth = _hgf_family(r, s, lam)
     if lam >= radius:
         raise ConvergenceError(f"lambda={lam} is outside the convergence disk |lambda| < {radius}")
 
-    # smallest power-of-two u whose geometric m-bound q = (1+1/u)^s lam/radius
-    # contracts; q decreases to lam/radius < 1 as u grows, so this terminates
-    goal = (1 + lam / radius) / 2
-    u = 1
-    while (1 + Fraction(1, u)) ** s * lam / radius > goal:
-        u *= 2
-        if u > 2**24:
-            raise ConvergenceError("cannot certify tails this close to the radius")
-
-    # the outer sum stops at the first k whose tail bound meets the target;
-    # once defined, each step multiplies the bound by at most 1/2, so that k
-    # is found by galloping and bisection before any term is summed
-    target = Fraction(1, 2 ** (precision - MIN_PRECISION_BITS))
-
-    def certified(k: int) -> bool:
-        tail = tail_bound(u, k)
-        return tail is not None and tail <= target
-
-    lo, k = -1, 0
-    while not certified(k):
-        if k >= max_outer - 1:
-            raise TermBudgetError(f"outer sum needed more than {max_outer} terms")
-        lo, k = k, min(2 * k + 1, max_outer - 1)
-    while k - lo > 1:
-        mid = (lo + k) // 2
-        lo, k = (lo, mid) if certified(mid) else (mid, k)
-    # both families' ratio denominators depend on m alone, so every inner sum
-    # is inner/den over one den, and the outer sum is total/(den * fact) with
-    # the running integer denominator fact = (j + pref_shift)!
-    total, fact = 0, factorial(pref_shift - 1)
-    for j in range(k + 1):
-        num, inner, den = 1, 0, 1
+    # both families' ratio denominators depend on m alone, so every inner
+    # sum is inner(k)/den over the one den
+    def inner(k: int) -> Tuple[int, int]:
+        num, acc, den = 1, 0, 1
         for m in range(1, order + 1):
-            p, q = term_ratio(j, m)
+            p, q = term_ratio(k, m)
             num *= p
-            inner = inner * q + num
+            acc = acc * q + num
             den *= q
-        total = total * (j + pref_shift) + inner
-        fact *= j + pref_shift
-    acc = Fraction(total, den * fact)
+        return acc, den
 
-    iv = _Interval(acc, acc + tail_bound(u, k)) * _inv_e_bounds(precision) + 1
+    if lam == 0 or order == 0:
+        acc, tail, used = _ZERO, _ZERO, 0
+    else:
+        def ratio_bound(k: int) -> Tuple[int, int]:
+            # T_k = inner(k)/(k+pref_shift)!, and inner(k+1)/inner(k) <= growth(k, order)
+            g_num, g_den = growth(k, order)
+            return g_num, g_den * (k + pref_shift + 1)
+
+        # the running denominator of T_k is (k+pref_shift)!
+        partial, tail, used = _sum_positive_series(
+            lambda k: inner(k)[0], lambda k: k + pref_shift if k else factorial(pref_shift),
+            ratio_bound, 0, precision, max_outer)
+        den = inner(0)[1]
+        acc, tail = partial / den, tail / den
+
+    iv = _Interval(acc, acc + tail) * _inv_e_bounds(precision) + 1
     bells = bell_sequence(Params(r, s), order).values
     rhs = _ONE + sum(
         (Fraction(bells[n], factorial(n) ** (t_power + 1)) * lam**n for n in range(1, order + 1)),
         _ZERO,
     )
-    lhs = _series_value(iv, k + 1, precision)
+    lhs = _series_value(iv, used, precision)
     diff = abs(iv.midpoint - rhs)
     return HgfCheckResult(
         ok=iv.contains(rhs),

@@ -151,7 +151,7 @@ def test_criterion_7_fock_numerics():
     katriel_expected = (1, 2, 5, 15, 52, 203)
     for n, expected in enumerate(katriel_expected, start=1):
         assert stirling_bell.bell_number(Params(1, 1), n) == expected
-        assert fock_numeric.katriel_check(n, dim=128, precision=256), n
+        assert fock_numeric.katriel_check(n, precision=256), n
     _report(7, "Fock-space expectations, rel err <= 1e-30 with D->D+16 stability", t0)
 
 

@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 from bosonbell import cli, fock_numeric, stirling_bell
+from bosonbell.exact_core import BigFloat
 from bosonbell.fock_numeric import FockTruncationError
 from bosonbell.stirling_bell import Params, stirling
 
@@ -226,6 +227,29 @@ class TestFockSuiteComputesEachValueOnce:
             "number-operator expectation at z=1 gives 5 (n=3)",
         ]
         assert calls.count((1, 1, 3, 1)) == 1
+
+
+class TestFockToleranceFollowsPrecision:
+    @staticmethod
+    def run_offset(capsys, monkeypatch, prec, offset):
+        """verify fock at ``prec`` with every value moved off its exact
+        polynomial by offset(exact)."""
+        def moved(p, n, z, dim, precision):
+            exact = z ** (n * abs(p.r - p.s)) * stirling_bell.bell_polynomial(p, n, z * z)
+            return BigFloat.from_fraction(exact + offset(exact), precision + 128)
+
+        monkeypatch.setattr(fock_numeric, "expectation_power", moved)
+        return run_cli(capsys, "--prec", str(prec), "verify", "fock")
+
+    def test_low_precision_allows_its_own_rounding(self, capsys, monkeypatch):
+        code, out, _ = self.run_offset(
+            capsys, monkeypatch, 64, lambda exact: abs(exact) / 2**62)
+        assert code == 0 and out.endswith("36 passed, 0 failed\n")
+
+    def test_high_precision_rejects_a_2_to_the_minus_100_error(self, capsys, monkeypatch):
+        code, out, _ = self.run_offset(
+            capsys, monkeypatch, 256, lambda exact: max(abs(exact), Fraction(1)) / 2**100)
+        assert code == 1 and out.endswith("0 passed, 36 failed\n")
 
 
 class TestExitCodes:

@@ -244,3 +244,8 @@ class TestKatriel:
     def test_values(self, n, expected):
         assert bell_number(Params(1, 1), n) == expected
         assert katriel_check(n)
+
+    def test_dimension_follows_precision(self):
+        # a fixed dim 128 holds the coherent vector only to about 1400 bits
+        assert fock_numeric.dimension_for(2048) == 256
+        assert katriel_check(3, precision=2048)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import mpmath
 import pytest
@@ -258,24 +258,55 @@ class TestHgf:
         res = hgf_check(4, 2, Fraction(1, 30), 0)
         assert res.ok and res.rhs_exact == 1
 
-    def test_unreachable_tail_fails_before_summing(self, monkeypatch):
-        # at lambda = 9/10 the certified tail needs more than 10_000 outer terms
-        family = series_eval._hgf_family
-        calls = []
+    @pytest.mark.parametrize("lam", [Fraction(9, 10), Fraction(99, 100)])
+    def test_near_the_radius(self, lam):
+        res = hgf_check(3, 2, lam, 12)
+        assert res.ok and res.lhs.terms_used <= 100
 
-        def counting_family(r, s, lam):
-            t_power, radius, shift, term_ratio, tail_bound = family(r, s, lam)
-
-            def counted(k, m):
-                calls.append((k, m))
-                return term_ratio(k, m)
-            return t_power, radius, shift, counted, tail_bound
-
-        monkeypatch.setattr(series_eval, "_hgf_family", counting_family)
+    def test_outer_budget_raises(self):
         with pytest.raises(TermBudgetError):
-            hgf_check(3, 2, Fraction(9, 10), 12)
-        assert calls == []
-        assert hgf_check(3, 2, Fraction(1, 5), 12).ok and calls
+            hgf_check(3, 2, Fraction(1, 5), 12, max_outer=5)
+
+    @pytest.mark.parametrize("r,s", [(3, 2), (2, 1), (4, 2), (6, 3)])
+    def test_growth_bounds_every_inner_ratio(self, r, s):
+        # u_m(k) without its lambda^m, which cancels in u_m(k+1)/u_m(k)
+        if (r, s) == (3, 2):
+            def u(k, m):
+                return comb(k + m + 1, m) * comb(k + m, m)
+        else:
+            def u(k, m):
+                return Fraction(prod(range(k + 1, k + 1 + s * m)), factorial(m) ** s)
+        growth = series_eval._hgf_family(r, s, Fraction(1, 1000))[4]
+        for M in range(1, 13):
+            bounds = [Fraction(*growth(k, M)) for k in range(41)]
+            assert all(a >= b for a, b in zip(bounds, bounds[1:])), M
+            for k, bound in enumerate(bounds):
+                ratios = [Fraction(u(k + 1, m), u(k, m)) for m in range(1, M + 1)]
+                assert max(ratios) <= bound and ratios[-1] == bound, (M, k)
+
+    @pytest.mark.parametrize("r,s,lam,order", [
+        (3, 2, Fraction(1, 5), 12), (4, 2, Fraction(1, 20), 12),
+        (2, 1, Fraction(1, 5), 10), (6, 3, Fraction(1, 135), 6),
+    ])
+    def test_outer_ratio_bound_holds_for_the_summed_terms(self, monkeypatch, r, s, lam, order):
+        """Every series hgf_check sums, its k-series and that of e, gets a
+        ratio bound that holds for its terms and does not increase."""
+        seen = []
+        summing = series_eval._sum_positive_series
+
+        def recording(numerator, den_step, ratio_bound, first_index, *rest, **options):
+            seen.append((numerator, den_step, ratio_bound, first_index))
+            return summing(numerator, den_step, ratio_bound, first_index, *rest, **options)
+
+        monkeypatch.setattr(series_eval, "_sum_positive_series", recording)
+        series_eval._exp_bounds.cache_clear()
+        assert hgf_check(r, s, lam, order).ok
+        assert len(seen) == 2
+        for numerator, den_step, ratio_bound, first in seen:
+            bounds = [Fraction(*ratio_bound(k)) for k in range(first, first + 41)]
+            assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+            for k, bound in enumerate(bounds, start=first):
+                assert Fraction(numerator(k + 1), numerator(k) * den_step(k + 1)) <= bound, k
 
 
 PRECISIONS = (16, 256, 4096)
