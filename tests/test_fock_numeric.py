@@ -1,6 +1,6 @@
+import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from mpmath import mp
 
@@ -25,51 +25,68 @@ class TestBuildOps:
         assert adag.entry(1, 0) == 1
 
     def test_number_operator_diagonal(self):
+        # a+ a e_n = floor(sqrt(n) 2^F)^2 >> F at n, exactly: n itself for
+        # perfect squares, and less than 2 sqrt(n) + 1 units of 2^-F below it
         a, adag = build_ops(3)
-        vecs = [[mp.mpf(1 if i == n else 0) for i in range(3)] for n in range(3)]
-        for n, e_n in enumerate(vecs):
+        bits = a.bits
+        assert bits == 256
+        for n in range(3):
+            e_n = [1 << bits if i == n else 0 for i in range(3)]
             out = apply_operator(adag, apply_operator(a, e_n))
-            assert out[n] == n
+            assert out[n] == math.isqrt(n << 2 * bits) ** 2 >> bits
+            assert 0 <= (n << bits) - out[n] < 2 * math.sqrt(n) + 1
             assert all(out[i] == 0 for i in range(3) if i != n)
+            if n in (0, 1):
+                assert out[n] == n << bits
 
     def test_commutator_corner(self):
-        # sqrt entries are rounded at operator precision, so the commutator
-        # reproduces 1 (and the corner artifact 1-D) to that precision only
+        # sqrt entries are rounded down to the operator's 2^-F, so the
+        # commutator reproduces 1 (and the corner artifact 1-D) to within
+        # 2 sqrt(dim) + 1 units of 2^-F, far inside the former 2^-120
         dim = 64
         a, adag = build_ops(dim, precision=128)
-        with mp.workprec(160):
-            eps = mp.mpf(2) ** -120
-            for n in (0, 17, dim - 2):
-                e_n = [mp.mpf(1 if i == n else 0) for i in range(dim)]
-                comm = [x - y for x, y in zip(
-                    apply_operator(a, apply_operator(adag, e_n)),
-                    apply_operator(adag, apply_operator(a, e_n)))]
-                assert abs(comm[n] - 1) < eps
-                assert all(abs(c) < eps for i, c in enumerate(comm) if i != n)
-            e_top = [mp.mpf(1 if i == dim - 1 else 0) for i in range(dim)]
+        bits = a.bits
+        eps = 1 << (bits - 120)
+        units = 2 * math.isqrt(dim) + 1
+        assert units < eps
+        for n in (0, 17, dim - 2):
+            e_n = [1 << bits if i == n else 0 for i in range(dim)]
             comm = [x - y for x, y in zip(
-                apply_operator(a, apply_operator(adag, e_top)),
-                apply_operator(adag, apply_operator(a, e_top)))]
-            assert abs(comm[dim - 1] - (1 - dim)) < dim * eps
+                apply_operator(a, apply_operator(adag, e_n)),
+                apply_operator(adag, apply_operator(a, e_n)))]
+            assert abs(comm[n] - (1 << bits)) <= units
+            assert all(c == 0 for i, c in enumerate(comm) if i != n)
+        e_top = [1 << bits if i == dim - 1 else 0 for i in range(dim)]
+        comm = [x - y for x, y in zip(
+            apply_operator(a, apply_operator(adag, e_top)),
+            apply_operator(adag, apply_operator(a, e_top)))]
+        assert abs(comm[dim - 1] - ((1 - dim) << bits)) <= units
+        assert all(c == 0 for c in comm[:-1])
 
 
 class TestBandedOperators:
     @pytest.mark.parametrize("precision", [64, 300])
     def test_apply_equals_the_sum_over_entries(self, precision):
+        # entries are the exact rationals root / 2^F, and each output is the
+        # floor of the exact row sum: (r * x) >> F == floor(Fraction(r, 2^F) * x)
         dim = 12
         for op in build_ops(dim, precision=precision):
-            with mp.workprec(precision):
-                vec = [mp.mpf(j + 1) / 3 - mp.sqrt(j + 2) for j in range(dim)]
-                got = apply_operator(op, vec)
-                want = [mp.fsum(op.entry(i, j) * vec[j] for j in range(dim))
-                        for i in range(dim)]
+            bits = op.bits
+            assert bits == precision
+            vec = [((j + 1) << bits) // 3 - math.isqrt((j + 2) << 2 * bits) for j in range(dim)]
+            assert min(vec) < 0 < max(vec)
+            got = apply_operator(op, vec)
+            want = [math.floor(sum(op.entry(i, j) * vec[j] for j in range(dim)))
+                    for i in range(dim)]
             assert got == want
+            for r, x in zip(op.roots, vec):
+                assert (r * x) >> bits == math.floor(Fraction(r, 1 << bits) * x)
 
     def test_wrong_vector_length_rejected(self):
         a, adag = build_ops(4)
         for op in (a, adag):
             with pytest.raises(ValueError, match="does not match dim"):
-                apply_operator(op, [mp.mpf(1)] * 5)
+                apply_operator(op, [1 << op.bits] * 5)
 
     def test_entry_outside_the_basis_rejected(self):
         a, adag = build_ops(4)
@@ -85,31 +102,35 @@ class TestBandedOperators:
 
 
 class TestCoherentState:
+    # at the default 256 bits the amplitudes are integers scaled by 2^320
+    BITS = 256 + 64
+
     def test_vacuum(self):
         ket = coherent_state(0, 8)
-        assert ket.amps[0] == 1
+        assert ket.amps[0] == 1 << self.BITS
         assert all(a == 0 for a in ket.amps[1:])
+        assert ket.tail_mass == 0
 
     def test_unit_tail_mass_tiny(self):
         ket = coherent_state(1, 64)
-        assert ket.tail_mass < mp.mpf("1e-60")
+        assert isinstance(ket.tail_mass, Fraction)
+        assert ket.tail_mass < Fraction(1, 10**60)
 
     def test_eigenrelation_residual(self):
         dim = 64
         ket = coherent_state(1, dim)
-        a, _ = build_ops(dim)
-        with mp.workprec(320):
-            out = apply_operator(a, list(ket.amps))
-            residual = [x - y for x, y in zip(out, ket.amps)]
-            norm = mp.sqrt(mp.fsum(x * x for x in residual))
-            assert norm < mp.mpf("1e-40")
+        a, _ = build_ops(dim, precision=self.BITS)
+        out = apply_operator(a, list(ket.amps))
+        residual = [x - y for x, y in zip(out, ket.amps)]
+        # |residual| < 1e-40, squared and scaled by 2^(2F)
+        assert sum(x * x for x in residual) * 10**80 < 1 << 2 * self.BITS
 
     def test_number_expectation_at_one(self):
         ket = coherent_state(1, 64)
-        a, adag = build_ops(64)
+        a, adag = build_ops(64, precision=self.BITS)
         out = apply_operator(adag, apply_operator(a, list(ket.amps)))
-        value = mp.fsum(b * x for b, x in zip(ket.amps, out))
-        assert abs(value - 1) < mp.mpf("1e-50")
+        value = sum(b * x for b, x in zip(ket.amps, out))  # scaled by 2^(2F)
+        assert abs(value - (1 << 2 * self.BITS)) * 10**50 < 1 << 2 * self.BITS
 
     def test_small_dimension_rejected(self):
         with pytest.raises(FockTruncationError):
@@ -159,26 +180,78 @@ class TestExpectationPower:
         assert dims == [144 if check_stability else 128]
 
     def test_operators_and_coherent_vector_share_one_sqrt_table(self, monkeypatch):
-        # build_ops at dim + 16 takes all 144 roots; both coherent vectors
-        # (dim 128 and 144) read the same table instead of their own
-        calls = []
-        sqrt = mp.sqrt
+        # build_ops at dim + 16 takes all 144 roots, math.isqrt(n << 2F) for
+        # n = 0..143; both coherent vectors (dim 128 and 144) read the same
+        # table instead of their own, and each makes the one mpmath exp call
+        calls = {"isqrt": [], "sqrt": [], "exp": []}
 
-        def counting_sqrt(x):
-            calls.append(x)
-            return sqrt(x)
+        def counting(name, fn):
+            def wrapper(x):
+                calls[name].append(x)
+                return fn(x)
+            return wrapper
 
-        monkeypatch.setattr(mp, "sqrt", counting_sqrt)
+        monkeypatch.setattr(math, "isqrt", counting("isqrt", math.isqrt))
+        monkeypatch.setattr(mp, "sqrt", counting("sqrt", mp.sqrt))
+        monkeypatch.setattr(mp, "exp", counting("exp", mp.exp))
         expectation_power(Params(1, 1), 3, 1, 128)
-        assert calls == list(range(144))
+        assert calls["isqrt"] == [n << 2 * (256 + 64) for n in range(144)]
+        assert calls["sqrt"] == []
+        assert len(calls["exp"]) == 2
 
     def test_amplitudes_from_the_shared_table_match_coherent_state(self):
-        # the operators' table is rounded at precision + 64 bits, as coherent_state's is
+        # the operators' table is scaled by 2^(precision + 64), as coherent_state's is;
+        # each floor loses under one unit of 2^-F and the steps z/sqrt(n) damp
+        # the carried error, so every amplitude is within 5 units of its value
+        z = Fraction(3, 2)
         for precision in (64, 256, 2048):
-            a, _ = build_ops(40, precision + 64)
-            shared = fock_numeric._coherent_from_roots(Fraction(3, 2), a.roots, precision, 1)
-            own = coherent_state(Fraction(3, 2), 40, precision, tail_threshold=1)
+            bits = precision + 64
+            a, _ = build_ops(40, bits)
+            shared = fock_numeric._coherent_from_roots(z, a.roots, precision, 1)
+            own = coherent_state(z, 40, precision, tail_threshold=1)
             assert shared == own
+            assert all(type(x) is int for x in own.amps)
+            with mp.workprec(bits + 64):
+                for n, amp in enumerate(own.amps):
+                    exact = mp.sqrt(mp.exp(-mp.mpf(z.numerator ** 2) / z.denominator ** 2)
+                                    * mp.mpf(z.numerator ** 2) ** n
+                                    / (z.denominator ** (2 * n) * mp.factorial(n)))
+                    assert abs(amp - mp.ldexp(exact, bits)) < 5, (precision, n)
+
+    def test_apply_and_build_counts_of_one_expectation(self, monkeypatch):
+        # 2 passes x n = 3 x (s + r) = 3 letters: 18 applications, 9 on the
+        # narrow dim-128 prefix and 9 on the dim-144 table, built once
+        built, applied = [], []
+        build_ops_, apply_operator_ = fock_numeric.build_ops, fock_numeric.apply_operator
+
+        def counting_build_ops(dim, precision):
+            built.append(dim)
+            return build_ops_(dim, precision)
+
+        def counting_apply(op, vec):
+            applied.append(op.dim)
+            return apply_operator_(op, vec)
+
+        monkeypatch.setattr(fock_numeric, "build_ops", counting_build_ops)
+        monkeypatch.setattr(fock_numeric, "apply_operator", counting_apply)
+        expectation_power(Params(2, 1), 3, Fraction(1, 2), 128)
+        assert built == [144]
+        assert applied == [128] * 9 + [144] * 9
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_every_fock_suite_case_is_exact(self, precision):
+        # the exact values are short dyadic rationals, so with the guard bits
+        # every rounded value lands on its exact value; dropping the guard
+        # bits leaves errors near 2^-precision that the suite tolerance hides
+        cases = [(1, 1, n) for n in range(1, 7)]
+        cases += [(r, s, n) for (r, s) in ((2, 1), (2, 2), (1, 2)) for n in range(1, 4)]
+        dim = fock_numeric.dimension_for(precision)
+        for (r, s, n) in cases:
+            p = Params(r, s)
+            for z in (Fraction(1, 2), Fraction(1)):
+                value = expectation_power(p, n, z, dim, precision)
+                exact = z ** (n * abs(r - s)) * bell_polynomial(p, n, z * z)
+                assert value.to_fraction() == exact, (r, s, n, z)
 
     def test_truncation_rejected_when_word_cannot_fit(self):
         with pytest.raises(FockTruncationError):
@@ -215,26 +288,27 @@ class TestNormalFormFaithfulness:
 
         dim = 32
         a, adag = build_ops(dim, precision=256)
+        bits = a.bits
         nf = normalize(word)
-        with mp.workprec(320):
-            for n in (0, 3, 9):
-                e_n = [mp.mpf(1 if i == n else 0) for i in range(dim)]
-                direct = e_n
-                for letter in reversed(word):
-                    direct = apply_operator(a if letter == "a" else adag, direct)
-                via_nf = [mp.mpf(0)] * dim
-                for (i, j), c in nf.terms.items():
-                    part = e_n
-                    for _ in range(j):
-                        part = apply_operator(a, part)
-                    for _ in range(i):
-                        part = apply_operator(adag, part)
-                    via_nf = [acc + c * x for acc, x in zip(via_nf, part)]
-                # components above dim - len(word) may differ by truncation
-                safe = dim - len(word)
-                scale = max(mp.mpf(1), max(abs(x) for x in direct[:safe]))
-                assert all(abs(x - y) < scale * mp.mpf(2) ** -200
-                           for x, y in zip(direct[:safe], via_nf[:safe]))
+        for n in (0, 3, 9):
+            e_n = [1 << bits if i == n else 0 for i in range(dim)]
+            direct = e_n
+            for letter in reversed(word):
+                direct = apply_operator(a if letter == "a" else adag, direct)
+            via_nf = [0] * dim
+            for (i, j), c in nf.terms.items():
+                part = e_n
+                for _ in range(j):
+                    part = apply_operator(a, part)
+                for _ in range(i):
+                    part = apply_operator(adag, part)
+                via_nf = [acc + c * x for acc, x in zip(via_nf, part)]
+            # components above dim - len(word) may differ by truncation;
+            # below, they agree to 2^-200 of max(1, |direct|), in units of 2^-F
+            safe = dim - len(word)
+            scale = max(1 << bits, max(abs(x) for x in direct[:safe]))
+            assert all(abs(x - y) << 200 < scale
+                       for x, y in zip(direct[:safe], via_nf[:safe]))
 
 
 class TestKatriel:
