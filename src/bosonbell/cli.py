@@ -18,6 +18,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import boson_oracle, fock_numeric, series_eval, stirling_bell
@@ -293,6 +294,14 @@ def _suite_hgf(args) -> list:
     return checks
 
 
+def _sci(x: Fraction) -> str:
+    """``x`` in ``.2e`` form; past the float range (about 1.8e308) through Decimal."""
+    try:
+        return f"{float(x):.2e}"
+    except OverflowError:
+        return f"{Decimal(x.numerator) / x.denominator:.2e}"
+
+
 def _suite_fock(args) -> list:
     checks = []
     prec = args.prec
@@ -315,7 +324,7 @@ def _suite_fock(args) -> list:
             checks.append(Check(
                 f"<z|[(a+)^{r} a^{s}]^{n}|z> at z={z}, dim {dim}(+{fock_numeric.STABILITY_STEP}) "
                 "matches the exact polynomial",
-                ok, f"err={float(err):.2e}"))
+                ok, f"err={_sci(err)}"))
     for n, expected in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)):
         ok = stirling_bell.bell_number(Params(1, 1), n) == expected and katriel[n]
         checks.append(Check(f"number-operator expectation at z=1 gives {expected} (n={n})", ok))

@@ -51,17 +51,16 @@ def tolerance(precision: int) -> Fraction:
 class FockTruncationError(RuntimeError):
     """Truncation dimension too small for the requested accuracy."""
 
-    def __init__(self, message: str, suggested_dim: int):
-        super().__init__(message)
-        self.suggested_dim = suggested_dim
-
 
 @dataclass(frozen=True)
 class FockOperator:
-    dim: int
     roots: tuple  # roots[n] = floor(sqrt(n) 2^bits) for n < dim, shared by a and a+
     shift: int  # +1 for a (|n> -> |n-1>), -1 for a+ (|n-1> -> |n>)
     bits: int  # fraction bits F of the table and of the vectors it acts on
+
+    @property
+    def dim(self) -> int:
+        return len(self.roots)
 
     def entry(self, i: int, j: int) -> Fraction:
         """The exact matrix entry: roots[max(i, j)] / 2^bits on the band, else 0."""
@@ -76,21 +75,24 @@ class CoherentVector:
     tail_mass: Fraction  # 1 - sum_n (amps[n] / 2^F)^2, exact
 
 
-def _root_table(dim: int, bits: int) -> tuple:
-    return tuple(math.isqrt(n << 2 * bits) for n in range(dim))
+def _root_table(dim: int, precision: int) -> Tuple[int, tuple]:
+    """F = precision + _GUARD_BITS and the table floor(sqrt(n) 2^F), n < dim."""
+    bits = precision + _GUARD_BITS
+    return bits, tuple(math.isqrt(n << 2 * bits) for n in range(dim))
 
 
 def build_ops(dim: int, precision: int = DEFAULT_PRECISION_BITS) -> Tuple[FockOperator, FockOperator]:
     """Truncated (annihilator, creator) pair on dimension ``dim``.
 
-    Both share one table of sqrt(n) rounded down to ``precision`` fraction
-    bits.  On the truncated space [a, a+] equals the identity except for
-    the corner entry (D-1, D-1), which is 1 - D.
+    Both share one table of sqrt(n) rounded down to F = precision + 64
+    fraction bits, the scale of coherent_state at the same ``precision``.
+    On the truncated space [a, a+] equals the identity except for the
+    corner entry (D-1, D-1), which is 1 - D.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    roots = _root_table(dim, precision)
-    return (FockOperator(dim, roots, 1, precision), FockOperator(dim, roots, -1, precision))
+    bits, roots = _root_table(dim, precision)
+    return (FockOperator(roots, 1, bits), FockOperator(roots, -1, bits))
 
 
 def apply_operator(op: FockOperator, vec: List[int]) -> List[int]:
@@ -107,29 +109,23 @@ def apply_operator(op: FockOperator, vec: List[int]) -> List[int]:
     return [0] + [r * x >> op.bits for r, x in zip(op.roots[1:], vec)]
 
 
-def _coherent_from_roots(
-    z: RationalLike, roots, precision: int, tail_threshold=None,
-) -> CoherentVector:
-    """Coherent amplitudes on dim = len(roots), with roots[n] =
-    floor(sqrt(n) 2^F) for F = precision + _GUARD_BITS, and the tail-mass guard."""
+def _coherent(z: RationalLike, roots: tuple, bits: int, dim: int, tail_threshold) -> CoherentVector:
+    """Coherent amplitudes on n < len(roots), stepped from roots[n] =
+    floor(sqrt(n) 2^bits) after one mpmath exp.  ``tail_mass`` and the
+    tail-mass guard read the first ``dim`` amplitudes."""
     p, q = Fraction(z).as_integer_ratio()
     if p < 0:
         raise ValueError("only real z >= 0 is supported")
-    bits = precision + _GUARD_BITS
     with mp.workprec(bits + 8):
         amps = [int(mp.ldexp(mp.exp(-mp.mpf(p * p) / (2 * q * q)), bits))]
     for root in roots[1:]:
         amps.append((amps[-1] * p << bits) // (q * root))
     one = 1 << 2 * bits
-    tail = max(0, one - sum(a * a for a in amps))
-    if tail_threshold is None:
-        tail_threshold = tolerance(precision)
+    tail = max(0, one - sum(a * a for a in amps[:dim]))
     if tail > tail_threshold * one:
         raise FockTruncationError(
             f"coherent tail mass {mp.nstr(mp.ldexp(tail, -2 * bits), 8)} above threshold "
-            f"at dim={len(roots)}",
-            suggested_dim=2 * len(roots),
-        )
+            f"at dim={dim}")
     return CoherentVector(amps=tuple(amps), tail_mass=Fraction(tail, one))
 
 
@@ -145,21 +141,21 @@ def coherent_state(
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return _coherent_from_roots(z, _root_table(dim, precision + _GUARD_BITS), precision, tail_threshold)
+    bits, roots = _root_table(dim, precision)
+    return _coherent(z, roots, bits, dim,
+                     tolerance(precision) if tail_threshold is None else tail_threshold)
 
 
-def _expectation_once(p: Params, n: int, z, ops, precision: int) -> int:
-    """The expectation on ops' dimension, scaled by 2^(2F)."""
+def _expectation_once(p: Params, n: int, amps: tuple, ops) -> int:
+    """The expectation of amps on ops' dimension, scaled by 2^(2F)."""
     a_op, adag_op = ops
-    # the operators' table (at the same F) feeds the amplitudes
-    ket = _coherent_from_roots(z, a_op.roots, precision)
-    vec = list(ket.amps)
+    vec = list(amps)
     for _ in range(n):
         for _ in range(p.s):
             vec = apply_operator(a_op, vec)
         for _ in range(p.r):
             vec = apply_operator(adag_op, vec)
-    return sum(b * x for b, x in zip(ket.amps, vec))
+    return sum(b * x for b, x in zip(amps, vec))
 
 
 def expectation_power(
@@ -180,24 +176,20 @@ def expectation_power(
         raise ValueError(f"n must be >= 1, got {n}")
     if dim < n * max(p.r, p.s) + 2:
         raise FockTruncationError(
-            f"dim={dim} cannot hold {n} applications of a word of height {max(p.r, p.s)}",
-            suggested_dim=n * max(p.r, p.s) + 18,
-        )
-    bits = precision + _GUARD_BITS
-    # one sqrt table at the widest dimension, for both operators and the
-    # coherent vector; the narrow pass reads its prefix
-    ops = build_ops(dim + STABILITY_STEP if check_stability else dim, bits)
-    narrow = [replace(op, dim=dim, roots=op.roots[:dim]) for op in ops]
-    value = _expectation_once(p, n, z, narrow, precision)
+            f"dim={dim} cannot hold {n} applications of a word of height {max(p.r, p.s)}")
+    # one sqrt table and one coherent vector at the widest dimension; the narrow
+    # pass and the tail guard read their prefix, whose tail is never below the wide one
+    ops = build_ops(dim + STABILITY_STEP if check_stability else dim, precision)
+    bits = ops[0].bits
+    amps = _coherent(z, ops[0].roots, bits, dim, tolerance(precision)).amps
+    value = _expectation_once(p, n, amps[:dim], [replace(op, roots=op.roots[:dim]) for op in ops])
     if check_stability:
-        wider = _expectation_once(p, n, z, ops, precision)
+        wider = _expectation_once(p, n, amps, ops)
         moved = abs(value - wider)
         if moved << precision // 2 > max(abs(value), abs(wider), 1 << 2 * bits):
             raise FockTruncationError(
                 f"value moved by {mp.nstr(mp.ldexp(moved, -2 * bits), 8)} when widening "
-                f"dim {dim} -> {dim + STABILITY_STEP}",
-                suggested_dim=dim + 4 * STABILITY_STEP,
-            )
+                f"dim {dim} -> {dim + STABILITY_STEP}")
         value = wider
     with mp.workprec(precision):
         return BigFloat(value=mp.ldexp(mp.mpf(value), -2 * bits), precision_bits=precision)

@@ -479,37 +479,25 @@ def family_bell_check(p: int, r: int, n: int, precision: int = DEFAULT_PRECISION
 
 
 def bell_r1_hypergeometric_check(r: int, n: int, precision: int = DEFAULT_PRECISION_BITS) -> bool:
-    """B_{r,1}(n) as a combination of r-1 functions 1F_{r-1} at (r-1)^(1-r).
+    """B_{r,1}(n) as a combination of d = r-1 functions 1F_d at 1/d^d, any r >= 2.
 
-    Supported r: 2, 3, 4.  All Gamma prefactors are reduced to exact
-    Pochhammer products: 2 Gamma(n+1/2)/sqrt(pi) = 2 (1/2)_n,
-    3^(3/2) Gamma(2/3) Gamma(n+1/3)/pi = 6 (1/3)_n, and
-    3 Gamma(n+2/3)/Gamma(2/3) = 3 (2/3)_n.
+    Splitting the Dobinski sum by the residue of k mod d gives one part per
+    i = 1..d: coefficient d^n (i/d)_n / i!, upper i/d + n, and lowers
+    (i+t)/d for t = 0..d with one copy of 1 removed.  The Gamma prefactors
+    are the exact Pochhammer products (i/d)_n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if r == 2:
-        x, scale = _ONE, _ONE
-        parts = [((n + 1,), (2,), factorial(n))]
-    elif r == 3:
-        x, scale = Fraction(1, 4), Fraction(2) ** (n - 1)
-        parts = [
-            ((Fraction(2 * n + 1, 2),), (Fraction(1, 2), Fraction(3, 2)),
-             2 * rising_factorial(Fraction(1, 2), n)),
-            ((n + 1,), (Fraction(3, 2), 2), factorial(n)),
-        ]
-    elif r == 4:
-        x, scale = Fraction(1, 27), Fraction(3 ** (n - 1), 2)
-        parts = [
-            ((Fraction(3 * n + 1, 3),), (Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)),
-             6 * rising_factorial(Fraction(1, 3), n)),
-            ((Fraction(3 * n + 2, 3),), (Fraction(2, 3), Fraction(4, 3), Fraction(5, 3)),
-             3 * rising_factorial(Fraction(2, 3), n)),
-            ((n + 1,), (Fraction(4, 3), Fraction(5, 3), 2), factorial(n)),
-        ]
-    else:
-        raise ValueError(f"combination formulas are implemented for r in 2..4, got {r}")
-    iv, _ = _hyp_combination([(u, l, c * scale) for u, l, c in parts], x, precision)
+    if r < 2:
+        raise ValueError(f"the 1F(r-1) combination needs r >= 2, got {r}")
+    d = r - 1
+    parts = []
+    for i in range(1, d + 1):
+        lowers = [Fraction(i + t, d) for t in range(d + 1)]
+        lowers.remove(1)
+        parts.append(((Fraction(i, d) + n,), tuple(lowers),
+                      d**n * rising_factorial(Fraction(i, d), n) / factorial(i)))
+    iv, _ = _hyp_combination(parts, Fraction(1, d**d), precision)
     return iv.contains(bell_number(Params(r, 1), n))
 
 

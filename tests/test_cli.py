@@ -170,6 +170,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL [oracle] S_(2,1)(n=3,.)" in out
 
+    @pytest.mark.parametrize("delta,errs", [
+        ("1", ("7.81e-03", "1.00e+00")),
+        (str(10**400), ("7.81e+397", "1.00e+400")),
+    ], ids=["in-float-range", "past-float-range"])
+    def test_fock_failure_exits_one_at_any_size(self, capsys, delta, errs):
+        code, out, err = run_cli(capsys, "verify", "fock", "--perturb", f"2,1,3,2,{delta}")
+        assert code == 1 and err == ""
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            f"FAIL [fock] <z|[(a+)^2 a^1]^3|z> at z={z}, dim 128(+16) matches the exact "
+            f"polynomial  <- err={e}" for z, e in zip(("1/2", "1"), errs)]
+        assert out.endswith("35 passed, 2 failed\n")
+
     @pytest.mark.parametrize("perturb,suite", [
         ("3,3,2,4", "oracle"),      # diagonal entry, caught by route equivalence
         ("2,3,2,3", "symmetry"),    # r < s entry, caught against the swapped order
@@ -256,7 +268,7 @@ class TestExitCodes:
     def test_internal_error_exits_three_with_one_line(self, capsys, monkeypatch):
         def truncated(args):
             raise FockTruncationError(
-                "coherent tail mass 9.6e-217 above threshold at dim=128", suggested_dim=256)
+                "coherent tail mass 9.6e-217 above threshold at dim=128")
 
         monkeypatch.setitem(cli._SUITE_RUNNERS, "fock", truncated)
         code, out, err = run_cli(capsys, "verify", "fock")

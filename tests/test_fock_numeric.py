@@ -29,7 +29,7 @@ class TestBuildOps:
         # perfect squares, and less than 2 sqrt(n) + 1 units of 2^-F below it
         a, adag = build_ops(3)
         bits = a.bits
-        assert bits == 256
+        assert bits == 256 + 64
         for n in range(3):
             e_n = [1 << bits if i == n else 0 for i in range(3)]
             out = apply_operator(adag, apply_operator(a, e_n))
@@ -67,12 +67,12 @@ class TestBuildOps:
 class TestBandedOperators:
     @pytest.mark.parametrize("precision", [64, 300])
     def test_apply_equals_the_sum_over_entries(self, precision):
-        # entries are the exact rationals root / 2^F, and each output is the
-        # floor of the exact row sum: (r * x) >> F == floor(Fraction(r, 2^F) * x)
+        # entries are the exact rationals root / 2^F, F = precision + 64, and each
+        # output is the floor of the exact row sum: (r * x) >> F == floor(Fraction(r, 2^F) * x)
         dim = 12
         for op in build_ops(dim, precision=precision):
             bits = op.bits
-            assert bits == precision
+            assert bits == precision + 64
             vec = [((j + 1) << bits) // 3 - math.isqrt((j + 2) << 2 * bits) for j in range(dim)]
             assert min(vec) < 0 < max(vec)
             got = apply_operator(op, vec)
@@ -102,7 +102,8 @@ class TestBandedOperators:
 
 
 class TestCoherentState:
-    # at the default 256 bits the amplitudes are integers scaled by 2^320
+    # at the default 256 bits the amplitudes, and the operators built at the
+    # same precision, are integers scaled by 2^320
     BITS = 256 + 64
 
     def test_vacuum(self):
@@ -119,7 +120,8 @@ class TestCoherentState:
     def test_eigenrelation_residual(self):
         dim = 64
         ket = coherent_state(1, dim)
-        a, _ = build_ops(dim, precision=self.BITS)
+        a, _ = build_ops(dim)
+        assert a.bits == self.BITS
         out = apply_operator(a, list(ket.amps))
         residual = [x - y for x, y in zip(out, ket.amps)]
         # |residual| < 1e-40, squared and scaled by 2^(2F)
@@ -127,13 +129,29 @@ class TestCoherentState:
 
     def test_number_expectation_at_one(self):
         ket = coherent_state(1, 64)
-        a, adag = build_ops(64, precision=self.BITS)
+        a, adag = build_ops(64)
+        assert a.bits == adag.bits == self.BITS
         out = apply_operator(adag, apply_operator(a, list(ket.amps)))
         value = sum(b * x for b, x in zip(ket.amps, out))  # scaled by 2^(2F)
         assert abs(value - (1 << 2 * self.BITS)) * 10**50 < 1 << 2 * self.BITS
 
+    @pytest.mark.parametrize("precision", [16, 64, 256, 2048])
+    @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(1)])
+    def test_operators_and_vector_at_the_same_precision_pair_up(self, precision, z):
+        # build_ops and coherent_state read one precision on one scale 2^F:
+        # q a|z> - p|z> (z = p/q) is a few units of 2^-F in every component
+        # but the top, where a's truncation leaves exactly -p amps[D-1]
+        dim = fock_numeric.dimension_for(precision)
+        ket = coherent_state(z, dim, precision)
+        a, _ = build_ops(dim, precision)
+        assert a.bits == precision + 64
+        out = apply_operator(a, list(ket.amps))
+        residual = [x * z.denominator - z.numerator * y for x, y in zip(out, ket.amps)]
+        assert all(abs(x) < 64 for x in residual[:-1])
+        assert residual[-1] == -z.numerator * ket.amps[-1]
+
     def test_small_dimension_rejected(self):
-        with pytest.raises(FockTruncationError):
+        with pytest.raises(FockTruncationError, match="at dim=4$"):
             coherent_state(2, 4, precision=64)
 
 
@@ -181,8 +199,8 @@ class TestExpectationPower:
 
     def test_operators_and_coherent_vector_share_one_sqrt_table(self, monkeypatch):
         # build_ops at dim + 16 takes all 144 roots, math.isqrt(n << 2F) for
-        # n = 0..143; both coherent vectors (dim 128 and 144) read the same
-        # table instead of their own, and each makes the one mpmath exp call
+        # n = 0..143; the one coherent vector reads the same table instead of
+        # its own, with one mpmath exp call, and the narrow pass reads its prefix
         calls = {"isqrt": [], "sqrt": [], "exp": []}
 
         def counting(name, fn):
@@ -197,19 +215,25 @@ class TestExpectationPower:
         expectation_power(Params(1, 1), 3, 1, 128)
         assert calls["isqrt"] == [n << 2 * (256 + 64) for n in range(144)]
         assert calls["sqrt"] == []
-        assert len(calls["exp"]) == 2
+        assert len(calls["exp"]) == 1
 
     def test_amplitudes_from_the_shared_table_match_coherent_state(self):
-        # the operators' table is scaled by 2^(precision + 64), as coherent_state's is;
-        # each floor loses under one unit of 2^-F and the steps z/sqrt(n) damp
-        # the carried error, so every amplitude is within 5 units of its value
+        # build_ops and coherent_state share one scale 2^(precision + 64); the
+        # vector on a wider table starts with the narrow one, and its tail mass
+        # is the narrow prefix's. Each floor loses under one unit of 2^-F and the
+        # steps z/sqrt(n) damp the carried error, so every amplitude is within
+        # 5 units of its value
         z = Fraction(3, 2)
         for precision in (64, 256, 2048):
             bits = precision + 64
-            a, _ = build_ops(40, bits)
-            shared = fock_numeric._coherent_from_roots(z, a.roots, precision, 1)
+            a, _ = build_ops(40, precision)
+            wide, _ = build_ops(56, precision)
+            assert a.bits == wide.bits == bits
+            shared = fock_numeric._coherent(z, a.roots, bits, 40, 1)
+            from_wide = fock_numeric._coherent(z, wide.roots, bits, 40, 1)
             own = coherent_state(z, 40, precision, tail_threshold=1)
             assert shared == own
+            assert from_wide.amps[:40] == own.amps and from_wide.tail_mass == own.tail_mass
             assert all(type(x) is int for x in own.amps)
             with mp.workprec(bits + 64):
                 for n, amp in enumerate(own.amps):
@@ -271,12 +295,16 @@ class TestExpectationPower:
         with pytest.raises(FockTruncationError):
             expectation_power(Params(2, 2), 3, 2, 32, check_stability=False)
 
+    def test_tail_guard_reads_the_narrow_prefix(self):
+        # the one coherent vector spans dim + 16, but its guard judges dim
+        with pytest.raises(FockTruncationError, match="above threshold at dim=32$"):
+            expectation_power(Params(2, 2), 3, 2, 32)
+
     def test_stability_check_catches_visible_truncation(self):
         # at dim 56 the value still moves by ~4e-33 when widening, which the
         # default 2^-128 stability tolerance must flag
-        with pytest.raises(FockTruncationError) as exc:
+        with pytest.raises(FockTruncationError, match="when widening dim 56 -> 72$"):
             expectation_power(Params(2, 2), 3, 2, 56)
-        assert exc.value.suggested_dim > 56
 
 
 class TestNormalFormFaithfulness:

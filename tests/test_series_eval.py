@@ -180,9 +180,13 @@ class TestKummerAndFamily:
     def test_family(self, p, r, n):
         assert family_bell_check(p, r, n)
 
-    @pytest.mark.parametrize("r,n", [(2, 3), (3, 2), (3, 5), (4, 2), (4, 4)])
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 2), (3, 5), (4, 2), (4, 4), (5, 3), (6, 2)])
     def test_r1_combinations(self, r, n):
         assert bell_r1_hypergeometric_check(r, n)
+
+    def test_r1_combination_needs_r_at_least_two(self):
+        with pytest.raises(ValueError, match="r >= 2"):
+            bell_r1_hypergeometric_check(1, 2)
 
 
 class TestEgf:
