@@ -122,8 +122,8 @@ def _suite_oracle(args) -> list:
                     f"S_({r},{s})(n={n},.): finite sum = differential route = word rewriting",
                     ok, detail))
             if r == s:
-                # the recurrence shares _next_row with the table, so it is held
-                # against the explicit sum alone
+                # the recurrence multiplies by the word on the left, the table's
+                # _next_row on the right, so the two share no step
                 tri = stirling_bell.stirling_diag_recurrence(r, args.nmax)
                 ok = all(tri.row(n) == explicit_rows[n] for n in range(1, args.nmax + 1))
                 checks.append(Check(
@@ -490,6 +490,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_perturb(text: str) -> tuple:
+    """R,S,N,K[,DELTA] -> (r, s, n, k, delta), with DELTA 1 when left out."""
+    shown = repr(text) if len(text) <= 60 else f"'{text[:20]}...{text[-20:]}' ({len(text)} chars)"
+    parts = []
+    for field in text.split(","):
+        try:
+            parts.append(int(field))
+        except ValueError:
+            digits = field.strip().lstrip("+-")
+            if digits.isdecimal():  # int() refuses a well-formed integer only for its length
+                raise ValueError(f"--perturb number too long ({len(digits)} digits), "
+                                 f"got {shown}") from None
+            raise ValueError(f"--perturb expects integers R,S,N,K[,DELTA], got {shown}") from None
+    if len(parts) == 4:
+        parts.append(1)
+    if len(parts) != 5:
+        raise ValueError(f"--perturb expects integers R,S,N,K[,DELTA], got {shown}")
+    if parts[4] == 0:
+        raise ValueError(f"--perturb DELTA must be nonzero, got {shown}")
+    return tuple(parts)
+
+
 def main(argv=None) -> int:
     """Exit 0 if every check passed, 1 if one failed, 2 on a usage or
     domain error, 3 on an internal error or an exceeded budget."""
@@ -510,14 +532,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             perturbed = None
             if args.perturb:
-                try:
-                    parts = [int(x) for x in args.perturb.split(",")]
-                    r, s, n, k, delta = parts + [1] if len(parts) == 4 else parts
-                except ValueError:
-                    raise ValueError(
-                        f"--perturb expects integers R,S,N,K[,DELTA], got {args.perturb!r}") from None
-                if delta == 0:
-                    raise ValueError(f"--perturb DELTA must be nonzero, got {args.perturb!r}")
+                r, s, n, k, delta = _parse_perturb(args.perturb)
                 perturbed = (Params(r, s), n, k)
                 stirling_bell.set_perturbation(*perturbed, delta)
             try:

@@ -19,6 +19,7 @@ to polynomials.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -104,6 +105,16 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
 
     Returns 0 outside the band s <= k <= n s.  The division by k! is
     checked to be exact.
+
+    With d = r - s, the products P(q) = prod_{j<n} (q + j d)^falling(s) are
+    not rebuilt for every q.  For d = 0, P(q) = (q^falling(s))^n.  For d > 0
+    they telescope, P(q + d) = P(q) (q + n d)^falling(s) / q^falling(s):
+    the factors j = 1..n of P(q + d) are the factors j = 0..n-1 of P(q)
+    with the j = 0 one removed and a j = n one added.  The division is
+    exact because q^falling(s) is one factor of P(q), and it is positive
+    because q >= s.  Only the first d products are built directly, so a
+    read takes O(k) big-int steps instead of O(n s k), and only the last
+    d products are kept.
     """
     r, s = p.r, p.s
     if r < s:
@@ -113,11 +124,18 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
     if k < s or k > n * s:
         return 0
     d = r - s
+    last = deque(maxlen=d)  # P(q - d) .. P(q - 1)
     total = 0
     for q in range(s, k + 1):
-        prod = 1
-        for j in range(n):
-            prod *= falling_factorial(q + j * d, s)
+        if d == 0:
+            prod = falling_factorial(q, s) ** n
+        elif q < s + d:
+            prod = 1
+            for j in range(n):
+                prod *= falling_factorial(q + j * d, s)
+        else:
+            prod = last[0] * falling_factorial(q + (n - 1) * d, s) // falling_factorial(q - d, s)
+        last.append(prod)
         total += (-1) ** q * binomial(k, q) * prod
     return _exact_quotient((-1) ** k * total, k)
 
@@ -250,14 +268,24 @@ def triangle(p: Params, n_max: int) -> StirlingTriangle:
 
 
 def stirling_diag_recurrence(r: int, n_max: int) -> StirlingTriangle:
-    """S_{r,r} from the row recurrence, unmemoized and unperturbed.  For r = 1
-    it is the classical S(n+1,k) = k S(n,k) + S(n,k-1)."""
+    """S_{r,r} from the left-multiplication recurrence, unmemoized and
+    unperturbed, and independent of the table's ``_next_row``.
+
+    Left-multiplying the row-n normal form sum_k S(n,k) (a+)^(k+d) a^k,
+    d = n(r-s), by (a+)^r a^s and reordering with
+    a^s (a+)^m = sum_j C(s,j) m^falling(j) (a+)^(m-j) a^(s-j) gives
+    S(n+1, k+s-j) += C(s,j) (k+d)^falling(j) S(n,k); on the diagonal d = 0.
+    For r = 1 it is the classical S(n+1,k) = k S(n,k) + S(n,k-1)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    p, rows = Params(r, r), [{0: 1}]
+    rows = [{0: 1}]
     for _ in range(n_max):
-        rows.append(_next_row(p, rows[-1]))
-    return StirlingTriangle(params=p, n_max=n_max, rows=dict(enumerate(rows[1:], 1)))
+        out: Dict[int, int] = {}
+        for k, v in rows[-1].items():
+            for j in range(min(k, r) + 1):
+                out[k + r - j] = out.get(k + r - j, 0) + binomial(r, j) * falling_factorial(k, j) * v
+        rows.append(out)
+    return StirlingTriangle(params=Params(r, r), n_max=n_max, rows=dict(enumerate(rows[1:], 1)))
 
 
 def anti_stirling(p: Params, n: int, k: int) -> int:

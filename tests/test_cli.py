@@ -293,6 +293,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "R,S,N,K[,DELTA]" in err and err.count("\n") == 1
 
+    def test_overlong_perturbation_number_gets_its_own_short_line(self, capsys, monkeypatch):
+        # int() refuses decimal strings past its digit limit (4300 by default)
+        def must_not_run(args):
+            raise AssertionError("suite ran despite an overlong --perturb DELTA")
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "fock", must_not_run)
+        spec = "1,1,2,1,1" + "0" * 5000
+        code, out, err = run_cli(capsys, "verify", "fock", "--perturb", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --perturb number too long (5001 digits)")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert spec[:20] in err and spec[-20:] in err and f"({len(spec)} chars)" in err
+
     def test_zero_perturbation_exits_two_before_any_work(self, capsys, monkeypatch):
         # a zero DELTA corrupts nothing, so no suite could fail on it
         def must_not_run(args):

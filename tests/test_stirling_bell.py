@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,32 @@ class TestDiagonalRecurrence:
             for n in range(1, 6):
                 assert tri.row(n) == {k: stirling(p, n, k) for k in p.band(n)
                                       if stirling(p, n, k)}
+
+    def test_independent_of_the_table_step(self, monkeypatch, capsys):
+        from bosonbell import cli, stirling_bell
+
+        real_next_row = stirling_bell._next_row
+
+        def broken_next_row(p, row):
+            out = real_next_row(p, row)
+            out[max(out)] += 1
+            return out
+
+        clear_perturbations()
+        monkeypatch.setattr(stirling_bell, "_next_row", broken_next_row)
+        try:
+            for r in (1, 2, 3, 4):
+                p = Params(r, r)
+                tri = stirling_diag_recurrence(r, 6)
+                for n in range(1, 7):
+                    assert tri.row(n) == {k: stirling_explicit(p, n, k) for k in p.band(n)}
+            assert cli.main(["--json", "verify", "oracle"]) == 1
+        finally:
+            clear_perturbations()
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        diagonal = [c for c in checks if "diagonal recurrence" in c["name"]]
+        assert len(diagonal) == 3 and all(c["ok"] for c in diagonal)
+        assert not all(c["ok"] for c in checks)
 
 
 class TestSymmetry:
@@ -328,6 +355,70 @@ class TestRowRecurrence:
             assert perturbation_reads(p, 3, 7) == 0
             assert stirling(p, 3, 7) == 4
             assert perturbation_reads(p, 3, 7) == 1
+        finally:
+            clear_perturbations()
+
+
+def _literal_sum(p, n, k):
+    """The alternating sum with every n-factor product rebuilt (r >= s);
+    perm(x, s) is the falling factorial x^falling(s)."""
+    from math import comb, factorial, perm
+
+    total = 0
+    for q in range(p.s, k + 1):
+        prod = 1
+        for j in range(n):
+            prod *= perm(q + j * (p.r - p.s), p.s)
+        total += (-1) ** q * comb(k, q) * prod
+    return (-1) ** k * total // factorial(k)
+
+
+class TestTelescopedPointReads:
+    """Point reads build only d = r - s products directly; the rest telescope."""
+
+    def test_equals_the_literal_sum(self):
+        # n up to 7 and every k, so each d = 0..3 crosses its seed boundary q = s + d
+        for r in range(1, 5):
+            for s in range(1, r + 1):
+                p = Params(r, s)
+                for n in range(1, 8):
+                    for k in range(s, n * s + 1):
+                        assert stirling_explicit(p, n, k) == _literal_sum(p, n, k), (r, s, n, k)
+
+    def test_equals_the_table_on_and_around_the_band(self):
+        clear_perturbations()
+        for r in range(1, 5):
+            for s in range(1, 5):
+                p = Params(r, s)
+                tri = triangle(p, 60)
+                for n in (1, 2, 3, 4, 5, 6, 7, 60):
+                    band = p.band(n)
+                    for k in range(band.start - 1, band.stop + 1):
+                        assert stirling(p, n, k) == tri.value(n, k), (r, s, n, k)
+
+    @pytest.mark.parametrize("r,s,n", [(1, 1, 250), (2, 1, 230), (3, 1, 240), (4, 1, 200)])
+    def test_far_read_per_d_equals_the_memo_row(self, r, s, n):
+        clear_perturbations()
+        p = Params(r, s)
+        row = triangle(p, n).row(n)
+        for k in (s, r, r + 1, n * s // 2, n * s):  # q = r = s + d is the first telescoped product
+            assert stirling(p, n, k) == row[k], k
+
+    def test_point_reads_leave_the_memo_alone(self):
+        from bosonbell import stirling_bell
+
+        clear_perturbations()
+        assert stirling(Params(3, 1), 240, 120) > 0
+        assert stirling(Params(1, 3), 240, 120) > 0
+        assert stirling_bell._triangle_cache == {}
+
+    def test_far_perturbation_is_returned_and_counted(self):
+        p = Params(3, 2)
+        clean = stirling(p, 170, 171)
+        try:
+            set_perturbation(p, 170, 171, -3)
+            assert stirling(p, 170, 171) == clean - 3
+            assert perturbation_reads(p, 170, 171) == 1
         finally:
             clear_perturbations()
 
