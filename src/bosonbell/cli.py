@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -123,7 +124,8 @@ def _suite_oracle(args) -> list:
                     ok, detail))
             if r == s:
                 # the recurrence multiplies by the word on the left, the table's
-                # _next_row on the right, so the two share no step
+                # _next_row on the right; they share no code, but on the diagonal
+                # their steps are equal, so this guards code, not a second identity
                 tri = stirling_bell.stirling_diag_recurrence(r, args.nmax)
                 ok = all(tri.row(n) == explicit_rows[n] for n in range(1, args.nmax + 1))
                 checks.append(Check(
@@ -514,9 +516,20 @@ def _parse_perturb(text: str) -> tuple:
 
 def main(argv=None) -> int:
     """Exit 0 if every check passed, 1 if one failed, 2 on a usage or
-    domain error, 3 on an internal error or an exceeded budget."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    domain error, 3 on an internal error or an exceeded budget, and 141
+    (128 + SIGPIPE), with nothing on stderr, when the reader closed stdout."""
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()  # so a small output fails here, not at interpreter exit
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _dispatch(args) -> int:
     try:
         if args.prec < MIN_PRECISION_BITS:
             raise ValueError(f"--prec must be at least {MIN_PRECISION_BITS} bits, got {args.prec}")

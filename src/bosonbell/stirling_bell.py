@@ -114,7 +114,8 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
     exact because q^falling(s) is one factor of P(q), and it is positive
     because q >= s.  Only the first d products are built directly, so a
     read takes O(k) big-int steps instead of O(n s k), and only the last
-    d products are kept.
+    d products are kept.  The signed binomial (-1)^q C(k,q) is carried
+    along q by the exact step C(k, q+1) = C(k, q) (k-q) / (q+1).
     """
     r, s = p.r, p.s
     if r < s:
@@ -126,6 +127,7 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
     d = r - s
     last = deque(maxlen=d)  # P(q - d) .. P(q - 1)
     total = 0
+    c = (-1) ** s * binomial(k, s)  # (-1)^q C(k, q)
     for q in range(s, k + 1):
         if d == 0:
             prod = falling_factorial(q, s) ** n
@@ -136,7 +138,8 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
         else:
             prod = last[0] * falling_factorial(q + (n - 1) * d, s) // falling_factorial(q - d, s)
         last.append(prod)
-        total += (-1) ** q * binomial(k, q) * prod
+        total += c * prod
+        c = -c * (k - q) // (q + 1)
     return _exact_quotient((-1) ** k * total, k)
 
 
@@ -235,12 +238,18 @@ def _next_row(p: Params, row: Dict[int, int]) -> Dict[int, int]:
     """Row n+1 from row n (row 0 is {0: 1}) by Wick reordering: for r >= s
     (swapped otherwise) right-multiply sum_k S(n,k) (a+)^(k+n(r-s)) a^k by
     (a+)^r a^s, and a^k (a+)^r = sum_j C(k,j) r^falling(j) (a+)^(r-j) a^(k-j)
-    gives S(n+1, k-j+s) += C(k,j) r^falling(j) S(n,k)."""
+    gives S(n+1, k-j+s) += C(k,j) r^falling(j) S(n,k).  The coefficient is
+    carried along j as a small integer by the exact step
+    C(k, j+1) = C(k, j) (k-j) / (j+1), so a term is one big-int multiply-add."""
     r, s = max(p.r, p.s), min(p.r, p.s)
     out = [0] * (max(row) + s + 1)
     for k, v in row.items():
-        for j in range(min(k, r) + 1):
-            out[k - j + s] += binomial(k, j) * falling_factorial(r, j) * v
+        c, i = 1, k + s  # C(k, j) r^falling(j) and k - j + s at j = 0
+        for j in range(r if k > r else k):  # the last j = min(k, r) follows the loop
+            out[i] += c * v
+            c = c * (k - j) * (r - j) // (j + 1)
+            i -= 1
+        out[i] += c * v
     return {k: v for k, v in enumerate(out) if v}
 
 
@@ -275,7 +284,16 @@ def stirling_diag_recurrence(r: int, n_max: int) -> StirlingTriangle:
     d = n(r-s), by (a+)^r a^s and reordering with
     a^s (a+)^m = sum_j C(s,j) m^falling(j) (a+)^(m-j) a^(s-j) gives
     S(n+1, k+s-j) += C(s,j) (k+d)^falling(j) S(n,k); on the diagonal d = 0.
-    For r = 1 it is the classical S(n+1,k) = k S(n,k) + S(n,k-1)."""
+    For r = 1 it is the classical S(n+1,k) = k S(n,k) + S(n,k-1).
+
+    On the diagonal this is not a second identity.  The step coefficient
+    C(r,j) k^falling(j) = r! k! / (j! (r-j)! (k-j)!) equals the producer's
+    C(k,j) r^falling(j), and both send S(n,k) to k + r - j: the two
+    recurrences are one recurrence coded twice, sharing no code.  Its check
+    against the finite sum therefore guards this code, not the Wick
+    identity, which the table's own check against the finite sum covers.
+    A route independent of the recurrence is the rook numbers of the word's
+    Ferrers board (Varvak; the rook-row item of ROADMAP.md)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rows = [{0: 1}]
@@ -319,14 +337,26 @@ def bell_sequence(p: Params, n_max: int) -> BellSequence:
 
 
 def bell_polynomial(p: Params, n: int, t: RationalLike) -> Fraction:
-    """B_{r,s}(n, t) = sum_k S_{r,s}(n,k) t^k; equals bell_number at t = 1."""
+    """B_{r,s}(n, t) = sum_k S_{r,s}(n,k) t^k; equals bell_number at t = 1.
+
+    With t = a/b in lowest terms and K the top of the row, an integer
+    Horner pass gives sum_k S(n,k) a^k b^(K-k), and one Fraction divides
+    it by b^K at the end."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     t = Fraction(t)
     if n == 0:
         return Fraction(1)
-    tri = triangle(p, n)
-    return sum((v * t**k for k, v in tri.row(n).items()), Fraction(0))
+    row = triangle(p, n).rows[n]
+    # after step k: num / den = sum_{j >= k} S(n,j) t^(j-k), den = b^(top-k)
+    a, b, top = t.numerator, t.denominator, max(row, default=0)
+    num, den = row.get(top, 0), 1
+    for k in range(top - 1, -1, -1):
+        num *= a
+        den *= b
+        if k in row:
+            num += row[k] * den
+    return Fraction(num, den)
 
 
 def lah_closed_form(n: int, k: int) -> int:

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -373,3 +374,20 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "1, 1, 2, 5, 15, 52"
+
+
+@pytest.mark.parametrize("args, lines_read", [(("triangle", "1", "1", "300"), 1),
+                                              (("bell", "1", "1", "3"), 0)])
+def test_closed_stdout_pipe_exits_141_without_a_traceback(args, lines_read):
+    # the reader closes the pipe early, as `| head -1` does.  The 8.7 MB
+    # triangle fails inside print; the short Bell sequence, block-buffered,
+    # fails at the flush, which must come before interpreter exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "bosonbell", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -423,6 +423,51 @@ class TestTelescopedPointReads:
             clear_perturbations()
 
 
+class TestRunningCoefficients:
+    """The producer, the point reads and the row polynomials step their
+    coefficients as running integers; each is held to a route that does not."""
+
+    @pytest.mark.parametrize("r,s,n", [(1, 1, 120), (2, 1, 120), (3, 1, 120), (1, 2, 120),
+                                       (2, 2, 60), (3, 2, 60), (3, 3, 60)])
+    def test_table_row_equals_the_explicit_sum_over_the_band(self, r, s, n):
+        clear_perturbations()
+        p = Params(r, s)
+        explicit = Params(max(r, s), min(r, s))  # S_{r,s} = S_{s,r}
+        row = triangle(p, n).row(n)
+        assert row == {k: stirling_explicit(explicit, n, k) for k in p.band(n)}
+
+    @staticmethod
+    def literal_polynomial(p, n, t):
+        if n == 0:
+            return Fraction(1)
+        return sum((Fraction(stirling(p, n, k)) * t**k for k in p.band(n)), Fraction(0))
+
+    def test_bell_polynomial_equals_the_literal_fraction_sum(self):
+        clear_perturbations()
+        ts = (Fraction(0), Fraction(-1), Fraction(-2, 3), Fraction(1, 7), Fraction(5, 2),
+              Fraction(10**30, 3))
+        for r in range(1, 4):
+            for s in range(1, 4):
+                p = Params(r, s)
+                for n in range(13):
+                    for t in ts:
+                        want = self.literal_polynomial(p, n, t)
+                        assert bell_polynomial(p, n, t) == want, (r, s, n, t)
+
+    def test_bell_polynomial_across_a_zeroed_entry(self):
+        p, n, k, t = Params(2, 1), 6, 3, Fraction(-2, 3)
+        clear_perturbations()
+        clean = bell_polynomial(p, n, t)
+        try:
+            set_perturbation(p, n, k, -stirling(p, n, k))
+            row = triangle(p, n).row(n)
+            assert k not in row and k - 1 in row and k + 1 in row  # a gap inside the band
+            assert bell_polynomial(p, n, t) == clean - stirling_explicit(p, n, k) * t**k
+            assert bell_polynomial(p, n, t) == self.literal_polynomial(p, n, t)
+        finally:
+            clear_perturbations()
+
+
 class TestBellSequence:
     def test_row_sums_of_one_snapshot(self):
         clear_perturbations()
