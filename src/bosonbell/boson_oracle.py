@@ -8,6 +8,13 @@ The engine keeps a multiset of weighted words and merges equal words
 eagerly, processing them in order of decreasing inversion count, which
 both guarantees termination and keeps the live set small.
 
+Only the input word's inversion count is counted letter by letter; each
+child's count is stepped from its parent's.  Rewriting the "aA" at
+positions i, i+1 of a word with ``inv`` inversions gives the swapped
+child, ``inv - 1`` (only that pair changes order), and the deleted child,
+``inv - 1`` less the creators right of the pair and the annihilators
+left of it (the inversions the deleted letters took part in).
+
 This module is deliberately independent of the closed-form routes in
 :mod:`bosonbell.stirling_bell`; agreement between the two is the core
 correctness argument of the package.
@@ -16,7 +23,7 @@ correctness argument of the package.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -44,6 +51,8 @@ class NormalForm:
     """sum_{(i,j)} c_{ij} (a+)^i a^j with integer coefficients, no zeros stored."""
 
     terms: Dict[Tuple[int, int], int]
+    # words with inversions popped by the rewriter: a measure of its merging
+    words_rewritten: int = field(default=0, compare=False)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -97,48 +106,49 @@ def normalize(
     Each rewrite replaces one adjacent "aA" with "Aa" (same weight) plus
     the word with the pair removed (same weight).  Every rewrite strictly
     lowers the inversion count, so processing words from the highest
-    count downward visits each distinct word once.
+    count downward visits each distinct word once.  The result's
+    ``words_rewritten`` counts those visits.
 
     ``strategy`` picks which reducible pair is rewritten: "leftmost",
     "rightmost", or "random" (requires ``rng``).  The result is the same
     for every strategy; the choice exists so tests can confirm that.
     """
     word = _validate_word(word, max_len)
-    if strategy == "random" and rng is None:
-        raise ValueError("strategy='random' needs an rng")
-    if strategy not in ("leftmost", "rightmost", "random"):
+    # index, not find: a word without an "aA" in a bucket above 0 raises
+    # instead of being cut at position -1
+    if strategy == "leftmost":
+        find = str.index
+    elif strategy == "rightmost":
+        find = str.rindex
+    elif strategy != "random":
         raise ValueError(f"unknown strategy {strategy!r}")
+    elif rng is None:
+        raise ValueError("strategy='random' needs an rng")
+    else:
+        def find(w: str, _pair: str) -> int:
+            return rng.choice(_reducible_positions(w))
 
-    buckets: Dict[int, Dict[str, int]] = {}
-
-    def push(w: str, c: int) -> None:
-        level = buckets.setdefault(_inversions(w), {})
-        level[w] = level.get(w, 0) + c
-
-    push(word, 1)
-    terms: Dict[Tuple[int, int], int] = {}
-    while buckets:
+    pair, swapped = ANNIHILATE + CREATE, CREATE + ANNIHILATE
+    buckets: Dict[int, Dict[str, int]] = {_inversions(word): {word: 1}}
+    words_rewritten = 0
+    while True:
         inv = max(buckets)
-        for w, c in buckets.pop(inv).items():
-            if c == 0:
-                continue
-            if inv == 0:
-                key = (w.count(CREATE), w.count(ANNIHILATE))
-                total = terms.get(key, 0) + c
-                if total:
-                    terms[key] = total
-                else:
-                    terms.pop(key, None)
-                continue
-            if strategy == "leftmost":
-                i = w.find(ANNIHILATE + CREATE)
-            elif strategy == "rightmost":
-                i = w.rfind(ANNIHILATE + CREATE)
-            else:
-                i = rng.choice(_reducible_positions(w))
-            push(w[:i] + CREATE + ANNIHILATE + w[i + 2 :], c)
-            push(w[:i] + w[i + 2 :], c)
-    return NormalForm(terms=terms)
+        level = buckets.pop(inv)
+        if inv == 0:
+            break
+        words_rewritten += len(level)
+        swap_level = buckets.setdefault(inv - 1, {})
+        for w, c in level.items():
+            i = find(w, pair)
+            child = w[:i] + swapped + w[i + 2 :]
+            swap_level[child] = swap_level.get(child, 0) + c
+            child = w[:i] + w[i + 2 :]
+            dropped = buckets.setdefault(
+                inv - 1 - w.count(CREATE, i + 2) - w.count(ANNIHILATE, 0, i), {})
+            dropped[child] = dropped.get(child, 0) + c
+    # the words left are A^i a^j, one per (i, j), with positive weights
+    terms = {(w.count(CREATE), w.count(ANNIHILATE)): c for w, c in level.items()}
+    return NormalForm(terms=terms, words_rewritten=words_rewritten)
 
 
 def antinormalize(word: str) -> AntiNormalForm:

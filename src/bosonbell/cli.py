@@ -518,8 +518,11 @@ def main(argv=None) -> int:
     """Exit 0 if every check passed, 1 if one failed, 2 on a usage or
     domain error, 3 on an internal error or an exceeded budget, and 141
     (128 + SIGPIPE), with nothing on stderr, when the reader closed stdout."""
-    args = _build_parser().parse_args(argv)
     try:
+        try:
+            args = _build_parser().parse_args(argv)
+        finally:
+            sys.stdout.flush()  # argparse exits after --help, before the flush below
         code = _dispatch(args)
         sys.stdout.flush()  # so a small output fails here, not at interpreter exit
     except BrokenPipeError:

@@ -98,6 +98,33 @@ def normal_form_product(t1: dict, t2: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def wick_normal_form(word: str, anti: bool = False) -> dict:
+    """Normal (or with ``anti`` anti-normal) form of a word by Wick's theorem.
+
+    Each term contracts a set of disjoint pairs (a at p, A at q), p < q
+    (for anti-normal order (A at p, a at q), each pair with a factor -1).
+    Such sets are the non-attacking rook placements on a Ferrers board:
+    the column of the q-th letter holds one cell per left letter before
+    it.  Columns come in order of growing height, so a rook in a column
+    of that height finds height - k free cells when k rooks stand left of
+    it, and one pass over the word counts the placements.  The terms are
+    keyed by the exponents in written order: (i, j) for (a+)^i a^j, and
+    for anti-normal order (j, i) for a^j (a+)^i.
+    """
+    left = "A" if anti else "a"
+    rooks, height = [1], 0  # rooks[k]: placements of k rooks so far
+    for letter in word:
+        if letter == left:
+            height += 1
+        else:
+            # rooks[k] gains the placements of k - 1 rooks times the free cells
+            rooks = [a + b * (height - k + 1)
+                     for k, (a, b) in enumerate(zip(rooks + [0], [0] + rooks))]
+    n_left = word.count(left)
+    sign = -1 if anti else 1
+    return {(len(word) - n_left - k, n_left - k): sign**k * r for k, r in enumerate(rooks) if r}
+
+
 # --- per-term Fraction series loops ----------------------------------------
 # The certified series loops in their first form: every term is a reduced
 # Fraction and the stop test compares Fractions.  The package now sums over

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bosonbell.boson_oracle import (
     OracleStructureError,
     WordLengthError,
+    _inversions,
     antinormalize,
     coherent_expectation_exact,
     extract_anti_stirling_row,
@@ -23,9 +24,39 @@ from _oracles import (
     poly_apply_normal_form,
     poly_apply_word,
     stirling_brute,
+    wick_normal_form,
 )
 
 words = st.text(alphabet="aA", min_size=0, max_size=10)
+
+
+def balanced_word(rng: random.Random, length: int) -> str:
+    """Equal numbers of each letter and an inversion count within 10% of
+    the median, like the words the rewrite benchmark times."""
+    half = length // 2
+    while True:
+        word = "".join(rng.sample("a" * half + "A" * half, 2 * half))
+        if abs(_inversions(word) - half * half / 2) <= half * half / 20:
+            return word
+
+
+def rescanning_normalize(word: str, strategy: str, rng: random.Random):
+    """(terms, words_rewritten) of the bucket engine with every child's
+    inversion count rescanned rather than stepped from its parent's."""
+    buckets, rewritten = {_inversions(word): {word: 1}}, 0
+    while max(buckets):
+        level = buckets.pop(max(buckets))
+        rewritten += len(level)
+        for w, c in level.items():
+            pairs = [i for i in range(len(w) - 1) if w[i:i + 2] == "aA"]
+            if strategy == "random":
+                i = rng.choice(pairs)
+            else:
+                i = pairs[-1] if strategy == "rightmost" else pairs[0]
+            for child in (w[:i] + "Aa" + w[i + 2:], w[:i] + w[i + 2:]):
+                bucket = buckets.setdefault(_inversions(child), {})
+                bucket[child] = bucket.get(child, 0) + c
+    return {(w.count("A"), w.count("a")): c for w, c in buckets[0].items()}, rewritten
 
 
 class TestNormalize:
@@ -75,6 +106,40 @@ class TestNormalize:
         under a = d/dx, a+ = x."""
         nf = normalize(word)
         assert poly_apply_word(word, degree) == poly_apply_normal_form(nf.terms, degree)
+
+
+class TestMerging:
+    """Equal words must meet in one bucket.  A child filed under a wrong
+    inversion count can still give the right terms, so the number of
+    words rewritten is compared with an engine that rescans every child."""
+
+    def test_counts_of_small_words(self):
+        assert normalize("AAaa").words_rewritten == 0
+        assert normalize("aA").words_rewritten == 1
+        # aAA -> AaA + A, then AaA -> AAa + A
+        assert normalize("aAA").words_rewritten == 2
+
+    @settings(max_examples=60)
+    @given(words, st.integers(min_value=0, max_value=2**30))
+    def test_stepped_counts_match_rescanned_ones(self, word, seed):
+        for strategy in ("leftmost", "rightmost", "random"):
+            nf = normalize(word, strategy=strategy, rng=random.Random(seed))
+            expected = rescanning_normalize(word, strategy, random.Random(seed))
+            assert (nf.terms, nf.words_rewritten) == expected, strategy
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "random"])
+    def test_longer_words(self, strategy):
+        rng = random.Random(11)
+        for length in (12, 16, 20):
+            word = balanced_word(rng, length)
+            nf = normalize(word, strategy=strategy, rng=random.Random(length))
+            expected = rescanning_normalize(word, strategy, random.Random(length))
+            assert (nf.terms, nf.words_rewritten) == expected, word
+
+    def test_power_word_passes_the_count_through(self):
+        word = "AAa" * 5
+        assert power_word(Params(2, 1), 5).words_rewritten == \
+            rescanning_normalize(word, "leftmost", None)[1] > 0
 
 
 class TestAntinormalize:
@@ -219,6 +284,34 @@ class TestAgainstProductFormula:
             assembled = normal_form_product(
                 normalize(word[:cut]).terms, normalize(word[cut:]).terms)
             assert joined == assembled
+
+
+class TestAgainstWickContractions:
+    """Fourth route, at the word lengths the rewrite benchmark times: rook
+    numbers of the word's Ferrers board, no rewriting."""
+
+    @given(words, st.integers(min_value=0, max_value=6))
+    def test_oracle_acts_like_the_word(self, word, degree):
+        assert poly_apply_normal_form(wick_normal_form(word), degree) == poly_apply_word(word, degree)
+
+    @pytest.mark.parametrize("length", [40, 52, 64])
+    def test_long_balanced_words(self, length):
+        word = balanced_word(random.Random(length), length)
+        for strategy in ("leftmost", "rightmost"):
+            assert normalize(word, strategy=strategy).terms == wick_normal_form(word), strategy
+        assert antinormalize(word).terms == wick_normal_form(word, anti=True)
+
+    def test_random_strategy_beyond_the_hypothesis_cap(self):
+        # the random strategy merges few words: 24 letters rewrite ~30x more
+        # words than leftmost, and 40 letters would take seconds
+        rng = random.Random(24)
+        word = balanced_word(rng, 24)
+        assert normalize(word, strategy="random", rng=rng).terms == wick_normal_form(word)
+
+    @pytest.mark.parametrize("r,s,n", [(1, 1, 28), (2, 2, 14), (3, 3, 9)])
+    def test_power_words(self, r, s, n):
+        word = ("A" * r + "a" * s) * n
+        assert power_word(Params(r, s), n).terms == wick_normal_form(word)
 
 
 def test_structure_error_type_exists():

@@ -391,3 +391,19 @@ def test_closed_stdout_pipe_exits_141_without_a_traceback(args, lines_read):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("args", [("--help",), ("verify", "--help")])
+def test_help_into_a_closed_pipe_exits_141_without_a_traceback(args):
+    # argparse writes the help and exits inside parse_args.  The reader end
+    # is closed before the process starts, so the help's one write fails.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "bosonbell", *args],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == b""
