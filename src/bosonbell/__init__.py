@@ -23,7 +23,6 @@ from .exact_core import (
     PowerSeries,
     binomial,
     falling_factorial,
-    generalized_binomial,
     rising_factorial,
     series_binomial_power,
     series_exp,
@@ -72,7 +71,6 @@ from .stirling_bell import (
     stirling_diag_recurrence,
     stirling_diffop,
     stirling_explicit,
-    stirling_symmetric,
     triangle,
 )
 

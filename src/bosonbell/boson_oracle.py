@@ -34,6 +34,9 @@ ANNIHILATE = "a"
 CREATE = "A"
 
 DEFAULT_WORD_CAP = 64
+# the random strategy merges few words: a shuffled balanced word of 24 letters
+# rewrites under a thousand words, one of 32 letters about 800,000
+RANDOM_WORD_CAP = 24
 
 _SWAP_LETTERS = str.maketrans({ANNIHILATE: CREATE, CREATE: ANNIHILATE})
 
@@ -95,12 +98,7 @@ def _reducible_positions(word: str):
     return [i for i in range(len(word) - 1) if word[i] == ANNIHILATE and word[i + 1] == CREATE]
 
 
-def normalize(
-    word: str,
-    strategy: str = "leftmost",
-    rng: random.Random | None = None,
-    max_len: int = DEFAULT_WORD_CAP,
-) -> NormalForm:
+def normalize(word: str, strategy: str = "leftmost", rng: random.Random | None = None) -> NormalForm:
     """Normal-order a boson word by exhaustive rewriting of aA pairs.
 
     Each rewrite replaces one adjacent "aA" with "Aa" (same weight) plus
@@ -112,8 +110,11 @@ def normalize(
     ``strategy`` picks which reducible pair is rewritten: "leftmost",
     "rightmost", or "random" (requires ``rng``).  The result is the same
     for every strategy; the choice exists so tests can confirm that.
+    Words longer than ``DEFAULT_WORD_CAP`` letters, or than
+    ``RANDOM_WORD_CAP`` for "random", raise :class:`WordLengthError`
+    before any rewriting.
     """
-    word = _validate_word(word, max_len)
+    word = _validate_word(word, RANDOM_WORD_CAP if strategy == "random" else DEFAULT_WORD_CAP)
     # index, not find: a word without an "aA" in a bucket above 0 raises
     # instead of being cut at position -1
     if strategy == "leftmost":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Union
 
 import mpmath
@@ -55,13 +55,6 @@ def rising_factorial(x, s: int):
     return result
 
 
-def generalized_binomial(alpha: RationalLike, i: int) -> Fraction:
-    """C(alpha, i) = alpha (alpha-1) ... (alpha-i+1) / i! for rational alpha."""
-    if i < 0:
-        return Fraction(0)
-    return Fraction(falling_factorial(Fraction(alpha), i), factorial(i))
-
-
 def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
     """Exact rational value of a finite binary float."""
     sign, man, exp, _ = x._mpf_
@@ -100,9 +93,6 @@ class BigFloat:
 
     def to_fraction(self) -> Fraction:
         return mpf_to_fraction(self.value)
-
-    def __float__(self) -> float:
-        return float(self.value)
 
     def __str__(self) -> str:
         return mpmath.nstr(self.value, int(self.precision_bits * 0.3010) + 2)
@@ -146,12 +136,6 @@ class PowerSeries:
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls.from_coeffs([1], order)
-
-    @classmethod
-    def x(cls, order: int) -> "PowerSeries":
-        if order < 1:
-            raise ValueError("order must be >= 1 to represent x")
-        return cls.from_coeffs([0, 1], order)
 
     @property
     def truncation_order(self) -> int:

@@ -129,21 +129,17 @@ def _coherent(z: RationalLike, roots: tuple, bits: int, dim: int, tail_threshold
     return CoherentVector(amps=tuple(amps), tail_mass=Fraction(tail, one))
 
 
-def coherent_state(
-    z: RationalLike, dim: int, precision: int = DEFAULT_PRECISION_BITS,
-    tail_threshold=None,
-) -> CoherentVector:
+def coherent_state(z: RationalLike, dim: int, precision: int = DEFAULT_PRECISION_BITS) -> CoherentVector:
     """Truncated coherent vector e^(-z^2/2) z^n / sqrt(n!) scaled by 2^(precision + 64).
 
     ``tail_mass`` is the probability weight lost to truncation,
-    1 - sum_n amps[n]^2; if it exceeds ``tail_threshold`` (default
-    2^(-precision/2)) the dimension is rejected as too small.
+    1 - sum_n amps[n]^2; if it exceeds tolerance(precision) =
+    2^(-precision/2) the dimension is rejected as too small.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     bits, roots = _root_table(dim, precision)
-    return _coherent(z, roots, bits, dim,
-                     tolerance(precision) if tail_threshold is None else tail_threshold)
+    return _coherent(z, roots, bits, dim, tolerance(precision))
 
 
 def _expectation_once(p: Params, n: int, amps: tuple, ops) -> int:

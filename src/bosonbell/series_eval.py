@@ -195,6 +195,10 @@ def _sum_positive_series(
         k += 1
 
 
+# term budget of each Dobinski series, read at call time
+_DOBINSKI_MAX_TERMS = 200_000
+
+
 def _falling_product(r: int, s: int, n: int, k: int) -> int:
     """prod_{j=1}^{n} (k + (j-1)(r-s))^falling(s) as an exact integer."""
     d = r - s
@@ -204,10 +208,7 @@ def _falling_product(r: int, s: int, n: int, k: int) -> int:
     return prod
 
 
-def dobinski_bell(
-    p: Params, n: int, precision: int = DEFAULT_PRECISION_BITS,
-    max_terms: int = 200_000, min_terms: int = 0,
-) -> SeriesValue:
+def dobinski_bell(p: Params, n: int, precision: int = DEFAULT_PRECISION_BITS) -> SeriesValue:
     """B_{r,s}(n) as the infinite series
 
     (1/e) sum_{k=s}^{inf} (1/k!) prod_{j=1}^{n} (k + (j-1)(r-s))^falling(s),
@@ -215,22 +216,21 @@ def dobinski_bell(
     the generalization of Dobinski's B(n) = (1/e) sum k^n / k!.  Valid for
     r >= s; for r < s the parameters are swapped first (the Bell numbers
     are symmetric in r and s).  The returned interval brackets the exact
-    integer B_{r,s}(n).  This is :func:`dobinski_polynomial` at t = 1.
+    integer B_{r,s}(n).  This is :func:`dobinski_polynomial` at t = 1, and
+    raises :class:`TermBudgetError` past ``_DOBINSKI_MAX_TERMS`` terms.
     """
-    return dobinski_polynomial(p, n, _ONE, precision, max_terms, min_terms)
+    return dobinski_polynomial(p, n, _ONE, precision)
 
 
-def dobinski_gamma_form(
-    p: Params, n: int, precision: int = DEFAULT_PRECISION_BITS,
-    max_terms: int = 200_000, min_terms: int = 0,
-) -> SeriesValue:
+def dobinski_gamma_form(p: Params, n: int, precision: int = DEFAULT_PRECISION_BITS) -> SeriesValue:
     """B_{r,s}(n) for r > s via the Gamma-ratio series
 
     ((r-s)^(s(n-1))/e) sum_{k=0}^{inf} (1/k!)
         prod_{j=1}^{s} Gamma(n + (k+j)/(r-s)) / Gamma(1 + (k+j)/(r-s)).
 
     Each Gamma ratio is reduced exactly to
-    prod_{m=1}^{n-1} ((k+j)/(r-s) + m), so every term is rational.
+    prod_{m=1}^{n-1} ((k+j)/(r-s) + m), so every term is rational.  Past
+    ``_DOBINSKI_MAX_TERMS`` terms it raises :class:`TermBudgetError`.
     """
     if p.r <= p.s:
         raise ValueError("dobinski_gamma_form requires r > s")
@@ -249,21 +249,21 @@ def dobinski_gamma_form(
         return (k + 2 + d) ** (s * (n - 1)), (k + 1 + d) ** (s * (n - 1)) * (k + 1)
 
     partial, tail, used = _sum_positive_series(
-        numerator, lambda k: max(k, 1), ratio_bound, 0, precision, max_terms, min_terms)
+        numerator, lambda k: max(k, 1), ratio_bound, 0, precision, _DOBINSKI_MAX_TERMS)
     iv = _Interval(partial, partial + tail) * _inv_e_bounds(precision)
     return _series_value(iv, used, precision)
 
 
 def dobinski_polynomial(
     p: Params, n: int, t: RationalLike, precision: int = DEFAULT_PRECISION_BITS,
-    max_terms: int = 200_000, min_terms: int = 0,
 ) -> SeriesValue:
     """The polynomial B_{r,s}(n, t) as the weighted series
 
     e^(-t) sum_{k=s}^{inf} (t^k/k!) prod_{j=1}^{n} (k + (j-1)(r-s))^falling(s),
 
     which must bracket the exact rational bell_polynomial(p, n, t).
-    Requires t > 0.
+    Requires t > 0; past ``_DOBINSKI_MAX_TERMS`` terms it raises
+    :class:`TermBudgetError`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -285,7 +285,7 @@ def dobinski_polynomial(
 
     partial, tail, used = _sum_positive_series(
         lambda k: tn**k * _falling_product(r, s, n, k), den_step, ratio_bound, s,
-        precision, max_terms, min_terms)
+        precision, _DOBINSKI_MAX_TERMS)
     iv = _Interval(partial, partial + tail) * _exp_bounds(t, precision).reciprocal()
     return _series_value(iv, used, precision)
 
@@ -315,13 +315,13 @@ def _is_terminating(uppers: tuple) -> bool:
     return any(a <= 0 and a.denominator == 1 for a in uppers)
 
 
+# term budget of each pFq sum, read at call time
 _HYP_MAX_TERMS = 100_000
 
 
-def _hyp_enclosure(
-    uppers: tuple, lowers: tuple, x: Fraction, bits: int, max_terms: int,
-) -> Tuple[_Interval, int]:
-    """Certified enclosure of pFq(uppers; lowers; x) with rational data.
+def _hyp_enclosure(uppers: tuple, lowers: tuple, x: Fraction, bits: int) -> Tuple[_Interval, int]:
+    """Certified enclosure of pFq(uppers; lowers; x) with rational data,
+    within ``_HYP_MAX_TERMS`` terms.
 
     Term m is num/den and the partial sum partial/den over one running
     integer denominator; term m+1 is term m times p(m)/q(m), with q > 0.
@@ -372,8 +372,8 @@ def _hyp_enclosure(
                 tail = Fraction(abs(num) * rho_num, den * (rho_den - rho_num))
                 mid = Fraction(partial, den)
                 return _Interval(mid - tail, mid + tail), m + 1
-        if m + 1 >= max_terms:
-            raise TermBudgetError(f"pFq did not converge within {max_terms} terms")
+        if m + 1 >= _HYP_MAX_TERMS:
+            raise TermBudgetError(f"pFq did not converge within {_HYP_MAX_TERMS} terms")
         p, q = p0, q0 * (m + 1)
         for a in uppers:
             p *= a.numerator + m * a.denominator
@@ -387,11 +387,10 @@ def _hyp_enclosure(
         m += 1
 
 
-def hypergeometric(
-    h: HyperParams, precision: int = DEFAULT_PRECISION_BITS, max_terms: int = _HYP_MAX_TERMS,
-) -> SeriesValue:
-    """Evaluate pFq at a rational argument with a certified tail bound."""
-    iv, used = _hyp_enclosure(h.upper, h.lower, h.argument, precision, max_terms)
+def hypergeometric(h: HyperParams, precision: int = DEFAULT_PRECISION_BITS) -> SeriesValue:
+    """Evaluate pFq at a rational argument with a certified tail bound;
+    past ``_HYP_MAX_TERMS`` terms it raises :class:`TermBudgetError`."""
+    iv, used = _hyp_enclosure(h.upper, h.lower, h.argument, precision)
     return _series_value(iv, used, precision)
 
 
@@ -403,7 +402,7 @@ def _hyp_combination(parts, x: Fraction, bits: int) -> Tuple[_Interval, int]:
     total = _Interval.point(_ZERO)
     used = 0
     for uppers, lowers, coefficient in parts:
-        iv, terms = _hyp_enclosure(uppers, lowers, x, bits, _HYP_MAX_TERMS)
+        iv, terms = _hyp_enclosure(uppers, lowers, x, bits)
         total += iv * coefficient
         used += terms
     return total * _inv_e_bounds(bits), used
@@ -666,10 +665,12 @@ def _hgf_family(r: int, s: int, lam: Fraction):
 # the smallest working precision that hgf_check and the CLI's --prec accept
 MIN_PRECISION_BITS = 16
 
+# term budget of hgf_check's outer k-series, read at call time
+_HGF_MAX_OUTER = 10_000
+
 
 def hgf_check(
-    r: int, s: int, lam: RationalLike, order: int,
-    precision: int = DEFAULT_PRECISION_BITS, max_outer: int = 10_000,
+    r: int, s: int, lam: RationalLike, order: int, precision: int = DEFAULT_PRECISION_BITS,
 ) -> HgfCheckResult:
     """Compare the two routes to the hypergeometric generating function
 
@@ -677,7 +678,8 @@ def hgf_check(
 
     truncated at degree ``order``: once through the k-indexed sum of
     hypergeometric functions (inner series truncated at m = order, outer
-    k-sum carried to a certified tail within ``max_outer`` terms), and once
+    k-sum carried to a certified tail within ``_HGF_MAX_OUTER`` terms, past
+    which it raises :class:`TermBudgetError`), and once
     from the exact Bell numbers.  Supported families: (3, 2) with t = 1 using
     2F1(k+2, k+1; 1; lambda)/(k+2)!, and (2r', r') with t = r'-1 using
     rF(r'-1)((k+1)/r', ..., (k+r')/r'; 1, ..., 1; r'^r' lambda)/(k+r')!.
@@ -720,7 +722,7 @@ def hgf_check(
         # the running denominator of T_k is (k+pref_shift)!
         partial, tail, used = _sum_positive_series(
             lambda k: inner(k)[0], lambda k: k + pref_shift if k else factorial(pref_shift),
-            ratio_bound, 0, precision, max_outer)
+            ratio_bound, 0, precision, _HGF_MAX_OUTER)
         den = inner(0)[1]
         acc, tail = partial / den, tail / den
 

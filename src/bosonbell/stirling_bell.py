@@ -57,7 +57,6 @@ class Params:
 class StirlingTriangle:
     """Rows 1..n_max of S_{r,s}(n, k), nonzero entries only."""
 
-    params: Params
     n_max: int
     rows: Dict[int, Dict[int, int]]
 
@@ -78,7 +77,6 @@ class StirlingTriangle:
 
 @dataclass(frozen=True)
 class BellSequence:
-    params: Params
     values: tuple  # B(0) .. B(n_max)
 
 
@@ -119,7 +117,7 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
     """
     r, s = p.r, p.s
     if r < s:
-        raise ValueError("stirling_explicit requires r >= s; use stirling_symmetric")
+        raise ValueError("stirling_explicit requires r >= s; use stirling")
     if n < 1:
         raise ValueError(f"stirling_explicit requires n >= 1, got n={n}")
     if k < s or k > n * s:
@@ -175,17 +173,6 @@ def stirling_diffop(p: Params, n: int, k: int) -> int:
     return _exact_quotient((-1) ** k * sum(coeffs), k)
 
 
-def stirling_symmetric(p: Params, n: int, k: int) -> int:
-    """S_{r,s}(n,k) for r < s via the symmetry S_{r,s} = S_{s,r}.
-
-    The nonzero band is r <= k <= n r, matching the expansion in which
-    the surplus annihilators are factored to the right.
-    """
-    if p.r >= p.s:
-        raise ValueError("stirling_symmetric is the r < s route")
-    return stirling_explicit(p.swapped(), n, k)
-
-
 # Entry perturbation hook, used by the verification CLI to prove that the
 # cross-check suites actually detect a wrong table entry.  It is a read
 # overlay on clean memo rows, so a corrupted entry never reaches later rows;
@@ -225,12 +212,16 @@ def _perturbed(key: tuple, value: int) -> int:
 
 
 def stirling(p: Params, n: int, k: int) -> int:
-    """S_{r,s}(n,k) for any positive r, s; n = 0 gives the delta_{k,0} row."""
+    """S_{r,s}(n,k) for any positive r, s; n = 0 gives the delta_{k,0} row.
+
+    For r < s it reads the symmetry S_{r,s} = S_{s,r}, so the nonzero band
+    is r <= k <= n r, as in the expansion that factors the surplus
+    annihilators to the right."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1 if k == 0 else 0
-    value = stirling_explicit(p, n, k) if p.r >= p.s else stirling_symmetric(p, n, k)
+    value = stirling_explicit(p if p.r >= p.s else p.swapped(), n, k)
     return _perturbed((p.r, p.s, n, k), value)
 
 
@@ -273,7 +264,7 @@ def triangle(p: Params, n_max: int) -> StirlingTriangle:
         for n in range(len(rows), n_max + 1):
             rows[n] = _next_row(p, rows[n - 1])
         snapshot = {n: _overlay(p, n, rows[n]) for n in range(1, n_max + 1)}
-    return StirlingTriangle(params=p, n_max=n_max, rows=snapshot)
+    return StirlingTriangle(n_max=n_max, rows=snapshot)
 
 
 def stirling_diag_recurrence(r: int, n_max: int) -> StirlingTriangle:
@@ -303,7 +294,7 @@ def stirling_diag_recurrence(r: int, n_max: int) -> StirlingTriangle:
             for j in range(min(k, r) + 1):
                 out[k + r - j] = out.get(k + r - j, 0) + binomial(r, j) * falling_factorial(k, j) * v
         rows.append(out)
-    return StirlingTriangle(params=Params(r, r), n_max=n_max, rows=dict(enumerate(rows[1:], 1)))
+    return StirlingTriangle(n_max=n_max, rows=dict(enumerate(rows[1:], 1)))
 
 
 def anti_stirling(p: Params, n: int, k: int) -> int:
@@ -333,7 +324,7 @@ def bell_sequence(p: Params, n_max: int) -> BellSequence:
     """B_{r,s}(0..n_max) as the row sums of one triangle snapshot."""
     rows = triangle(p, n_max).rows if n_max >= 1 else {}
     values = (1,) + tuple(sum(rows[n].values()) for n in range(1, n_max + 1))
-    return BellSequence(params=p, values=values[:n_max + 1])
+    return BellSequence(values=values[:n_max + 1])
 
 
 def bell_polynomial(p: Params, n: int, t: RationalLike) -> Fraction:
@@ -409,7 +400,7 @@ def bell_recurrence_r1(r: int, n_max: int) -> BellSequence:
     for n in range(n_max):
         nxt = sum(binomial(n, k) * weights[n - k] * values[k] for k in range(n + 1))
         values.append(nxt)
-    return BellSequence(params=Params(r, 1), values=tuple(values))
+    return BellSequence(values=tuple(values))
 
 
 def bell_diag_from_classical(n: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonbell import boson_oracle
 from bosonbell.boson_oracle import (
     OracleStructureError,
     WordLengthError,
@@ -80,10 +81,11 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize("abA")
 
-    def test_word_cap(self):
+    def test_word_cap(self, monkeypatch):
         with pytest.raises(WordLengthError):
             normalize("aA" * 40)
-        assert normalize("aA" * 40, max_len=128).terms[(40, 40)] == 1
+        monkeypatch.setattr(boson_oracle, "DEFAULT_WORD_CAP", 128)
+        assert normalize("aA" * 40).terms[(40, 40)] == 1
 
     @given(words)
     def test_offset_law(self, word):
@@ -307,6 +309,16 @@ class TestAgainstWickContractions:
         rng = random.Random(24)
         word = balanced_word(rng, 24)
         assert normalize(word, strategy="random", rng=rng).terms == wick_normal_form(word)
+        assert normalize(word, strategy="random", rng=rng) == normalize(word)
+
+    def test_random_strategy_refuses_long_words_before_rewriting(self, monkeypatch):
+        def no_rewriting(word):
+            raise AssertionError("the cap must be checked before any rewriting")
+
+        monkeypatch.setattr(boson_oracle, "_inversions", no_rewriting)
+        word = balanced_word(random.Random(40), 40)
+        with pytest.raises(WordLengthError, match="exceeds cap 24"):
+            normalize(word, strategy="random", rng=random.Random(1))
 
     @pytest.mark.parametrize("r,s,n", [(1, 1, 28), (2, 2, 14), (3, 3, 9)])
     def test_power_words(self, r, s, n):

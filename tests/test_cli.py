@@ -204,6 +204,35 @@ def test_verify_all_json_matches_the_snapshot(capsys):
     assert got == json.loads(snapshot.read_text())
 
 
+@pytest.mark.parametrize("prec", ["16", "64"])
+def test_low_precision_keeps_every_name_and_verdict(capsys, prec):
+    """Details follow --prec; the suite, name and verdict of each check do not."""
+    code, out, _ = run_cli(capsys, "--prec", prec, "--json", "verify", "all")
+    assert code == 0
+    got = [[c[key] for key in ("suite", "name", "ok")] for c in json.loads(out)["checks"]]
+    snapshot = pathlib.Path(__file__).with_name("verify_all_checks.json")
+    assert got == [[c[key] for key in ("suite", "name", "ok")]
+                   for c in json.loads(snapshot.read_text())]
+
+
+@pytest.mark.parametrize("before,after,read", [
+    (["--json", "--prec", "64", "--seed", "3"], ["verify", "hgf"], (64, 3)),
+    (["--seed", "7", "--json"], ["verify", "oracle"], (256, 7)),
+])
+def test_global_flags_after_the_subcommand(capsys, monkeypatch, before, after, read):
+    """--prec, --seed and --json mean the same after the subcommand as before it."""
+    suite = after[-1]
+    seen = []
+    runner = cli._SUITE_RUNNERS[suite]
+    monkeypatch.setitem(cli._SUITE_RUNNERS, suite,
+                        lambda args: seen.append((args.prec, args.seed)) or runner(args))
+    leading = run_cli(capsys, *before, *after)
+    trailing = run_cli(capsys, *after, *before)
+    assert leading == trailing and leading[0] == 0 and leading[1].startswith("{")
+    # the oracle report does not show the seed, so compare what the suite read
+    assert seen == [read, read]
+
+
 class TestFockSuiteComputesEachValueOnce:
     @staticmethod
     def recording(monkeypatch, shifted=None):

@@ -217,13 +217,15 @@ class TestExpectationPower:
         assert calls["sqrt"] == []
         assert len(calls["exp"]) == 1
 
-    def test_amplitudes_from_the_shared_table_match_coherent_state(self):
+    def test_amplitudes_from_the_shared_table_match_coherent_state(self, monkeypatch):
         # build_ops and coherent_state share one scale 2^(precision + 64); the
         # vector on a wider table starts with the narrow one, and its tail mass
         # is the narrow prefix's. Each floor loses under one unit of 2^-F and the
         # steps z/sqrt(n) damp the carried error, so every amplitude is within
         # 5 units of its value
         z = Fraction(3, 2)
+        # dim 40 loses about 2^-113 of the mass at z = 3/2; accept any tail
+        monkeypatch.setattr(fock_numeric, "tolerance", lambda precision: 1)
         for precision in (64, 256, 2048):
             bits = precision + 64
             a, _ = build_ops(40, precision)
@@ -231,7 +233,7 @@ class TestExpectationPower:
             assert a.bits == wide.bits == bits
             shared = fock_numeric._coherent(z, a.roots, bits, 40, 1)
             from_wide = fock_numeric._coherent(z, wide.roots, bits, 40, 1)
-            own = coherent_state(z, 40, precision, tail_threshold=1)
+            own = coherent_state(z, 40, precision)
             assert shared == own
             assert from_wide.amps[:40] == own.amps and from_wide.tail_mass == own.tail_mass
             assert all(type(x) is int for x in own.amps)

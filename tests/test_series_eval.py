@@ -59,7 +59,7 @@ class TestDobinskiBell:
     def test_monotone_refinement(self):
         p = Params(2, 2)
         sv = dobinski_bell(p, 3)
-        finer = dobinski_bell(p, 3, min_terms=sv.terms_used + 25)
+        finer = dobinski_bell(p, 3, precision=2 * sv.precision_bits)
         assert finer.terms_used > sv.terms_used
         assert finer.tail_bound.to_fraction() <= sv.tail_bound.to_fraction()
 
@@ -67,10 +67,10 @@ class TestDobinskiBell:
         with pytest.raises(ValueError):
             dobinski_bell(Params(1, 1), 0)
 
-    def test_term_budget_exhaustion_reported(self):
-        from bosonbell.series_eval import TermBudgetError
+    def test_term_budget_exhaustion_reported(self, monkeypatch):
+        monkeypatch.setattr(series_eval, "_DOBINSKI_MAX_TERMS", 5)
         with pytest.raises(TermBudgetError):
-            dobinski_bell(Params(3, 3), 4, max_terms=5)
+            dobinski_bell(Params(3, 3), 4)
 
 
 class TestDobinskiGammaForm:
@@ -267,9 +267,10 @@ class TestHgf:
         res = hgf_check(3, 2, lam, 12)
         assert res.ok and res.lhs.terms_used <= 100
 
-    def test_outer_budget_raises(self):
+    def test_outer_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(series_eval, "_HGF_MAX_OUTER", 5)
         with pytest.raises(TermBudgetError):
-            hgf_check(3, 2, Fraction(1, 5), 12, max_outer=5)
+            hgf_check(3, 2, Fraction(1, 5), 12)
 
     @pytest.mark.parametrize("r,s", [(3, 2), (2, 1), (4, 2), (6, 3)])
     def test_growth_bounds_every_inner_ratio(self, r, s):
@@ -364,27 +365,27 @@ class TestAgainstFractionLoops:
 
     @pytest.mark.parametrize("bits", PRECISIONS)
     @pytest.mark.parametrize("uppers,lowers,x,max_terms", HYPER_CASES)
-    def test_hypergeometric(self, enclosures, uppers, lowers, x, max_terms, bits):
+    def test_hypergeometric(self, monkeypatch, enclosures, uppers, lowers, x, max_terms, bits):
+        monkeypatch.setattr(series_eval, "_HYP_MAX_TERMS", max_terms)
         h = HyperParams(uppers, lowers, x)
-        got = _enclosure_of(hypergeometric, enclosures, h, bits, max_terms)
+        got = _enclosure_of(hypergeometric, enclosures, h, bits)
         assert got == _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, max_terms)
 
     @pytest.mark.parametrize("r,s,n", [(1, 1, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (3, 3, 4)])
-    @pytest.mark.parametrize("bits,min_terms,max_terms", [
-        (16, 0, 200_000), (256, 0, 200_000), (4096, 0, 200_000),
-        (16, 40, 200_000), (256, 150, 200_000),  # min_terms past the certified stop
-        (256, 0, 5),
+    @pytest.mark.parametrize("bits,max_terms", [
+        (16, 200_000), (256, 200_000), (4096, 200_000), (256, 5),
     ])
-    def test_dobinski(self, enclosures, r, s, n, min_terms, max_terms, bits):
+    def test_dobinski(self, monkeypatch, enclosures, r, s, n, max_terms, bits):
+        monkeypatch.setattr(series_eval, "_DOBINSKI_MAX_TERMS", max_terms)
         p = Params(r, s)
-        got = _enclosure_of(dobinski_bell, enclosures, p, n, bits, max_terms, min_terms)
-        assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms, min_terms)
+        got = _enclosure_of(dobinski_bell, enclosures, p, n, bits)
+        assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms)
         for t in (Fraction(1, 3), Fraction(5, 2)):
-            got = _enclosure_of(dobinski_polynomial, enclosures, p, n, t, bits, max_terms, min_terms)
-            assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms, min_terms)
+            got = _enclosure_of(dobinski_polynomial, enclosures, p, n, t, bits)
+            assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms)
         if r > s:
-            got = _enclosure_of(dobinski_gamma_form, enclosures, p, n, bits, max_terms, min_terms)
-            assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms, min_terms)
+            got = _enclosure_of(dobinski_gamma_form, enclosures, p, n, bits)
+            assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms)
 
     @pytest.mark.parametrize("bits", PRECISIONS)
     @pytest.mark.parametrize("r,s,lam,order", [

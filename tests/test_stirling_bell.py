@@ -23,7 +23,6 @@ from bosonbell.stirling_bell import (
     stirling_diag_recurrence,
     stirling_diffop,
     stirling_explicit,
-    stirling_symmetric,
     triangle,
 )
 
@@ -139,12 +138,12 @@ class TestDiagonalRecurrence:
 
 class TestSymmetry:
     def test_swapped_equals_swapped_params(self):
-        assert stirling_symmetric(Params(1, 2), 2, 2) == 1
-        assert stirling_symmetric(Params(1, 2), 1, 1) == 1
+        assert stirling(Params(1, 2), 2, 2) == 1
+        assert stirling(Params(1, 2), 1, 1) == 1
 
-    def test_requires_r_below_s(self):
-        with pytest.raises(ValueError):
-            stirling_symmetric(Params(2, 1), 1, 1)
+    def test_explicit_sum_names_the_route_for_r_below_s(self):
+        with pytest.raises(ValueError, match="use stirling$"):
+            stirling_explicit(Params(1, 2), 1, 1)
 
     def test_symmetric_on_common_band(self):
         for r in range(1, 4):
@@ -316,10 +315,10 @@ class TestRowRecurrence:
         for r in range(1, 5):
             for s in range(1, 5):
                 p = Params(r, s)
-                route = stirling_explicit if r >= s else stirling_symmetric
+                q = p if r >= s else p.swapped()
                 tri = triangle(p, 6)
                 for n in range(1, 7):
-                    assert tri.row(n) == {k: route(p, n, k) for k in p.band(n)}, (r, s, n)
+                    assert tri.row(n) == {k: stirling_explicit(q, n, k) for k in p.band(n)}, (r, s, n)
 
     def test_perturbation_stays_one_entry(self):
         p = Params(2, 1)
