@@ -151,7 +151,7 @@ def exp_bounds_reference(t, bits: int):
             raise RuntimeError("exp series did not converge in budget")
 
 
-def _positive_series_reference(term, ratio_bound, first_index, bits, max_terms):
+def _positive_series_reference(term, ratio_bound, first_index, bits, max_terms, min_terms):
     rel_tol = Fraction(1, 2 ** (bits + 8))
     partial = Fraction(0)
     k, used = first_index, 0
@@ -160,7 +160,7 @@ def _positive_series_reference(term, ratio_bound, first_index, bits, max_terms):
         partial += t
         used += 1
         rho = ratio_bound(k)
-        if rho < 1:
+        if rho < 1 and used >= min_terms:
             tail = t * rho / (1 - rho)
             if partial > 0 and tail <= rel_tol * partial:
                 return partial, tail, used
@@ -170,7 +170,7 @@ def _positive_series_reference(term, ratio_bound, first_index, bits, max_terms):
         k += 1
 
 
-def dobinski_polynomial_reference(r, s, n, t, bits, max_terms=200_000):
+def dobinski_polynomial_reference(r, s, n, t, bits, max_terms=200_000, min_terms=0):
     """(lo, hi, terms_used) of e^(-t) sum_{k>=s} (t^k/k!) prod_j (k+(j-1)(r-s))^falling(s)."""
     t = Fraction(t)
     r, s = max(r, s), min(r, s)
@@ -185,12 +185,12 @@ def dobinski_polynomial_reference(r, s, n, t, bits, max_terms=200_000):
     def ratio_bound(k):
         return t * (1 + Fraction(s, k - s + 1)) ** n / (k + 1)
 
-    partial, tail, used = _positive_series_reference(term, ratio_bound, s, bits, max_terms)
+    partial, tail, used = _positive_series_reference(term, ratio_bound, s, bits, max_terms, min_terms)
     e_lo, e_hi = exp_bounds_reference(t, bits)
     return partial / e_hi, (partial + tail) / e_lo, used
 
 
-def dobinski_gamma_form_reference(r, s, n, bits, max_terms=200_000):
+def dobinski_gamma_form_reference(r, s, n, bits, max_terms=200_000, min_terms=0):
     """(lo, hi, terms_used) of the Gamma-ratio series for B_{r,s}(n), r > s."""
     d = r - s
 
@@ -204,7 +204,7 @@ def dobinski_gamma_form_reference(r, s, n, bits, max_terms=200_000):
     def ratio_bound(k):
         return (1 + Fraction(1, k + 1 + d)) ** (s * (n - 1)) / (k + 1)
 
-    partial, tail, used = _positive_series_reference(term, ratio_bound, 0, bits, max_terms)
+    partial, tail, used = _positive_series_reference(term, ratio_bound, 0, bits, max_terms, min_terms)
     prefactor = Fraction(d) ** (s * (n - 1))
     e_lo, e_hi = exp_bounds_reference(1, bits)
     return partial * prefactor / e_hi, (partial + tail) * prefactor / e_lo, used

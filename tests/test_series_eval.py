@@ -372,20 +372,32 @@ class TestAgainstFractionLoops:
         assert got == _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, max_terms)
 
     @pytest.mark.parametrize("r,s,n", [(1, 1, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (3, 3, 4)])
-    @pytest.mark.parametrize("bits,max_terms", [
-        (16, 200_000), (256, 200_000), (4096, 200_000), (256, 5),
+    @pytest.mark.parametrize("bits,min_terms,max_terms", [
+        (16, 0, 200_000), (256, 0, 200_000), (4096, 0, 200_000),
+        (16, 40, 200_000), (256, 150, 200_000),  # min_terms past the certified stop
+        (256, 0, 5),
     ])
-    def test_dobinski(self, monkeypatch, enclosures, r, s, n, max_terms, bits):
+    def test_dobinski(self, monkeypatch, enclosures, r, s, n, min_terms, max_terms, bits):
         monkeypatch.setattr(series_eval, "_DOBINSKI_MAX_TERMS", max_terms)
+        if min_terms:
+            # the Dobinski series leave the loop's own min_terms at 0; force
+            # it here to run the loop past its certified stop
+            summing = series_eval._sum_positive_series
+
+            def forcing(*args, **kwargs):
+                kwargs.setdefault("min_terms", min_terms)
+                return summing(*args, **kwargs)
+
+            monkeypatch.setattr(series_eval, "_sum_positive_series", forcing)
         p = Params(r, s)
         got = _enclosure_of(dobinski_bell, enclosures, p, n, bits)
-        assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms)
+        assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms, min_terms)
         for t in (Fraction(1, 3), Fraction(5, 2)):
             got = _enclosure_of(dobinski_polynomial, enclosures, p, n, t, bits)
-            assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms)
+            assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms, min_terms)
         if r > s:
             got = _enclosure_of(dobinski_gamma_form, enclosures, p, n, bits)
-            assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms)
+            assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms, min_terms)
 
     @pytest.mark.parametrize("bits", PRECISIONS)
     @pytest.mark.parametrize("r,s,lam,order", [
