@@ -14,6 +14,7 @@ Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -439,6 +440,7 @@ def cmd_verify(args, perturbed=None) -> int:
 # Argument parsing
 
 
+@functools.cache  # built on the first call to main, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosonbell",

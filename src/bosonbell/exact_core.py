@@ -62,8 +62,8 @@ def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
         if x == 0:
             return Fraction(0)
         raise ValueError(f"cannot convert non-finite value {x!r}")
-    value = Fraction(int(man)) * Fraction(2) ** exp
-    return -value if sign else value
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,16 @@ class BigFloat:
         "f" toward -inf.  Directed modes give safe one-sided bounds.
         """
         q = Fraction(q)
-        raw = libmp.from_rational(q.numerator, q.denominator, precision_bits, rounding)
+        return cls.from_rational(q.numerator, q.denominator, precision_bits, rounding)
+
+    @classmethod
+    def from_rational(
+        cls, num: int, den: int, precision_bits: int = DEFAULT_PRECISION_BITS,
+        rounding: str = "n",
+    ) -> "BigFloat":
+        """Round num/den (den > 0, the pair need not be coprime) to
+        ``precision_bits`` in the mpmath mode ``rounding``."""
+        raw = libmp.from_rational(num, den, precision_bits, rounding)
         return cls(mpmath.mp.make_mpf(raw), precision_bits)
 
     def to_fraction(self) -> Fraction:

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import ceil, factorial, prod
-from typing import Callable, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from .exact_core import (
     DEFAULT_PRECISION_BITS,
@@ -72,29 +73,21 @@ class _Interval:
         return _Interval(self.lo + other, self.hi + other)
 
     def __mul__(self, other):
-        if isinstance(other, _Interval):
-            products = (
-                self.lo * other.lo, self.lo * other.hi,
-                self.hi * other.lo, self.hi * other.hi,
-            )
-            return _Interval(min(products), max(products))
         other = Fraction(other)
         if other >= 0:
             return _Interval(self.lo * other, self.hi * other)
         return _Interval(self.hi * other, self.lo * other)
 
-    def reciprocal(self) -> "_Interval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval straddles zero")
-        return _Interval(1 / self.hi, 1 / self.lo)
+    def over_exp(self, t: Fraction, bits: int) -> "_Interval":
+        """This interval divided by exp(t): each endpoint over the end of the
+        exp(t) enclosure that moves it outward."""
+        e = _exp_bounds(t, bits)
+        return _Interval(self.lo / (e.hi if self.lo >= 0 else e.lo),
+                         self.hi / (e.lo if self.hi >= 0 else e.hi))
 
     def contains(self, x: RationalLike) -> bool:
         x = Fraction(x)
         return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     @property
     def midpoint(self) -> Fraction:
@@ -121,10 +114,21 @@ class SeriesValue:
 
 
 def _series_value(iv: _Interval, terms_used: int, bits: int) -> SeriesValue:
-    mid = iv.midpoint
-    value = BigFloat.from_fraction(mid, bits, "n")
-    rounding_error = abs(mid - value.to_fraction())
-    tail = BigFloat.from_fraction(iv.width / 2 + rounding_error, bits, "c")
+    # the midpoint is mid/den and the half-width half/den, unreduced: mpmath
+    # rounds a quotient correctly whatever its form, so no gcd is needed
+    a, b = iv.lo.numerator, iv.lo.denominator
+    c, e = iv.hi.numerator, iv.hi.denominator
+    mid, half, den = a * e + c * b, c * b - a * e, 2 * b * e
+    value = BigFloat.from_rational(mid, den, bits, "n")
+    sign, man, exp, _ = value.value._mpf_
+    man = -int(man) if sign else int(man)
+    # the rounding error |mid/den - man 2^exp| joins the half-width
+    if exp >= 0:
+        error = abs(mid - den * (man << exp))
+    else:
+        error = abs((mid << -exp) - den * man)
+        half, den = half << -exp, den << -exp
+    tail = BigFloat.from_rational(half + error, den, bits, "c")
     return SeriesValue(value=value, tail_bound=tail, terms_used=terms_used,
                        precision_bits=bits)
 
@@ -133,66 +137,56 @@ def _series_value(iv: _Interval, terms_used: int, bits: int) -> SeriesValue:
 def _exp_bounds(t: Fraction, bits: int) -> _Interval:
     """Exact rational enclosure of exp(t) for rational t >= 0."""
     if t < 0:
-        raise ValueError("negative arguments go through reciprocal()")
+        raise ValueError(f"exp(t) is enclosed for t >= 0 only, got {t}")
     tn, td = t.numerator, t.denominator
 
-    def ratio_bound(k: int) -> Tuple[int, int]:
-        # once t/(k+1) <= 1/2, rho = 2t/(k+1+2t) bounds every later t/(j+1),
-        # and the tail is term(k) rho/(1-rho) = term(k) 2t/(k+1)
-        if 2 * tn <= (k + 1) * td:
-            return 2 * tn, (k + 1) * td + 2 * tn
-        return 1, 1
+    def terms() -> Iterator[Tuple[int, int, int, int]]:
+        # term k is tn^k over the running denominator td^k k!
+        num = 1
+        for k in count():
+            # once t/(k+1) <= 1/2, rho = 2t/(k+1+2t) bounds every later t/(j+1),
+            # and the tail is term(k) rho/(1-rho) = term(k) 2t/(k+1)
+            if 2 * tn <= (k + 1) * td:
+                yield max(td * k, 1), num, 2 * tn, (k + 1) * td + 2 * tn
+            else:
+                yield max(td * k, 1), num, 1, 1
+            num *= tn
 
-    # term k is tn^k over the running denominator td^k k!
-    partial, tail, _ = _sum_positive_series(
-        lambda k: tn**k, lambda k: max(td * k, 1), ratio_bound, 0, bits,
-        64 * bits + 1026, min_terms=2)
+    partial, tail, _ = _sum_positive_series(terms(), bits, 64 * bits + 1026, min_terms=2)
     return _Interval(partial, partial + tail)
 
 
-def _inv_e_bounds(bits: int) -> _Interval:
-    return _exp_bounds(_ONE, bits).reciprocal()
-
-
 def _sum_positive_series(
-    numerator: Callable[[int], int],
-    den_step: Callable[[int], int],
-    ratio_bound: Callable[[int], Tuple[int, int]],
-    first_index: int,
+    terms: Iterable[Tuple[int, int, int, int]],
     bits: int,
     max_terms: int,
     min_terms: int = 0,
 ) -> Tuple[Fraction, Fraction, int]:
-    """Certified truncation of sum_{k >= first_index} term(k).
+    """Certified truncation of the nonnegative series sum_k term(k).
 
-    term(k) = numerator(k) / den(k) must be nonnegative, where the running
-    denominator den(k) is the product of den_step(j) for first_index <= j <= k.
-    ``ratio_bound(k)`` is a pair (num, den > 0) whose quotient rho bounds
-    term(j+1)/term(j) for every j >= k and is non-increasing in k.  Then
-    sum_{j > k} term(j) <= term(k) * rho / (1 - rho).  The sum stops once
-    that tail is at most 2^-(bits+8) of the partial sum, tested by integer
+    The endless stream ``terms`` yields one tuple (den_step, num, rho_num,
+    rho_den > 0) per term, in order.  term(k) = num / den(k), where the
+    running denominator den(k) is the product of the den_step values up to
+    and including term k.  rho = rho_num/rho_den bounds term(j+1)/term(j)
+    for every j >= k and is non-increasing in k.  Then
+    sum_{j > k} term(j) <= term(k) rho / (1 - rho).  The sum stops once that
+    tail is at most 2^-(bits+8) of the partial sum, tested by integer
     cross-multiplication.  Returns (partial_sum, tail_bound, terms_used).
     """
     partial, den = 0, 1
-    k = first_index
     used = 0
-    while True:
-        step = den_step(k)
-        num = numerator(k)
+    for step, num, rho_num, rho_den in terms:
         partial = partial * step + num
         den *= step
         used += 1
-        if used >= min_terms:
-            rho_num, rho_den = ratio_bound(k)
-            if rho_num < rho_den and partial > 0 and \
-                    (num * rho_num) << (bits + 8) <= partial * (rho_den - rho_num):
-                return (Fraction(partial, den),
-                        Fraction(num * rho_num, den * (rho_den - rho_num)), used)
+        if used >= min_terms and rho_num < rho_den and partial > 0 and \
+                (num * rho_num) << (bits + 8) <= partial * (rho_den - rho_num):
+            return (Fraction(partial, den),
+                    Fraction(num * rho_num, den * (rho_den - rho_num)), used)
         if used >= max_terms:
             raise TermBudgetError(
                 f"series needed more than {max_terms} terms for the requested precision"
             )
-        k += 1
 
 
 # term budget of each Dobinski series, read at call time
@@ -236,22 +230,23 @@ def dobinski_gamma_form(p: Params, n: int, precision: int = DEFAULT_PRECISION_BI
         raise ValueError("dobinski_gamma_form requires r > s")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    r, s = p.r, p.s
-    d = r - s
+    s, d, e = p.s, p.r - p.s, p.s * (n - 1)
 
-    # (r-s)^(s(n-1)) times term k, over the running denominator k!:
-    # each factor (k+j)/d + m is (k+j+md)/d
-    def numerator(k: int) -> int:
-        return prod(k + j + m * d for j in range(1, s + 1) for m in range(1, n))
+    def terms() -> Iterator[Tuple[int, int, int, int]]:
+        # (r-s)^(s(n-1)) times term k, over the running denominator k!: each
+        # factor (k+j)/d + m is (k+j+md)/d, so term 0 is prod_m (s+md)^falling(s),
+        # and from k to k+1 the product over j = 1..s telescopes to
+        # prod_m (k+1+s+md) / prod_m (k+1+md)
+        num = _falling_product(p.r, s, n - 1, p.r)
+        for k in count():
+            # rho = (1 + 1/(k+1+d))^(s(n-1)) / (k+1)
+            yield max(k, 1), num, (k + 2 + d) ** e, (k + 1 + d) ** e * (k + 1)
+            num = num * prod(range(k + 1 + s + d, k + 1 + s + n * d, d)) \
+                // prod(range(k + 1 + d, k + 1 + n * d, d))
 
-    def ratio_bound(k: int) -> Tuple[int, int]:
-        # (1 + 1/(k+1+d))^(s(n-1)) / (k+1)
-        return (k + 2 + d) ** (s * (n - 1)), (k + 1 + d) ** (s * (n - 1)) * (k + 1)
-
-    partial, tail, used = _sum_positive_series(
-        numerator, lambda k: max(k, 1), ratio_bound, 0, precision, _DOBINSKI_MAX_TERMS)
-    iv = _Interval(partial, partial + tail) * _inv_e_bounds(precision)
-    return _series_value(iv, used, precision)
+    partial, tail, used = _sum_positive_series(terms(), precision, _DOBINSKI_MAX_TERMS)
+    return _series_value(_Interval(partial, partial + tail).over_exp(_ONE, precision),
+                         used, precision)
 
 
 def dobinski_polynomial(
@@ -272,22 +267,28 @@ def dobinski_polynomial(
         raise ValueError(f"t must be positive, got {t}")
     if p.r < p.s:
         p = p.swapped()
-    r, s = p.r, p.s
+    r, s, d = p.r, p.s, p.r - p.s
     tn, td = t.numerator, t.denominator
 
-    def den_step(k: int) -> int:
-        # the running denominator of term k is td^k k!
-        return td**s * factorial(s) if k == s else td * k
+    def terms() -> Iterator[Tuple[int, int, int, int]]:
+        # term k is num(k) = tn^k prod_j (k+jd)^falling(s) over the running
+        # denominator td^k k!; from k to k+1 each falling factorial gains the
+        # factor k+1+jd and loses k+1+jd-s, and the division is exact
+        num, step = tn**s * _falling_product(r, s, n, s), td**s * factorial(s)
+        for k in count(s):
+            # rho = t (1 + s/(k-s+1))^n / (k+1); for d = 0 its two powers are
+            # also the products that step num
+            gain, loss = (k + 1) ** n, (k - s + 1) ** n
+            yield step, num, tn * gain, td * loss * (k + 1)
+            if d:
+                gain = prod(range(k + 1, k + 1 + n * d, d))
+                loss = prod(range(k + 1 - s, k + 1 - s + n * d, d))
+            num = num * tn * gain // loss
+            step = td * (k + 1)
 
-    def ratio_bound(k: int) -> Tuple[int, int]:
-        # t (1 + s/(k-s+1))^n / (k+1)
-        return tn * (k + 1) ** n, td * (k - s + 1) ** n * (k + 1)
-
-    partial, tail, used = _sum_positive_series(
-        lambda k: tn**k * _falling_product(r, s, n, k), den_step, ratio_bound, s,
-        precision, _DOBINSKI_MAX_TERMS)
-    iv = _Interval(partial, partial + tail) * _exp_bounds(t, precision).reciprocal()
-    return _series_value(iv, used, precision)
+    partial, tail, used = _sum_positive_series(terms(), precision, _DOBINSKI_MAX_TERMS)
+    return _series_value(_Interval(partial, partial + tail).over_exp(t, precision),
+                         used, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +406,7 @@ def _hyp_combination(parts, x: Fraction, bits: int) -> Tuple[_Interval, int]:
         iv, terms = _hyp_enclosure(uppers, lowers, x, bits)
         total += iv * coefficient
         used += terms
-    return total * _inv_e_bounds(bits), used
+    return total.over_exp(_ONE, bits), used
 
 
 # ---------------------------------------------------------------------------
@@ -714,19 +715,19 @@ def hgf_check(
     if lam == 0 or order == 0:
         acc, tail, used = _ZERO, _ZERO, 0
     else:
-        def ratio_bound(k: int) -> Tuple[int, int]:
-            # T_k = inner(k)/(k+pref_shift)!, and inner(k+1)/inner(k) <= growth(k, order)
-            g_num, g_den = growth(k, order)
-            return g_num, g_den * (k + pref_shift + 1)
+        def terms() -> Iterator[Tuple[int, int, int, int]]:
+            # T_k = inner(k)/(k+pref_shift)! over the running denominator
+            # (k+pref_shift)!, and inner(k+1)/inner(k) <= growth(k, order)
+            for k in count():
+                g_num, g_den = growth(k, order)
+                yield (k + pref_shift if k else factorial(pref_shift)), inner(k)[0], \
+                    g_num, g_den * (k + pref_shift + 1)
 
-        # the running denominator of T_k is (k+pref_shift)!
-        partial, tail, used = _sum_positive_series(
-            lambda k: inner(k)[0], lambda k: k + pref_shift if k else factorial(pref_shift),
-            ratio_bound, 0, precision, _HGF_MAX_OUTER)
+        partial, tail, used = _sum_positive_series(terms(), precision, _HGF_MAX_OUTER)
         den = inner(0)[1]
         acc, tail = partial / den, tail / den
 
-    iv = _Interval(acc, acc + tail) * _inv_e_bounds(precision) + 1
+    iv = _Interval(acc, acc + tail).over_exp(_ONE, precision) + 1
     bells = bell_sequence(Params(r, s), order).values
     rhs = _ONE + sum(
         (Fraction(bells[n], factorial(n) ** (t_power + 1)) * lam**n for n in range(1, order + 1)),

@@ -233,6 +233,33 @@ def test_global_flags_after_the_subcommand(capsys, monkeypatch, before, after, r
     assert seen == [read, read]
 
 
+class TestParserIsBuiltOnce:
+    def test_one_parser_serves_every_call(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, capsys, monkeypatch):
+        seen = []
+        runner = cli._SUITE_RUNNERS["hgf"]
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "hgf",
+                            lambda args: seen.append((args.prec, args.json)) or runner(args))
+        code, out, _ = run_cli(capsys, "verify", "hgf", "--json", "--prec", "64")
+        assert code == 0 and json.loads(out)["ok"]
+        code, out, _ = run_cli(capsys, "verify", "hgf")
+        assert code == 0
+        assert out.startswith("PASS [hgf] ") and out.endswith(" passed, 0 failed\n")
+        assert seen == [(64, True), (256, False)]
+
+    @pytest.mark.parametrize("args", [("--help",), ("verify", "--help")])
+    def test_help_prints_the_same_bytes_twice(self, capsys, args):
+        printed = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(list(args))
+            assert exc.value.code == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0].startswith("usage: bosonbell")
+
+
 class TestFockSuiteComputesEachValueOnce:
     @staticmethod
     def recording(monkeypatch, shifted=None):

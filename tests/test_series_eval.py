@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import comb, factorial, prod
+from itertools import islice, tee
+from math import comb, factorial, perm, prod
 
 import mpmath
 import pytest
@@ -25,7 +26,7 @@ from bosonbell.series_eval import (
     laguerre_value,
 )
 from bosonbell import series_eval
-from bosonbell.exact_core import mpf_to_fraction
+from bosonbell.exact_core import BigFloat, mpf_to_fraction
 from bosonbell.stirling_bell import Params, bell_number, bell_polynomial
 
 from _oracles import (
@@ -37,6 +38,33 @@ from _oracles import (
 )
 
 TAIL_CAP_256 = Fraction(1, 2**200)
+
+
+def _recorded_streams(monkeypatch):
+    """A copy of every term stream passed to the certified loop, which
+    reads its own copy: the test can drain a copy past where the sum stopped."""
+    seen = []
+    summing = series_eval._sum_positive_series
+
+    def recording(terms, *rest, **options):
+        summed, kept = tee(terms)
+        seen.append(kept)
+        return summing(summed, *rest, **options)
+
+    monkeypatch.setattr(series_eval, "_sum_positive_series", recording)
+    return seen
+
+
+def _assert_ratio_bounds_hold(stream, count):
+    """Over ``count`` consecutive terms, rho(k) bounds term(k+1)/term(k)
+    and does not increase; returns the numerators read."""
+    tuples = list(islice(stream, count + 1))
+    bounds = [Fraction(rho_num, rho_den) for _, _, rho_num, rho_den in tuples[:count]]
+    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+    for i, bound in enumerate(bounds):
+        step, num = tuples[i + 1][:2]
+        assert Fraction(num, tuples[i][1] * step) <= bound, i
+    return [num for _, num, _, _ in tuples]
 
 
 class TestDobinskiBell:
@@ -119,6 +147,40 @@ class TestDobinskiPolynomial:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             dobinski_polynomial(Params(1, 1), 1, 0)
+
+
+class TestDobinskiTermStreams:
+    """The stepped numerators against their closed forms, and each ratio
+    bound against the terms it must bound, 200 terms past the first."""
+
+    @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    @pytest.mark.parametrize("r,s,n", [
+        (1, 1, 3), (2, 2, 2), (3, 3, 4),   # r - s = 0
+        (2, 1, 3), (1, 2, 2),              # r - s = 1
+        (3, 1, 4), (1, 3, 3),              # r - s = 2
+        (5, 2, 2),
+    ])
+    def test_weighted_series(self, monkeypatch, r, s, n, t):
+        series_eval._exp_bounds(t, 256)  # cached, so only the Dobinski stream is recorded
+        seen = _recorded_streams(monkeypatch)
+        p = Params(r, s)
+        assert dobinski_polynomial(p, n, t).brackets(bell_polynomial(p, n, t))
+        [stream] = seen
+        nums = _assert_ratio_bounds_hold(stream, 200)
+        r, s = max(r, s), min(r, s)
+        assert nums == [t.numerator**k * prod(perm(k + j * (r - s), s) for j in range(n))
+                        for k in range(s, s + 201)]
+
+    @pytest.mark.parametrize("r,s,n", [(2, 1, 1), (2, 1, 3), (3, 2, 2), (3, 1, 4), (5, 2, 3)])
+    def test_gamma_form(self, monkeypatch, r, s, n):
+        series_eval._exp_bounds(Fraction(1), 256)
+        seen = _recorded_streams(monkeypatch)
+        p = Params(r, s)
+        assert dobinski_gamma_form(p, n).brackets(bell_number(p, n))
+        [stream] = seen
+        nums = _assert_ratio_bounds_hold(stream, 200)
+        assert nums == [prod(k + j + m * (r - s) for j in range(1, s + 1) for m in range(1, n))
+                        for k in range(201)]
 
 
 class TestHypergeometric:
@@ -296,22 +358,12 @@ class TestHgf:
     def test_outer_ratio_bound_holds_for_the_summed_terms(self, monkeypatch, r, s, lam, order):
         """Every series hgf_check sums, its k-series and that of e, gets a
         ratio bound that holds for its terms and does not increase."""
-        seen = []
-        summing = series_eval._sum_positive_series
-
-        def recording(numerator, den_step, ratio_bound, first_index, *rest, **options):
-            seen.append((numerator, den_step, ratio_bound, first_index))
-            return summing(numerator, den_step, ratio_bound, first_index, *rest, **options)
-
-        monkeypatch.setattr(series_eval, "_sum_positive_series", recording)
+        seen = _recorded_streams(monkeypatch)
         series_eval._exp_bounds.cache_clear()
         assert hgf_check(r, s, lam, order).ok
         assert len(seen) == 2
-        for numerator, den_step, ratio_bound, first in seen:
-            bounds = [Fraction(*ratio_bound(k)) for k in range(first, first + 41)]
-            assert all(a >= b for a, b in zip(bounds, bounds[1:]))
-            for k, bound in enumerate(bounds, start=first):
-                assert Fraction(numerator(k + 1), numerator(k) * den_step(k + 1)) <= bound, k
+        for stream in seen:
+            _assert_ratio_bounds_hold(stream, 41)
 
 
 PRECISIONS = (16, 256, 4096)
@@ -371,7 +423,9 @@ class TestAgainstFractionLoops:
         got = _enclosure_of(hypergeometric, enclosures, h, bits)
         assert got == _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, max_terms)
 
-    @pytest.mark.parametrize("r,s,n", [(1, 1, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (3, 3, 4)])
+    @pytest.mark.parametrize("r,s,n", [
+        (1, 1, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (3, 3, 4), (3, 1, 4), (1, 3, 3),
+    ])
     @pytest.mark.parametrize("bits,min_terms,max_terms", [
         (16, 0, 200_000), (256, 0, 200_000), (4096, 0, 200_000),
         (16, 40, 200_000), (256, 150, 200_000),  # min_terms past the certified stop
@@ -413,6 +467,44 @@ class TestAgainstFractionLoops:
         assert res.rhs_exact == 1 + sum(
             Fraction(bell_number(Params(r, s), n), factorial(n) ** (res.t_power + 1)) * lam**n
             for n in range(1, order + 1))
+
+
+class TestSeriesValueRounding:
+    """The rounding of an enclosure over unreduced integer pairs against the
+    Fraction formula it replaced."""
+
+    @staticmethod
+    def _by_fractions(iv, bits):
+        mid = iv.midpoint
+        value = BigFloat.from_fraction(mid, bits, "n")
+        rounding_error = abs(mid - value.to_fraction())
+        tail = BigFloat.from_fraction((iv.hi - iv.lo) / 2 + rounding_error, bits, "c")
+        return value.value._mpf_, tail.value._mpf_
+
+    @pytest.mark.parametrize("bits", (16, 64, 256))
+    @pytest.mark.parametrize("lo,hi", [
+        (Fraction(-7, 3), Fraction(-2, 9)),                   # negative midpoint
+        (Fraction(-5, 3), Fraction(1, 7)),                    # straddles zero, midpoint < 0
+        (Fraction(-1, 3), Fraction(1, 3)),                    # zero midpoint
+        (Fraction(0), Fraction(0)),                           # zero, zero width
+        (Fraction(1, 3), Fraction(1, 3)),                     # zero width, inexact
+        (Fraction(2**300 + 1), Fraction(2**300 + 1)),         # large integer, zero width
+        (Fraction(3**200, 7), Fraction(3**200 + 5, 7)),       # large value
+        (Fraction(10**40 + 1, 3**50), Fraction(10**41, 3**49)),
+    ])
+    def test_matches_the_fraction_formula(self, lo, hi, bits):
+        sv = series_eval._series_value(series_eval._Interval(lo, hi), 7, bits)
+        assert (sv.value.value._mpf_, sv.tail_bound.value._mpf_) == \
+            self._by_fractions(series_eval._Interval(lo, hi), bits)
+        assert (sv.terms_used, sv.precision_bits) == (7, bits)
+        assert sv.brackets(lo) and sv.brackets(hi)
+
+    def test_cases_reach_a_zero_mantissa_and_a_nonnegative_exponent(self):
+        def rounded(lo, hi):
+            return series_eval._series_value(series_eval._Interval(lo, hi), 1, 256).value.value._mpf_
+
+        assert rounded(Fraction(-1, 3), Fraction(1, 3))[1] == 0
+        assert rounded(Fraction(3**200, 7), Fraction(3**200 + 5, 7))[2] >= 0
 
 
 class TestExpBounds:
