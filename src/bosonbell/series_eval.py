@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import ceil, factorial, prod
+from math import ceil, factorial, gcd, prod
 from typing import Iterable, Iterator, Tuple
 
 from .exact_core import (
@@ -115,10 +115,15 @@ class SeriesValue:
 
 def _series_value(iv: _Interval, terms_used: int, bits: int) -> SeriesValue:
     # the midpoint is mid/den and the half-width half/den, unreduced: mpmath
-    # rounds a quotient correctly whatever its form, so no gcd is needed
+    # rounds a quotient correctly whatever its form.  Only the common factor
+    # g of the endpoint denominators is cancelled: the two ends of a pFq
+    # enclosure share nearly all of theirs, and keeping it would double the
+    # size of both divisions
     a, b = iv.lo.numerator, iv.lo.denominator
     c, e = iv.hi.numerator, iv.hi.denominator
-    mid, half, den = a * e + c * b, c * b - a * e, 2 * b * e
+    g = gcd(b, e)
+    b, e = b // g, e // g
+    mid, half, den = a * e + c * b, c * b - a * e, 2 * b * e * g
     value = BigFloat.from_rational(mid, den, bits, "n")
     sign, man, exp, _ = value.value._mpf_
     man = -int(man) if sign else int(man)
