@@ -491,6 +491,7 @@ class TestSeriesValueRounding:
         (Fraction(2**300 + 1), Fraction(2**300 + 1)),         # large integer, zero width
         (Fraction(3**200, 7), Fraction(3**200 + 5, 7)),       # large value
         (Fraction(10**40 + 1, 3**50), Fraction(10**41, 3**49)),
+        (Fraction(-7, 5 * 3**40), Fraction(11, 7 * 3**40)),   # shared denominator factor
     ])
     def test_matches_the_fraction_formula(self, lo, hi, bits):
         sv = series_eval._series_value(series_eval._Interval(lo, hi), 7, bits)
