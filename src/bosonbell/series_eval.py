@@ -10,6 +10,15 @@ constant, e, enters through an exact rational enclosure of exp(t), so
 every :class:`SeriesValue` brackets the true sum of the identity it
 evaluates.
 
+One loop, :func:`_sum_series`, sums every series: the Dobinski sums,
+exp(t), the outer k-sum of :func:`hgf_check` and each pFq.  Each series
+is a stream of integer tuples (den_step, num, rho_num, rho_den); a pFq
+stream has signed terms, reads the integers of its Fraction parameters
+once, and ends at its zero term if it terminates.  A bit-length
+pre-test skips the terms whose sizes alone rule out a stop before the
+cross-multiplied stop test forms its products; only the full test
+decides where a sum stops.
+
 Divisions by Gamma-function values never happen in floating point:
 all Gamma ratios that appear are reduced to rational Pochhammer products
 before evaluation.
@@ -60,11 +69,6 @@ class _Interval:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def point(cls, x: RationalLike) -> "_Interval":
-        x = Fraction(x)
-        return cls(x, x)
 
     def __add__(self, other):
         if isinstance(other, _Interval):
@@ -157,26 +161,31 @@ def _exp_bounds(t: Fraction, bits: int) -> _Interval:
                 yield max(td * k, 1), num, 1, 1
             num *= tn
 
-    partial, tail, _ = _sum_positive_series(terms(), bits, 64 * bits + 1026, min_terms=2)
-    return _Interval(partial, partial + tail)
+    return _sum_series(terms(), bits, 64 * bits + 1026, min_terms=2)[0]
 
 
-def _sum_positive_series(
+def _sum_series(
     terms: Iterable[Tuple[int, int, int, int]],
     bits: int,
     max_terms: int,
     min_terms: int = 0,
-) -> Tuple[Fraction, Fraction, int]:
-    """Certified truncation of the nonnegative series sum_k term(k).
+    signed: bool = False,
+) -> Tuple[_Interval, int]:
+    """Certified truncation of the series sum_k term(k): the one loop that
+    sums every series of this module.
 
-    The endless stream ``terms`` yields one tuple (den_step, num, rho_num,
+    The stream ``terms`` yields one tuple (den_step, num, rho_num,
     rho_den > 0) per term, in order.  term(k) = num / den(k), where the
-    running denominator den(k) is the product of the den_step values up to
-    and including term k.  rho = rho_num/rho_den bounds term(j+1)/term(j)
-    for every j >= k and is non-increasing in k.  Then
-    sum_{j > k} term(j) <= term(k) rho / (1 - rho).  The sum stops once that
-    tail is at most 2^-(bits+8) of the partial sum, tested by integer
-    cross-multiplication.  Returns (partial_sum, tail_bound, terms_used).
+    running denominator den(k) > 0 is the product of the den_step values up
+    to and including term k.  A rho = rho_num/rho_den below 1 bounds
+    |term(j+1)/term(j)| for every j >= k, as a per-term bound that does not
+    increase does; a rho of 1 or more bounds nothing and cannot stop the
+    sum.  Then |sum_{j > k} term(j)| <= |term(k)| rho / (1 - rho).  The sum
+    stops once that tail is at most 2^-(bits+8) of the partial sum, which
+    must be positive; with ``signed``, for terms of either sign, of
+    max(|partial sum|, 1).  Returns the enclosure [partial, partial + tail]
+    of the sum, [partial - tail, partial + tail] with ``signed``, and the
+    number of terms used.
     """
     partial, den = 0, 1
     used = 0
@@ -184,10 +193,21 @@ def _sum_positive_series(
         partial = partial * step + num
         den *= step
         used += 1
-        if used >= min_terms and rho_num < rho_den and partial > 0 and \
-                (num * rho_num) << (bits + 8) <= partial * (rho_den - rho_num):
-            return (Fraction(partial, den),
-                    Fraction(num * rho_num, den * (rho_den - rho_num)), used)
+        if used >= min_terms and rho_num < rho_den:
+            size, gap = abs(num), rho_den - rho_num
+            big = max(abs(partial), den) if signed else partial
+            # the stop test is size rho_num 2^(bits+8) <= big gap; for nonzero
+            # size and rho_num the left side is at least 2^(bl(size) +
+            # bl(rho_num) + bits + 6) and the right side below 2^(bl(big) +
+            # bl(gap)), bl = int.bit_length, so bit lengths rule out most
+            # terms before any product is formed
+            ruled_out = size and rho_num and size.bit_length() + rho_num.bit_length() + bits + 7 \
+                > big.bit_length() + gap.bit_length()
+            if not ruled_out and big > 0 and (size * rho_num) << (bits + 8) <= big * gap:
+                # the partial sum and the tail over one denominator, den gap
+                whole, tail = partial * gap, size * rho_num
+                return _Interval(Fraction(whole - tail if signed else whole, den * gap),
+                                 Fraction(whole + tail, den * gap)), used
         if used >= max_terms:
             raise TermBudgetError(
                 f"series needed more than {max_terms} terms for the requested precision"
@@ -249,9 +269,8 @@ def dobinski_gamma_form(p: Params, n: int, precision: int = DEFAULT_PRECISION_BI
             num = num * prod(range(k + 1 + s + d, k + 1 + s + n * d, d)) \
                 // prod(range(k + 1 + d, k + 1 + n * d, d))
 
-    partial, tail, used = _sum_positive_series(terms(), precision, _DOBINSKI_MAX_TERMS)
-    return _series_value(_Interval(partial, partial + tail).over_exp(_ONE, precision),
-                         used, precision)
+    sums, used = _sum_series(terms(), precision, _DOBINSKI_MAX_TERMS)
+    return _series_value(sums.over_exp(_ONE, precision), used, precision)
 
 
 def dobinski_polynomial(
@@ -291,9 +310,8 @@ def dobinski_polynomial(
             num = num * tn * gain // loss
             step = td * (k + 1)
 
-    partial, tail, used = _sum_positive_series(terms(), precision, _DOBINSKI_MAX_TERMS)
-    return _series_value(_Interval(partial, partial + tail).over_exp(t, precision),
-                         used, precision)
+    sums, used = _sum_series(terms(), precision, _DOBINSKI_MAX_TERMS)
+    return _series_value(sums.over_exp(t, precision), used, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +345,7 @@ _HYP_MAX_TERMS = 100_000
 
 def _hyp_enclosure(uppers: tuple, lowers: tuple, x: Fraction, bits: int) -> Tuple[_Interval, int]:
     """Certified enclosure of pFq(uppers; lowers; x) with rational data,
-    within ``_HYP_MAX_TERMS`` terms.
-
-    Term m is num/den and the partial sum partial/den over one running
-    integer denominator; term m+1 is term m times p(m)/q(m), with q > 0.
-    """
+    within ``_HYP_MAX_TERMS`` terms, and the number of terms summed."""
     uppers = tuple(Fraction(a) for a in uppers)
     lowers = tuple(Fraction(b) for b in lowers)
     x = Fraction(x)
@@ -342,55 +356,63 @@ def _hyp_enclosure(uppers: tuple, lowers: tuple, x: Fraction, bits: int) -> Tupl
                 raise ConvergenceError(f"pFq with p = q+1 needs |x| < 1, got {x}")
         elif len(uppers) > len(lowers) + 1:
             raise ConvergenceError("pFq with p > q+1 diverges for nonzero argument")
+    try:
+        return _sum_series(_hyp_terms(uppers, lowers, x, terminating), bits, _HYP_MAX_TERMS,
+                           signed=True)
+    except TermBudgetError:
+        raise TermBudgetError(f"pFq did not converge within {_HYP_MAX_TERMS} terms") from None
+
+
+def _hyp_terms(uppers: tuple, lowers: tuple, x: Fraction,
+               terminating: bool) -> Iterator[Tuple[int, int, int, int]]:
+    """The term stream of pFq(uppers; lowers; x) for :func:`_sum_series`.
+
+    Term m+1 is term m times p(m)/q(m), with q > 0: the integers of each
+    Fraction parameter a are read once, as the pair (a_n, a_d), and a + m
+    enters as a_n + m a_d.  Below m_start, where a + m or b + m may still
+    be negative, and before the zero term of a terminating series, rho is
+    1, which cannot stop the sum.  That zero term comes with rho = 0: every
+    later term is 0, so it ends the sum exactly.
+    """
     lowers_full = lowers + (_ONE,)  # the m! denominator acts as an extra lower 1
-    m_start = 0
-    for a in uppers:
-        m_start = max(m_start, ceil(-a))
-    for b in lowers_full:
-        m_start = max(m_start, ceil(1 - b))
+    m_start = max([0] + [ceil(-a) for a in uppers] + [ceil(1 - b) for b in lowers_full])
     # Bound on |t_{j+1}/t_j| for all j >= m >= m_start, non-increasing in m:
     # rank-paired parameters each contribute max(1, (a+m)/(b+m)), which
     # dominates (a+j)/(b+j) for j >= m; unpaired lowers contribute 1/(b+m).
+    # (a+m)/(b+m) = (a_n b_d + m w)/(b_n a_d + m w) with w = a_d b_d, so a
+    # pair contributes for every m or for none, as a > b or not.
     downs = sorted(lowers_full, reverse=True)
-    pairs = tuple(zip(sorted(uppers, reverse=True), downs))
-    unpaired = downs[len(uppers):]
-    p0 = x.numerator * prod(b.denominator for b in lowers)
-    q0 = x.denominator * prod(a.denominator for a in uppers)
+    growing = [(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
+               for a, b in zip(sorted(uppers, reverse=True), downs) if a > b]
+    unpaired = [(b.numerator, b.denominator) for b in downs[len(uppers):]]
+    ups = [(a.numerator, a.denominator) for a in uppers]
+    lows = [(b.numerator, b.denominator) for b in lowers]
+    p0 = x.numerator * prod(b_d for _, b_d in lows)
+    q0 = x.denominator * prod(a_d for _, a_d in ups)
+    x_num, x_den = abs(x.numerator), x.denominator
 
-    num = partial = den = 1
-    m = 0
-    while True:
-        if terminating:
-            if num == 0:
-                return _Interval.point(Fraction(partial, den)), m + 1
-        elif m >= m_start:
-            rho_num, rho_den = abs(x.numerator), x.denominator
-            for a, b in pairs:
-                up = (a.numerator + m * a.denominator) * b.denominator
-                down = (b.numerator + m * b.denominator) * a.denominator
-                if up > down:
-                    rho_num, rho_den = rho_num * up, rho_den * down
-            for b in unpaired:
-                rho_num, rho_den = rho_num * b.denominator, rho_den * (b.numerator + m * b.denominator)
-            # tail <= 2^-(bits+8) max(|partial|, 1), cross-multiplied
-            if rho_num < rho_den and (abs(num) * rho_num) << (bits + 8) <= \
-                    max(abs(partial), den) * (rho_den - rho_num):
-                tail = Fraction(abs(num) * rho_num, den * (rho_den - rho_num))
-                mid = Fraction(partial, den)
-                return _Interval(mid - tail, mid + tail), m + 1
-        if m + 1 >= _HYP_MAX_TERMS:
-            raise TermBudgetError(f"pFq did not converge within {_HYP_MAX_TERMS} terms")
+    num, step = 1, 1
+    for m in count():
+        if terminating and num == 0:
+            yield step, 0, 0, 1
+            return
+        rho_num = rho_den = 1
+        if not terminating and m >= m_start:
+            rho_num, rho_den = x_num, x_den
+            for up, down, w in growing:
+                rho_num, rho_den = rho_num * (up + m * w), rho_den * (down + m * w)
+            for b_n, b_d in unpaired:
+                rho_num, rho_den = rho_num * b_d, rho_den * (b_n + m * b_d)
+        yield step, num, rho_num, rho_den
         p, q = p0, q0 * (m + 1)
-        for a in uppers:
-            p *= a.numerator + m * a.denominator
-        for b in lowers:
-            q *= b.numerator + m * b.denominator
+        for a_n, a_d in ups:
+            p *= a_n + m * a_d
+        for b_n, b_d in lows:
+            q *= b_n + m * b_d
         if q < 0:
             p, q = -p, -q
         num *= p
-        partial = partial * q + num
-        den *= q
-        m += 1
+        step = q
 
 
 def hypergeometric(h: HyperParams, precision: int = DEFAULT_PRECISION_BITS) -> SeriesValue:
@@ -405,7 +427,7 @@ def _hyp_combination(parts, x: Fraction, bits: int) -> Tuple[_Interval, int]:
     ``(uppers, lowers, coefficient)`` triples in ``parts``, with the total
     number of terms summed.  Coefficients must be exact rationals.
     """
-    total = _Interval.point(_ZERO)
+    total = _Interval(_ZERO, _ZERO)
     used = 0
     for uppers, lowers, coefficient in parts:
         iv, terms = _hyp_enclosure(uppers, lowers, x, bits)
@@ -707,7 +729,7 @@ def hgf_check(
         raise ConvergenceError(f"lambda={lam} is outside the convergence disk |lambda| < {radius}")
 
     # both families' ratio denominators depend on m alone, so every inner
-    # sum is inner(k)/den over the one den
+    # sum is inner(k)/den over the one den, which the k-series keeps
     def inner(k: int) -> Tuple[int, int]:
         num, acc, den = 1, 0, 1
         for m in range(1, order + 1):
@@ -718,21 +740,24 @@ def hgf_check(
         return acc, den
 
     if lam == 0 or order == 0:
-        acc, tail, used = _ZERO, _ZERO, 0
+        sums, used = _Interval(_ZERO, _ZERO), 0
     else:
+        den = 1
+
         def terms() -> Iterator[Tuple[int, int, int, int]]:
             # T_k = inner(k)/(k+pref_shift)! over the running denominator
             # (k+pref_shift)!, and inner(k+1)/inner(k) <= growth(k, order)
+            nonlocal den
             for k in count():
                 g_num, g_den = growth(k, order)
-                yield (k + pref_shift if k else factorial(pref_shift)), inner(k)[0], \
+                num, den = inner(k)
+                yield (k + pref_shift if k else factorial(pref_shift)), num, \
                     g_num, g_den * (k + pref_shift + 1)
 
-        partial, tail, used = _sum_positive_series(terms(), precision, _HGF_MAX_OUTER)
-        den = inner(0)[1]
-        acc, tail = partial / den, tail / den
+        sums, used = _sum_series(terms(), precision, _HGF_MAX_OUTER)
+        sums *= Fraction(1, den)
 
-    iv = _Interval(acc, acc + tail).over_exp(_ONE, precision) + 1
+    iv = sums.over_exp(_ONE, precision) + 1
     bells = bell_sequence(Params(r, s), order).values
     rhs = _ONE + sum(
         (Fraction(bells[n], factorial(n) ** (t_power + 1)) * lam**n for n in range(1, order + 1)),

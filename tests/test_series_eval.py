@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice, tee
-from math import comb, factorial, perm, prod
+from math import ceil, comb, factorial, perm, prod
 
 import mpmath
 import pytest
@@ -44,26 +44,26 @@ def _recorded_streams(monkeypatch):
     """A copy of every term stream passed to the certified loop, which
     reads its own copy: the test can drain a copy past where the sum stopped."""
     seen = []
-    summing = series_eval._sum_positive_series
+    summing = series_eval._sum_series
 
     def recording(terms, *rest, **options):
         summed, kept = tee(terms)
         seen.append(kept)
         return summing(summed, *rest, **options)
 
-    monkeypatch.setattr(series_eval, "_sum_positive_series", recording)
+    monkeypatch.setattr(series_eval, "_sum_series", recording)
     return seen
 
 
 def _assert_ratio_bounds_hold(stream, count):
-    """Over ``count`` consecutive terms, rho(k) bounds term(k+1)/term(k)
+    """Over ``count`` consecutive terms, rho(k) bounds |term(k+1)/term(k)|
     and does not increase; returns the numerators read."""
     tuples = list(islice(stream, count + 1))
     bounds = [Fraction(rho_num, rho_den) for _, _, rho_num, rho_den in tuples[:count]]
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
     for i, bound in enumerate(bounds):
         step, num = tuples[i + 1][:2]
-        assert Fraction(num, tuples[i][1] * step) <= bound, i
+        assert abs(Fraction(num, tuples[i][1] * step)) <= bound, i
     return [num for _, num, _, _ in tuples]
 
 
@@ -413,6 +413,8 @@ class TestAgainstFractionLoops:
         ((1,), (2,), Fraction(1), 5),                                       # small max_terms
         ((Fraction(1, 2),), (Fraction(-1, 2),), Fraction(-1), 8),          # small max_terms
         ((1, 1), (2,), Fraction(3, 2), 100_000),                            # divergent
+        ((1,), (2,), Fraction(0), 5),                                       # x = 0: rho 0 stops at once
+        ((Fraction(1, 3),), (Fraction(-1, 2),), Fraction(0), 5),            # x = 0 below m_start
     ]
 
     @pytest.mark.parametrize("bits", PRECISIONS)
@@ -436,13 +438,13 @@ class TestAgainstFractionLoops:
         if min_terms:
             # the Dobinski series leave the loop's own min_terms at 0; force
             # it here to run the loop past its certified stop
-            summing = series_eval._sum_positive_series
+            summing = series_eval._sum_series
 
             def forcing(*args, **kwargs):
                 kwargs.setdefault("min_terms", min_terms)
                 return summing(*args, **kwargs)
 
-            monkeypatch.setattr(series_eval, "_sum_positive_series", forcing)
+            monkeypatch.setattr(series_eval, "_sum_series", forcing)
         p = Params(r, s)
         got = _enclosure_of(dobinski_bell, enclosures, p, n, bits)
         assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms, min_terms)
@@ -467,6 +469,100 @@ class TestAgainstFractionLoops:
         assert res.rhs_exact == 1 + sum(
             Fraction(bell_number(Params(r, s), n), factorial(n) ** (res.t_power + 1)) * lam**n
             for n in range(1, order + 1))
+
+
+class TestHypergeometricTermStreams:
+    """Each convergent non-terminating pFq case of TestAgainstFractionLoops
+    with x != 0: rho is 1 below m_start and from there on bounds
+    |term(m+1)/term(m)| and does not increase, 200 terms on."""
+
+    CASES = [(uppers, lowers, x) for uppers, lowers, x, _ in TestAgainstFractionLoops.HYPER_CASES
+             if x != 0 and not any(Fraction(a) <= 0 and Fraction(a).denominator == 1 for a in uppers)
+             and not (len(uppers) == len(lowers) + 1 and abs(x) >= 1)]
+
+    @pytest.mark.parametrize("uppers,lowers,x", CASES)
+    def test_ratio_bounds(self, monkeypatch, uppers, lowers, x):
+        seen = _recorded_streams(monkeypatch)
+        hypergeometric(HyperParams(uppers, lowers, x))
+        [stream] = seen
+        # below m_start some a + m or b + m may be negative: rho bounds nothing
+        m_start = max([0] + [ceil(-Fraction(a)) for a in uppers]
+                      + [ceil(1 - Fraction(b)) for b in lowers + (1,)])
+        assert all(rho_num == rho_den for *_, rho_num, rho_den in islice(stream, m_start))
+        _assert_ratio_bounds_hold(stream, 200)
+
+
+class _NoProduct(int):
+    """An int that fails the test if the stop test multiplies by it."""
+
+    def __rmul__(self, other):
+        raise AssertionError("the stop test formed its products")
+
+
+class TestStopPreTest:
+    """The bit-length pre-test of the certified loop at its edge.
+
+    A first term that cannot stop the sum makes the partial sum of two
+    terms 2^13 - 1, and the second term's rho makes gap = rho_den - rho_num
+    = 2^13 - 1, so bl(big) + bl(gap) = 26 at bits = 17.
+    """
+
+    HEAD = (1, 2**13 - 2, 1, 1)
+
+    @pytest.mark.parametrize("sign,signed", [(1, False), (-1, True)])
+    def test_a_stop_at_equal_bit_lengths_is_kept(self, sign, signed):
+        # bl(1) + bl(1) + 17 + 7 = 26: the pre-test leaves the term to the
+        # full test, which stops: 2^25 <= (2^13 - 1)^2
+        step, num, rho_num, rho_den = self.HEAD
+        terms = [(step, sign * num, rho_num, rho_den), (1, sign, 1, 2**13)]
+        sums, used = series_eval._sum_series(iter(terms), 17, 2, signed=signed)
+        partial, tail = sign * (2**13 - 1), Fraction(1, 2**13 - 1)
+        low = partial - tail if signed else partial
+        assert (sums.lo, sums.hi, used) == (low, partial + tail, 2)
+
+    def test_one_bit_more_is_ruled_out_before_the_products(self):
+        # bl(1) + bl(2) + 17 + 7 = 27 > 26
+        with pytest.raises(TermBudgetError):
+            series_eval._sum_series(iter([self.HEAD, (1, 1, _NoProduct(2), 2**13 + 1)]), 17, 2)
+
+    @pytest.mark.parametrize("term", [(1, 0, 1, 2), (1, 1, 0, 1)])
+    def test_a_zero_factor_skips_the_pre_test(self, term):
+        # a zero term or a zero rho leaves a tail of 0, which stops the sum;
+        # the bit lengths of a zero bound nothing from below
+        sums, used = series_eval._sum_series(iter([self.HEAD, term]), 17, 2)
+        assert (sums.hi - sums.lo, used) == (0, 2)
+
+
+class TestCombinationParts:
+    """Every pFq part of the Kummer, family and B_(r,1) checks that the
+    verify suites run, at 2048 bits, against the Fraction loop: endpoints
+    and terms_used of each part.  Their CLI details are empty, so the
+    verify output alone would not pin where these sums stop."""
+
+    @pytest.fixture
+    def parts(self, monkeypatch):
+        seen = []
+        enclosing = series_eval._hyp_enclosure
+
+        def recording(uppers, lowers, x, bits):
+            iv, used = enclosing(uppers, lowers, x, bits)
+            seen.append(((uppers, lowers, x, bits), (iv.lo, iv.hi, used)))
+            return iv, used
+
+        monkeypatch.setattr(series_eval, "_hyp_enclosure", recording)
+        return seen
+
+    @pytest.mark.parametrize("check,cases", [
+        (kummer_bell_check, [(r, n) for r in (1, 2) for n in range(1, 5)]),
+        (family_bell_check, [(p, r, n) for p, r in ((1, 1), (1, 2), (2, 1)) for n in range(1, 4)]),
+        (bell_r1_hypergeometric_check, [(r, n) for r in (2, 3, 4) for n in range(1, 5)]),
+    ])
+    def test_parts_match_the_fraction_loop(self, parts, check, cases):
+        for args in cases:
+            assert check(*args, precision=2048)
+        assert len(parts) >= len(cases)
+        for call, got in parts:
+            assert got == hyp_enclosure_reference(*call, 100_000), call
 
 
 class TestSeriesValueRounding:
