@@ -5,14 +5,16 @@ Unbounded integers are plain Python ints.  Rationals are
 pair coprime by construction.  :class:`BigFloat` couples an mpmath binary
 float with the precision it was computed at, so no value ever carries an
 implicit precision.  :class:`PowerSeries` is a truncated formal power
-series with exact rational coefficients.
+series with exact rational coefficients: they are reduced ``Fraction``s
+at the API, while products and ``series_exp`` work on integer numerators
+over one common denominator and reduce each output coefficient once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 from typing import Iterable, Union
 
 import mpmath
@@ -126,7 +128,8 @@ class PowerSeries:
         if not self.coeffs:
             raise ValueError("a PowerSeries needs at least the constant term")
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
+            self, "coeffs",
+            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
         )
 
     @classmethod
@@ -175,16 +178,19 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             self._check_order(other)
-            n = len(self.coeffs)
-            out = [Fraction(0)] * n
-            for i, a in enumerate(self.coeffs):
-                if not a:
+            # a_i = A_i / la and b_j = B_j / lb: convolve the integer
+            # numerators and reduce each product coefficient once
+            a, la = _numerators(self.coeffs)
+            b, lb = _numerators(other.coeffs)
+            n = len(a)
+            out = [0] * n
+            for i, ai in enumerate(a):
+                if not ai:
                     continue
                 for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return PowerSeries(tuple(out))
+                    out[i + j] += ai * b[j]
+            den = la * lb
+            return PowerSeries(tuple(Fraction(c, den) for c in out))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -204,24 +210,44 @@ class PowerSeries:
         return result
 
 
+def _numerators(coeffs) -> tuple:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def series_exp(f: PowerSeries) -> PowerSeries:
     """exp(f) truncated at the order of f; requires f(0) = 0.
 
     A nonzero constant term would make the coefficients transcendental,
     so it is rejected.  Uses g' = f' g, i.e.
-    g_n = (1/n) sum_{i=1}^{n} i f_i g_{n-i}.
+    g_n = (1/n) sum_{i=1}^{n} i f_i g_{n-i}, on integers: with
+    i! f_i = F_i / L over one common denominator L,
+    g_n = H_n / (L^n n!) where H_0 = 1 and
+    H_n = sum_{i=1}^{n} C(n-1, i-1) F_i L^(i-1) H_{n-i}.
+    Scaling by i! first keeps L small for egf-shaped f: exp(e^x - 1)
+    has L = 1.
     """
     if f.coeffs[0] != 0:
         raise ValueError("series_exp requires a zero constant term")
     order = f.truncation_order
-    g = [Fraction(1)] + [Fraction(0)] * order
+    scaled = [c * factorial(i) for i, c in enumerate(f.coeffs)]
+    num, den = _numerators(scaled)
+    term = [0] + [num[i] * den ** (i - 1) for i in range(1, order + 1)]  # F_i L^(i-1)
+    h = [1] + [0] * order
     for n in range(1, order + 1):
-        acc = Fraction(0)
+        acc = 0
+        c = 1  # C(n-1, i-1)
         for i in range(1, n + 1):
-            fi = f.coeffs[i]
-            if fi:
-                acc += i * fi * g[n - i]
-        g[n] = acc / n
+            if term[i]:
+                acc += c * term[i] * h[n - i]
+            c = c * (n - i) // i
+        h[n] = acc
+    g = []
+    scale = 1  # L^n n!
+    for n, hn in enumerate(h, 1):
+        g.append(Fraction(hn, scale))
+        scale *= den * n
     return PowerSeries(tuple(g))
 
 
@@ -231,12 +257,15 @@ def series_binomial_power(alpha: RationalLike, c: RationalLike, order: int) -> P
         raise ValueError("order must be >= 0")
     alpha = Fraction(alpha)
     c = Fraction(c)
+    p, q = alpha.numerator, alpha.denominator
+    u, v = c.numerator, c.denominator
     coeffs = []
     term = Fraction(1)
     for i in range(order + 1):
         coeffs.append(term)
-        # C(alpha, i+1)(-c)^(i+1) = C(alpha, i)(-c)^i * (alpha - i)(-c)/(i + 1)
-        term = term * (alpha - i) * (-c) / (i + 1)
+        # C(alpha, i+1)(-c)^(i+1) = C(alpha, i)(-c)^i * (alpha - i)(-c)/(i + 1);
+        # one product with a small step keeps each gcd small
+        term *= Fraction((p - i * q) * -u, q * v * (i + 1))
     return PowerSeries(tuple(coeffs))
 
 
@@ -245,5 +274,5 @@ def series_exp_linear(c: RationalLike, order: int) -> PowerSeries:
     c = Fraction(c)
     coeffs = [Fraction(1)]
     for n in range(1, order + 1):
-        coeffs.append(coeffs[-1] * c / n)
+        coeffs.append(coeffs[-1] * Fraction(c.numerator, c.denominator * n))
     return PowerSeries(tuple(coeffs))

@@ -559,6 +559,13 @@ def egf_stirling_diag_check(r: int, k: int, order: int) -> bool:
 
     Coefficients below n = ceil(k/r) must vanish (the band is empty
     there); the rest must equal S_{r,r}(n,k)/n! exactly.
+
+    This is not an independent route.  For n >= 1,
+    n! [x^n](e^(c x) - 1) = c^n, so n! times the coefficient of x^n is,
+    term for term, the d = 0 sum of ``stirling_explicit``,
+    (-1)^k/k! sum_q (-1)^q C(k,q) (q^falling(r))^n, which is what
+    ``stirling`` reads for r = s: the check compares the explicit sum
+    with itself.
     """
     if r < 1 or k < r or order < 1:
         raise ValueError("need r >= 1, k >= r, order >= 1")

@@ -286,3 +286,35 @@ def hgf_outer_sum_reference(r, s, lam, order, k_max):
             inner += u_m
         acc += Fraction(1, factorial(k + shift)) * inner
     return acc
+
+
+# --- Fraction power-series loops -------------------------------------------
+# Truncated power series as lists of Fractions, multiplied and exponentiated
+# by the plain double loops, with a gcd on every product and sum.  The
+# package works on integer numerators and must give the same coefficients.
+
+
+def series_mul_reference(a, b):
+    """Coefficients of a * b truncated at the common order."""
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += Fraction(a[i]) * Fraction(b[j])
+    return out
+
+
+def series_pow_reference(a, k: int):
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for _ in range(k):
+        out = series_mul_reference(out, a)
+    return out
+
+
+def series_exp_reference(f):
+    """exp(f) for f(0) = 0, from g' = f' g: n g_n = sum_i i f_i g_{n-i}."""
+    g = [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
+    for n in range(1, len(f)):
+        g[n] = sum((i * Fraction(f[i]) * g[n - i] for i in range(1, n + 1)),
+                   Fraction(0)) / n
+    return g

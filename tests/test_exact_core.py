@@ -18,7 +18,13 @@ from bosonbell.exact_core import (
     series_exp_linear,
 )
 
-from _oracles import bell_brute, pascal_binomial
+from _oracles import (
+    bell_brute,
+    pascal_binomial,
+    series_exp_reference,
+    series_mul_reference,
+    series_pow_reference,
+)
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=12)
@@ -126,6 +132,98 @@ class TestPowerSeries:
         coeffs[0] = Fraction(0)
         f = PowerSeries.from_coeffs(coeffs)
         assert series_exp(f) * series_exp(-f) == PowerSeries.one(4)
+
+
+@st.composite
+def series_coeffs(draw, order):
+    """order + 1 coefficients: zeros, +-1/i!, and fractions whose
+    denominators range from small to coprime and large."""
+    kinds = st.sampled_from(("zero", "factorial", "small", "wide"))
+    out = []
+    for i in range(order + 1):
+        kind = draw(kinds)
+        if kind == "zero":
+            out.append(Fraction(0))
+        elif kind == "factorial":
+            out.append(Fraction(draw(st.sampled_from((-1, 1))), factorial(i)))
+        elif kind == "small":
+            out.append(draw(small_fractions))
+        else:
+            out.append(draw(st.fractions(min_value=-10**6, max_value=10**6,
+                                         max_denominator=10**6)))
+    return out
+
+
+orders = st.integers(min_value=0, max_value=14)
+
+
+class TestSeriesArithmeticAgainstFractionLoops:
+    """Products, powers and exp on integer numerators equal the plain
+    Fraction double loops of the reference, coefficient for coefficient."""
+
+    @settings(max_examples=60)
+    @given(orders.flatmap(lambda k: st.tuples(series_coeffs(k), series_coeffs(k))))
+    def test_product(self, pair):
+        a, b = pair
+        assert (PowerSeries.from_coeffs(a) * PowerSeries.from_coeffs(b)).coeffs \
+            == tuple(series_mul_reference(a, b))
+
+    @settings(max_examples=60)
+    @given(orders.flatmap(series_coeffs), st.integers(min_value=0, max_value=4))
+    def test_power(self, a, k):
+        assert (PowerSeries.from_coeffs(a) ** k).coeffs == tuple(series_pow_reference(a, k))
+
+    @settings(max_examples=60)
+    @given(orders.flatmap(series_coeffs))
+    def test_exp(self, f):
+        f[0] = Fraction(0)
+        assert series_exp(PowerSeries.from_coeffs(f)).coeffs == tuple(series_exp_reference(f))
+
+    @settings(max_examples=60)
+    @given(small_fractions, small_fractions, orders)
+    def test_binomial_power_and_linear_exp(self, alpha, c, order):
+        expected = []
+        for i in range(order + 1):
+            falling = Fraction(1)
+            for j in range(i):
+                falling *= alpha - j
+            expected.append(falling / factorial(i) * (-c) ** i)
+        assert series_binomial_power(alpha, c, order).coeffs == tuple(expected)
+        assert series_exp_linear(c, order).coeffs \
+            == tuple(c**n / factorial(n) for n in range(order + 1))
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 14])
+    def test_all_zero_series(self, order):
+        zero = PowerSeries.zero(order)
+        a = PowerSeries.from_coeffs([Fraction(-3, 7)] * (order + 1))
+        assert series_exp(zero) == PowerSeries.one(order)
+        assert zero * a == a * zero == zero
+        assert zero ** 0 == PowerSeries.one(order)
+        assert zero ** 3 == zero
+
+    def test_order_zero(self):
+        a = PowerSeries.from_coeffs([Fraction(-5, 6)])
+        b = PowerSeries.from_coeffs([Fraction(9, 4)])
+        assert (a * b).coeffs == (Fraction(-15, 8),)
+        assert (a ** 4).coeffs == (Fraction(625, 1296),)
+        assert series_exp(PowerSeries.zero(0)).coeffs == (1,)
+
+    @pytest.mark.parametrize("top", [Fraction(1), Fraction(-2, 15), Fraction(1, 3628800)])
+    @pytest.mark.parametrize("order", [1, 2, 9])
+    def test_only_top_coefficient_nonzero(self, order, top):
+        f = [Fraction(0)] * order + [top]
+        series = PowerSeries.from_coeffs(f)
+        assert series_exp(series).coeffs == tuple(series_exp_reference(f))
+        assert (series * series).coeffs == tuple(series_mul_reference(f, f))
+        assert (series ** 3).coeffs == tuple(series_pow_reference(f, 3))
+
+    def test_coefficients_stay_reduced_fractions(self):
+        g = series_exp(PowerSeries.from_coeffs([0, Fraction(2, 3), Fraction(-1, 4)]))
+        h = PowerSeries.from_coeffs([Fraction(4, 6), 3, 0]) * g
+        for c in g.coeffs + h.coeffs:
+            assert type(c) is Fraction
+        assert g.coeffs == (1, Fraction(2, 3), Fraction(-1, 36))
+        assert h.coeffs == (Fraction(2, 3), Fraction(31, 9), Fraction(107, 54))
 
 
 class TestBigFloat:

@@ -27,7 +27,13 @@ from bosonbell.series_eval import (
 )
 from bosonbell import series_eval
 from bosonbell.exact_core import BigFloat, mpf_to_fraction
-from bosonbell.stirling_bell import Params, bell_number, bell_polynomial
+from bosonbell.stirling_bell import (
+    Params,
+    bell_number,
+    bell_polynomial,
+    clear_perturbations,
+    set_perturbation,
+)
 
 from _oracles import (
     dobinski_gamma_form_reference,
@@ -272,6 +278,28 @@ class TestEgf:
     @pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 2)])
     def test_diag_coefficient_identity(self, r, n):
         assert bell_diag_egf_coefficient_check(r, n)
+
+    # The verify suite runs its egf cases at order 6 only; at order 60 the
+    # integer numerators of the products and of exp run to thousands of bits.
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_bell_r1_suite_cases_at_order_60(self, r):
+        assert egf_bell_r1_check(r, 60)
+
+    @pytest.mark.parametrize("r,k", [(r, k) for r in (1, 2) for k in range(r, 5)])
+    def test_stirling_diag_suite_cases_at_order_60(self, r, k):
+        assert egf_stirling_diag_check(r, k, 60)
+
+    @pytest.mark.parametrize("r,k", [(r, k) for r in (2, 3) for k in (1, 2, 3)])
+    def test_stirling_r1_suite_cases_at_order_60(self, r, k):
+        assert egf_stirling_r1_check(r, k, 60)
+
+    def test_stirling_r1_catches_a_corrupted_entry_at_order_40(self):
+        try:
+            set_perturbation(Params(2, 1), 40, 3, 1)
+            assert not egf_stirling_r1_check(2, 3, 40)
+        finally:
+            clear_perturbations()
+        assert egf_stirling_r1_check(2, 3, 40)
 
 
 class TestHgf:
