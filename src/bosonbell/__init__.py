@@ -33,7 +33,6 @@ from .fock_numeric import (
     build_ops,
     coherent_state,
     expectation_power,
-    katriel_check,
 )
 from .series_eval import (
     HgfCheckResult,

@@ -27,7 +27,7 @@ from typing import List, Tuple
 from mpmath import mp
 
 from .exact_core import DEFAULT_PRECISION_BITS, BigFloat, RationalLike
-from .stirling_bell import Params, bell_number
+from .stirling_bell import Params
 
 _GUARD_BITS = 64
 
@@ -190,10 +190,3 @@ def expectation_power(
     with mp.workprec(precision):
         return BigFloat(value=mp.ldexp(mp.mpf(value), -2 * bits), precision_bits=precision)
 
-
-def katriel_check(n: int, precision: int = DEFAULT_PRECISION_BITS) -> bool:
-    """<z|(a+ a)^n|z> at z = 1 against the exact Bell number B_{1,1}(n),
-    on dimension_for(precision) and to the relative tolerance(precision)."""
-    value = expectation_power(Params(1, 1), n, 1, dimension_for(precision), precision)
-    exact = bell_number(Params(1, 1), n)
-    return abs(value.to_fraction() - exact) <= tolerance(precision) * exact

@@ -647,56 +647,6 @@ class HgfCheckResult:
         return self.ok
 
 
-def _hgf_family(r: int, s: int, lam: Fraction):
-    """Dispatch table for the supported hgf families.
-
-    Returns (t_power, radius, pref_shift, inner_term_ratio, growth) where
-    the generating function is evaluated as
-    (1/e) sum_k 1/(k+pref_shift)! * sum_{m>=1} u_m(k) plus the constant 1,
-    inner_term_ratio(k, m) is u_m/u_{m-1} as an integer pair (num, den > 0),
-    and growth(k, M) is u_M(k+1)/u_M(k) as such a pair.  In both families
-    u_m(k+1)/u_m(k) increases in m and does not increase in k, so growth(k, M)
-    bounds the ratio of the inner sums cut at m = M, for k and every later k.
-    """
-    ln, ld = lam.numerator, lam.denominator
-    if (r, s) == (3, 2):
-        t_power = 1
-        radius = _ONE
-        pref_shift = 2
-
-        def term_ratio(k: int, m: int) -> Tuple[int, int]:
-            # u_m / u_{m-1} for 2F1(k+2, k+1; 1; lam)
-            return (k + m + 1) * (k + m) * ln, m * m * ld
-
-        def growth(k: int, M: int) -> Tuple[int, int]:
-            # u_m(k) = C(k+m+1, m) C(k+m, m) lam^m
-            return (k + M + 2) * (k + M + 1), (k + 2) * (k + 1)
-
-        return t_power, radius, pref_shift, term_ratio, growth
-
-    if s >= 1 and r == 2 * s:
-        rr = s
-        t_power = rr - 1
-        radius = Fraction(1, rr**rr)
-        pref_shift = rr
-
-        def term_ratio(k: int, m: int) -> Tuple[int, int]:
-            # u_m / u_{m-1} for rFr-1((k+1)/rr, ..., (k+rr)/rr; 1, ..., 1; rr^rr lam);
-            # each factor (k+i)/rr + m-1 brings a 1/rr, and the rr of them cancel rr^rr
-            num = ln
-            for i in range(1, rr + 1):
-                num *= k + i + rr * (m - 1)
-            return num, ld * m**rr
-
-        def growth(k: int, M: int) -> Tuple[int, int]:
-            # u_m(k) = (k+1)_{rr m} lam^m / (m!)^rr
-            return k + 1 + rr * M, k + 1
-
-        return t_power, radius, pref_shift, term_ratio, growth
-
-    raise ValueError(f"no hypergeometric generating function family for (r, s) = ({r}, {s})")
-
-
 # the smallest working precision that hgf_check and the CLI's --prec accept
 MIN_PRECISION_BITS = 16
 
@@ -715,9 +665,16 @@ def hgf_check(
     hypergeometric functions (inner series truncated at m = order, outer
     k-sum carried to a certified tail within ``_HGF_MAX_OUTER`` terms, past
     which it raises :class:`TermBudgetError`), and once
-    from the exact Bell numbers.  Supported families: (3, 2) with t = 1 using
-    2F1(k+2, k+1; 1; lambda)/(k+2)!, and (2r', r') with t = r'-1 using
-    rF(r'-1)((k+1)/r', ..., (k+r')/r'; 1, ..., 1; r'^r' lambda)/(k+r')!.
+    from the exact Bell numbers.  One formula covers every r != s: with
+    s the smaller index (B_{r,s} = B_{s,r}), d = r - s and t = s - 1, the
+    Dobinski form gives
+
+        G_{r,s}(lambda) = 1 + (1/e) sum_k 1/(k+s)! sum_{m>=1} u_m(k),
+        u_m(k) = prod_{i<s} ((k+s-i)/d)_m (d^s lambda)^m / (m!)^s,
+
+    whose inner sums are sF(s-1)((k+1)/d, ..., (k+s)/d; 1, ..., 1;
+    d^s lambda) - 1, convergent for lambda < 1/d^s.  r = s (d = 0) is not
+    covered.
 
     The k-sums reproduce the coefficients for n >= 1 only; the constant
     term is the convention B(0) = 1 and is added exactly on both sides.
@@ -731,43 +688,52 @@ def hgf_check(
         raise ValueError(f"order must be >= 0, got {order}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    t_power, radius, pref_shift, term_ratio, growth = _hgf_family(r, s, lam)
+    params = Params(r, s)
+    if r == s:
+        raise ValueError(f"no hypergeometric generating function for r = s = {r}")
+    s, d = min(r, s), abs(r - s)
+    radius = Fraction(1, d**s)
     if lam >= radius:
         raise ConvergenceError(f"lambda={lam} is outside the convergence disk |lambda| < {radius}")
 
-    # both families' ratio denominators depend on m alone, so every inner
-    # sum is inner(k)/den over the one den, which the k-series keeps
-    def inner(k: int) -> Tuple[int, int]:
-        num, acc, den = 1, 0, 1
-        for m in range(1, order + 1):
-            p, q = term_ratio(k, m)
-            num *= p
-            acc = acc * q + num
-            den *= q
-        return acc, den
+    # u_m/u_{m-1} = lam prod_{i<s} (k+s-i+(m-1)d) / m^s, whose s factors are
+    # the consecutive integers from x = k+1+(m-1)d; the denominators ld m^s
+    # do not depend on k, so every inner sum is an integer over their product
+    ln, ld = lam.numerator, lam.denominator
+    steps = [ld * m**s for m in range(1, order + 1)]
+    span = order * d
+
+    def terms() -> Iterator[Tuple[int, int, int, int]]:
+        # T_k = inner(k)/(k+s)! over the running denominator (k+s)!.  The
+        # factors for i >= 1 cancel in u_M(k+1)/u_M(k), leaving
+        # prod_{j<M} (k+s+1+jd)/(k+1+jd) = lows[k+s]/lows[k] at M = order: it
+        # bounds u_m(k+1)/u_m(k) for every m <= M, hence inner(k+1)/inner(k),
+        # and does not increase in k.  rises[x] = ln x (x+1) ... (x+s-1) and
+        # lows[k] = prod_{j<order} (k+1+jd) are each formed once.
+        rises, lows = [], []
+        for k in count():
+            while len(rises) <= k + span:
+                x = len(rises)
+                rises.append(ln * prod(range(x, x + s)))
+            while len(lows) <= k + s:
+                i = len(lows)
+                lows.append(prod(range(i + 1, i + 1 + span, d)))
+            num, acc = 1, 0
+            for rise, step in zip(rises[k + 1:k + 1 + span:d], steps):
+                num *= rise
+                acc = acc * step + num
+            yield (k + s if k else factorial(s)), acc, lows[k + s], lows[k] * (k + s + 1)
 
     if lam == 0 or order == 0:
         sums, used = _Interval(_ZERO, _ZERO), 0
     else:
-        den = 1
-
-        def terms() -> Iterator[Tuple[int, int, int, int]]:
-            # T_k = inner(k)/(k+pref_shift)! over the running denominator
-            # (k+pref_shift)!, and inner(k+1)/inner(k) <= growth(k, order)
-            nonlocal den
-            for k in count():
-                g_num, g_den = growth(k, order)
-                num, den = inner(k)
-                yield (k + pref_shift if k else factorial(pref_shift)), num, \
-                    g_num, g_den * (k + pref_shift + 1)
-
         sums, used = _sum_series(terms(), precision, _HGF_MAX_OUTER)
-        sums *= Fraction(1, den)
+        sums *= Fraction(1, prod(steps))
 
     iv = sums.over_exp(_ONE, precision) + 1
-    bells = bell_sequence(Params(r, s), order).values
+    bells = bell_sequence(params, order).values
     rhs = _ONE + sum(
-        (Fraction(bells[n], factorial(n) ** (t_power + 1)) * lam**n for n in range(1, order + 1)),
+        (Fraction(bells[n], factorial(n) ** s) * lam**n for n in range(1, order + 1)),
         _ZERO,
     )
     lhs = _series_value(iv, used, precision)
@@ -777,5 +743,5 @@ def hgf_check(
         lhs=lhs,
         rhs_exact=rhs,
         difference=BigFloat.from_fraction(diff, precision, "c"),
-        t_power=t_power,
+        t_power=s - 1,
     )

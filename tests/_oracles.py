@@ -10,7 +10,7 @@ polynomials, no floating point involved).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, prod
 
 
 def set_partitions(items):
@@ -261,30 +261,26 @@ def hyp_enclosure_reference(uppers, lowers, x, bits, max_terms):
 
 
 def hgf_outer_sum_reference(r, s, lam, order, k_max):
-    """sum_{k <= k_max} 1/(k+shift)! sum_{m=1}^{order} u_m(k), the k-indexed
-    route of hgf_check, for the (3, 2) and (2r', r') families."""
-    lam = Fraction(lam)
-    if (r, s) == (3, 2):
-        shift = 2
+    """sum_{k <= k_max} 1/(k+s)! sum_{m=1}^{order} u_m(k), the k-indexed
+    route of hgf_check, with s the smaller index, d = |r - s| and
+    u_m(k) = prod_{i<s} ((k+s-i)/d)_m (d^s lambda)^m / (m!)^s."""
+    s, d = min(r, s), abs(r - s)
+    arg = Fraction(lam) * d**s
 
-        def term_ratio(k, m):
-            return Fraction((k + m + 1) * (k + m), m * m) * lam
-    else:
-        rr = shift = s
-        arg = Fraction(rr**rr) * lam
+    def pochhammer(x, m):
+        out = Fraction(1)
+        for j in range(m):
+            out *= x + j
+        return out
 
-        def term_ratio(k, m):
-            ratio = Fraction(arg, m**rr)
-            for i in range(1, rr + 1):
-                ratio *= Fraction(k + i, rr) + (m - 1)
-            return ratio
     acc = Fraction(0)
     for k in range(k_max + 1):
-        inner, u_m = Fraction(0), Fraction(1)
-        for m in range(1, order + 1):
-            u_m *= term_ratio(k, m)
-            inner += u_m
-        acc += Fraction(1, factorial(k + shift)) * inner
+        inner = sum(
+            (prod(pochhammer(Fraction(k + s - i, d), m) for i in range(s)) * arg**m / factorial(m) ** s
+             for m in range(1, order + 1)),
+            Fraction(0),
+        )
+        acc += Fraction(1, factorial(k + s)) * inner
     return acc
 
 

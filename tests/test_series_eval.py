@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice, tee
-from math import ceil, comb, factorial, perm, prod
+from math import ceil, factorial, perm, prod
 
 import mpmath
 import pytest
@@ -26,7 +26,13 @@ from bosonbell.series_eval import (
     laguerre_value,
 )
 from bosonbell import series_eval
-from bosonbell.exact_core import BigFloat, mpf_to_fraction
+from bosonbell.exact_core import (
+    BigFloat,
+    PowerSeries,
+    mpf_to_fraction,
+    series_binomial_power,
+    series_exp,
+)
 from bosonbell.stirling_bell import (
     Params,
     bell_number,
@@ -302,6 +308,15 @@ class TestEgf:
         assert egf_stirling_r1_check(2, 3, 40)
 
 
+# hgf pairs other than (3, 2) and (2s, s), swapped ones included
+NEW_PAIRS = [(3, 1), (4, 3), (5, 2), (5, 3), (1, 2), (2, 3)]
+
+
+def _radius(r, s):
+    """The convergence radius 1/d^s of G_{r,s}, s the smaller index."""
+    return Fraction(1, abs(r - s) ** min(r, s))
+
+
 class TestHgf:
     def test_lambda_zero_gives_one_on_both_sides(self):
         res = hgf_check(3, 2, Fraction(0), 8)
@@ -314,7 +329,7 @@ class TestHgf:
         (3, 2, Fraction(1, 20)),
         (4, 2, Fraction(1, 20)),
         (4, 2, Fraction(1, 50)),
-    ])
+    ] + [(r, s, f * _radius(r, s)) for r, s in NEW_PAIRS for f in (Fraction(1, 5), Fraction(9, 10))])
     def test_routes_agree_at_order_twelve(self, r, s, lam):
         res = hgf_check(r, s, lam, 12)
         assert res.ok
@@ -335,10 +350,15 @@ class TestHgf:
             hgf_check(3, 2, Fraction(2), 6)
         with pytest.raises(ConvergenceError):
             hgf_check(4, 2, Fraction(1, 3), 6)
+        for r, s in [(5, 2), (2, 5), (4, 3), (3, 1)]:
+            with pytest.raises(ConvergenceError):
+                hgf_check(r, s, _radius(r, s), 4)
 
-    def test_unsupported_family_rejected(self):
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_equal_indices_rejected(self, r):
+        # d = r - s = 0 has no hypergeometric generating function
         with pytest.raises(ValueError):
-            hgf_check(5, 2, Fraction(1, 100), 4)
+            hgf_check(r, r, Fraction(1, 100), 4)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -352,9 +372,10 @@ class TestHgf:
         res = hgf_check(4, 2, Fraction(1, 30), 0)
         assert res.ok and res.rhs_exact == 1
 
-    @pytest.mark.parametrize("lam", [Fraction(9, 10), Fraction(99, 100)])
-    def test_near_the_radius(self, lam):
-        res = hgf_check(3, 2, lam, 12)
+    @pytest.mark.parametrize("r,s", [(3, 2)] + NEW_PAIRS)
+    @pytest.mark.parametrize("f", [Fraction(9, 10), Fraction(99, 100)])
+    def test_near_the_radius(self, r, s, f):
+        res = hgf_check(r, s, f * _radius(r, s), 12)
         assert res.ok and res.lhs.terms_used <= 100
 
     def test_outer_budget_raises(self, monkeypatch):
@@ -362,26 +383,45 @@ class TestHgf:
         with pytest.raises(TermBudgetError):
             hgf_check(3, 2, Fraction(1, 5), 12)
 
-    @pytest.mark.parametrize("r,s", [(3, 2), (2, 1), (4, 2), (6, 3)])
-    def test_growth_bounds_every_inner_ratio(self, r, s):
-        # u_m(k) without its lambda^m, which cancels in u_m(k+1)/u_m(k)
-        if (r, s) == (3, 2):
-            def u(k, m):
-                return comb(k + m + 1, m) * comb(k + m, m)
-        else:
-            def u(k, m):
-                return Fraction(prod(range(k + 1, k + 1 + s * m)), factorial(m) ** s)
-        growth = series_eval._hgf_family(r, s, Fraction(1, 1000))[4]
+    @pytest.mark.parametrize("r,s", [(3, 2), (2, 1), (4, 2), (6, 3), (3, 1), (4, 3), (5, 2)])
+    def test_growth_bounds_every_inner_ratio(self, monkeypatch, r, s):
+        d = r - s
+
+        def u(k, m):
+            # u_m(k) without its lambda^m, which cancels in u_m(k+1)/u_m(k)
+            return prod(Fraction(k + s - i, d) + j for i in range(s) for j in range(m)) \
+                * d ** (s * m) / factorial(m) ** s
+
+        seen = _recorded_streams(monkeypatch)
         for M in range(1, 13):
-            bounds = [Fraction(*growth(k, M)) for k in range(41)]
+            hgf_check(r, s, _radius(r, s) / 10, M, precision=16)
+            # the k-series is summed first; its rho is the growth bound over k+s+1
+            tuples = list(islice(seen[0], 41))
+            seen.clear()
+            bounds = [Fraction(rho_num, rho_den) * (k + s + 1)
+                      for k, (*_, rho_num, rho_den) in enumerate(tuples)]
             assert all(a >= b for a, b in zip(bounds, bounds[1:])), M
             for k, bound in enumerate(bounds):
-                ratios = [Fraction(u(k + 1, m), u(k, m)) for m in range(1, M + 1)]
+                ratios = [u(k + 1, m) / u(k, m) for m in range(1, M + 1)]
                 assert max(ratios) <= bound and ratios[-1] == bound, (M, k)
+
+    def test_s_one_matches_the_closed_form_egf(self):
+        """For s = 1 the inner sums are (1 - d lambda)^(-k/d), so G_{r,1} is
+        exp((1 - (r-1)x)^(-1/(r-1)) - 1), the B_{r,1} egf, at x = lambda."""
+        for r in (2, 3, 4):
+            lam, order = Fraction(9, 10 * (r - 1)), 12
+            inner = series_binomial_power(Fraction(-1, r - 1), Fraction(r - 1), order) \
+                - PowerSeries.one(order)
+            egf = series_exp(inner)
+            truncation = sum(egf.coeff(n) * lam**n for n in range(order + 1))
+            res = hgf_check(r, 1, lam, order)
+            assert res.rhs_exact == truncation, r
+            assert res.ok and res.lhs.brackets(truncation), r
 
     @pytest.mark.parametrize("r,s,lam,order", [
         (3, 2, Fraction(1, 5), 12), (4, 2, Fraction(1, 20), 12),
         (2, 1, Fraction(1, 5), 10), (6, 3, Fraction(1, 135), 6),
+        (3, 1, Fraction(9, 20), 12), (4, 3, Fraction(9, 10), 12), (5, 2, Fraction(1, 10), 12),
     ])
     def test_outer_ratio_bound_holds_for_the_summed_terms(self, monkeypatch, r, s, lam, order):
         """Every series hgf_check sums, its k-series and that of e, gets a
@@ -487,6 +527,7 @@ class TestAgainstFractionLoops:
     @pytest.mark.parametrize("r,s,lam,order", [
         (3, 2, Fraction(1, 5), 12), (4, 2, Fraction(1, 50), 12),
         (2, 1, Fraction(1, 5), 10), (6, 3, Fraction(1, 135), 6),
+        (3, 1, Fraction(9, 20), 12), (4, 3, Fraction(9, 10), 12), (5, 2, Fraction(1, 10), 12),
     ])
     def test_hgf_inner_sums(self, enclosures, r, s, lam, order, bits):
         res = hgf_check(r, s, lam, order, precision=bits)
