@@ -33,6 +33,7 @@ from .fock_numeric import (
     build_ops,
     coherent_state,
     expectation_power,
+    expectation_powers,
 )
 from .series_eval import (
     HgfCheckResult,

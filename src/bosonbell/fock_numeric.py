@@ -8,8 +8,11 @@ holds floor(sqrt(n) 2^F) from math.isqrt, each product is rounded down by a
 right shift, and the coherent amplitudes e^(-z^2/2) z^n / sqrt(n!) are
 stepped from the same table after one mpmath exp.  Expectation values
 <z| [(a+)^r a^s]^n |z> are formed by repeated O(D) shift-and-scale steps on
-a truncated coherent vector and compared against the exact values
-z^(n|r-s|) B_{r,s}(n, z^2) from the triangle.
+a truncated coherent vector, one letter per step, and compared against the
+exact values z^(n|r-s|) B_{r,s}(n, z^2) from the triangle.  The vector
+after k words is the input to word k+1, so expectation_powers reads the
+inner product after every word and returns the values for 1, ..., n from
+one pass, on one table and one coherent vector.
 
 Only real z >= 0 is supported.  For r = s the expectation depends on z
 only through z^2 (the phases cancel pairwise), so unit-modulus statements
@@ -31,7 +34,7 @@ from .stirling_bell import Params
 
 _GUARD_BITS = 64
 
-# expectation_power re-checks every value at dim + STABILITY_STEP
+# expectation_powers re-checks every value at dim + STABILITY_STEP
 STABILITY_STEP = 16
 
 
@@ -43,7 +46,7 @@ def dimension_for(precision: int) -> int:
 
 def tolerance(precision: int) -> Fraction:
     """Relative agreement 2^(-precision//2) of an expectation with its
-    exact value: the bound expectation_power enforces between dim and
+    exact value: the bound expectation_powers enforces between dim and
     dim + STABILITY_STEP."""
     return Fraction(1, 2 ** (precision // 2))
 
@@ -142,31 +145,35 @@ def coherent_state(z: RationalLike, dim: int, precision: int = DEFAULT_PRECISION
     return _coherent(z, roots, bits, dim, tolerance(precision))
 
 
-def _expectation_once(p: Params, n: int, amps: tuple, ops) -> int:
-    """The expectation of amps on ops' dimension, scaled by 2^(2F)."""
+def _expectation_prefixes(p: Params, n: int, amps: tuple, ops) -> List[int]:
+    """The expectations of amps on ops' dimension after 1, ..., n words,
+    each scaled by 2^(2F): the vector after k words is the input to word k+1."""
     a_op, adag_op = ops
     vec = list(amps)
+    sums = []
     for _ in range(n):
         for _ in range(p.s):
             vec = apply_operator(a_op, vec)
         for _ in range(p.r):
             vec = apply_operator(adag_op, vec)
-    return sum(b * x for b, x in zip(amps, vec))
+        sums.append(sum(b * x for b, x in zip(amps, vec)))
+    return sums
 
 
-def expectation_power(
+def expectation_powers(
     p: Params, n: int, z: RationalLike, dim: int,
     precision: int = DEFAULT_PRECISION_BITS,
     check_stability: bool = True,
-) -> BigFloat:
-    """<z| [(a+)^r a^s]^n |z> on the truncated space.
+) -> List[BigFloat]:
+    """<z| [(a+)^r a^s]^k |z> on the truncated space for k = 1, ..., n.
 
-    The word is applied letter by letter to the vector, never as a
-    precomputed n-th power.  With ``check_stability`` the value is
-    recomputed at dim + STABILITY_STEP and the two must agree to
-    2^(-precision/2), otherwise the truncation is reported as too
-    small.  Only the final sum is rounded, once, to ``precision`` bits.
-    The exact target is z^(n|r-s|) B_{r,s}(n, z^2).
+    One pass: the word is applied letter by letter to the vector, never
+    as a precomputed power, and the inner product is read after every
+    word.  With ``check_stability`` the pass is repeated at
+    dim + STABILITY_STEP and every one of the n values must agree with
+    its wider value to 2^(-precision/2), otherwise the truncation is
+    reported as too small.  Each sum is rounded once, to ``precision``
+    bits.  The exact targets are z^(k|r-s|) B_{r,s}(k, z^2).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -178,15 +185,27 @@ def expectation_power(
     ops = build_ops(dim + STABILITY_STEP if check_stability else dim, precision)
     bits = ops[0].bits
     amps = _coherent(z, ops[0].roots, bits, dim, tolerance(precision)).amps
-    value = _expectation_once(p, n, amps[:dim], [replace(op, roots=op.roots[:dim]) for op in ops])
+    values = _expectation_prefixes(p, n, amps[:dim], [replace(op, roots=op.roots[:dim]) for op in ops])
     if check_stability:
-        wider = _expectation_once(p, n, amps, ops)
-        moved = abs(value - wider)
-        if moved << precision // 2 > max(abs(value), abs(wider), 1 << 2 * bits):
-            raise FockTruncationError(
-                f"value moved by {mp.nstr(mp.ldexp(moved, -2 * bits), 8)} when widening "
-                f"dim {dim} -> {dim + STABILITY_STEP}")
-        value = wider
+        wider = _expectation_prefixes(p, n, amps, ops)
+        for value, wide in zip(values, wider):
+            moved = abs(value - wide)
+            if moved << precision // 2 > max(abs(value), abs(wide), 1 << 2 * bits):
+                raise FockTruncationError(
+                    f"value moved by {mp.nstr(mp.ldexp(moved, -2 * bits), 8)} when widening "
+                    f"dim {dim} -> {dim + STABILITY_STEP}")
+        values = wider
     with mp.workprec(precision):
-        return BigFloat(value=mp.ldexp(mp.mpf(value), -2 * bits), precision_bits=precision)
+        return [BigFloat(value=mp.ldexp(mp.mpf(v), -2 * bits), precision_bits=precision)
+                for v in values]
 
+
+def expectation_power(
+    p: Params, n: int, z: RationalLike, dim: int,
+    precision: int = DEFAULT_PRECISION_BITS,
+    check_stability: bool = True,
+) -> BigFloat:
+    """<z| [(a+)^r a^s]^n |z> on the truncated space: the last value of
+    expectation_powers.  With ``check_stability`` the powers below n are
+    tested too, so a truncation that moves any of them is reported."""
+    return expectation_powers(p, n, z, dim, precision, check_stability)[-1]

@@ -263,28 +263,46 @@ class TestParserIsBuiltOnce:
 class TestFockSuiteComputesEachValueOnce:
     @staticmethod
     def recording(monkeypatch, shifted=None):
-        """Record each (r, s, n, z) passed to expectation_power, and move the
-        value of the ``shifted`` case by 2^-70."""
+        """Record each (r, s, n, z) passed to expectation_powers, and move the
+        value at power k of the ``shifted`` case (r, s, k, z) by 2^-70."""
         calls = []
-        expectation_power = fock_numeric.expectation_power
+        expectation_powers = fock_numeric.expectation_powers
 
         def wrapper(p, n, z, *args, **kwargs):
-            case = (p.r, p.s, n, Fraction(z))
-            calls.append(case)
-            value = expectation_power(p, n, z, *args, **kwargs)
-            if case == shifted:
-                with mp.workprec(value.precision_bits + 64):
-                    value = replace(value, value=value.value + mp.mpf(2) ** -70)
-            return value
+            calls.append((p.r, p.s, n, Fraction(z)))
+            values = expectation_powers(p, n, z, *args, **kwargs)
+            for k, value in enumerate(values, 1):
+                if (p.r, p.s, k, Fraction(z)) == shifted:
+                    with mp.workprec(value.precision_bits + 64):
+                        values[k - 1] = replace(value, value=value.value + mp.mpf(2) ** -70)
+            return values
 
-        monkeypatch.setattr(fock_numeric, "expectation_power", wrapper)
+        monkeypatch.setattr(fock_numeric, "expectation_powers", wrapper)
         return calls
 
     def test_one_expectation_per_case(self, capsys, monkeypatch):
         calls = self.recording(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "fock")
         assert code == 0 and out.endswith("36 passed, 0 failed\n")
-        assert len(calls) == len(set(calls)) == 30
+        assert sorted(calls) == sorted(
+            (r, s, n, z) for (r, s, n) in ((1, 1, 6), (2, 1, 3), (2, 2, 3), (1, 2, 3))
+            for z in (Fraction(1, 2), Fraction(1)))
+        assert len({(r, s, z) for (r, s, _, z) in calls}) == len(calls) == 8
+
+    def test_every_word_is_applied_one_letter_per_step(self, capsys, monkeypatch):
+        # per word and z: 2 passes x n x (r + s) letters, (1,1) to n = 6 and
+        # (2,1), (2,2), (1,2) to n = 3: 2 x (24 + 18 + 24 + 18) = 168 steps
+        letters = []
+        apply_operator = fock_numeric.apply_operator
+
+        def recording_apply(op, vec):
+            letters.append(op.shift)
+            return apply_operator(op, vec)
+
+        monkeypatch.setattr(fock_numeric, "apply_operator", recording_apply)
+        code, _, _ = run_cli(capsys, "verify", "fock")
+        assert code == 0
+        assert len(letters) == 168 and set(letters) == {1, -1}
 
     def test_katriel_checks_read_the_suite_value(self, capsys, monkeypatch):
         calls = self.recording(monkeypatch, shifted=(1, 1, 3, 1))
@@ -295,30 +313,36 @@ class TestFockSuiteComputesEachValueOnce:
             "<z|[(a+)^1 a^1]^3|z> at z=1, dim 128(+16) matches the exact polynomial",
             "number-operator expectation at z=1 gives 5 (n=3)",
         ]
-        assert calls.count((1, 1, 3, 1)) == 1
+        assert calls.count((1, 1, 6, 1)) == 1
 
 
 class TestFockToleranceFollowsPrecision:
     @staticmethod
     def run_offset(capsys, monkeypatch, prec, offset):
         """verify fock at ``prec`` with every value moved off its exact
-        polynomial by offset(exact)."""
-        def moved(p, n, z, dim, precision):
-            exact = z ** (n * abs(p.r - p.s)) * stirling_bell.bell_polynomial(p, n, z * z)
-            return BigFloat.from_fraction(exact + offset(exact), precision + 128)
+        polynomial by offset(exact); returns the CLI result and the calls."""
+        calls = []
 
-        monkeypatch.setattr(fock_numeric, "expectation_power", moved)
-        return run_cli(capsys, "--prec", str(prec), "verify", "fock")
+        def moved(p, n, z, dim, precision):
+            calls.append((p.r, p.s, n, z))
+            exact = [z ** (k * abs(p.r - p.s)) * stirling_bell.bell_polynomial(p, k, z * z)
+                     for k in range(1, n + 1)]
+            return tuple(BigFloat.from_fraction(x + offset(x), precision + 128) for x in exact)
+
+        monkeypatch.setattr(fock_numeric, "expectation_powers", moved)
+        return run_cli(capsys, "--prec", str(prec), "verify", "fock"), calls
 
     def test_low_precision_allows_its_own_rounding(self, capsys, monkeypatch):
-        code, out, _ = self.run_offset(
+        (code, out, _), calls = self.run_offset(
             capsys, monkeypatch, 64, lambda exact: abs(exact) / 2**62)
         assert code == 0 and out.endswith("36 passed, 0 failed\n")
+        assert len(calls) == 8
 
     def test_high_precision_rejects_a_2_to_the_minus_100_error(self, capsys, monkeypatch):
-        code, out, _ = self.run_offset(
+        (code, out, _), calls = self.run_offset(
             capsys, monkeypatch, 256, lambda exact: max(abs(exact), Fraction(1)) / 2**100)
         assert code == 1 and out.endswith("0 passed, 36 failed\n")
+        assert len(calls) == 8
 
 
 class TestExitCodes:

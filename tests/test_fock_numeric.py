@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,33 @@ from bosonbell.fock_numeric import (
     build_ops,
     coherent_state,
     expectation_power,
+    expectation_powers,
 )
 from bosonbell.stirling_bell import Params, bell_polynomial
+
+# the words of the verify fock suite, each with its highest power
+SUITE_WORDS = ((1, 1, 6), (2, 1, 3), (2, 2, 3), (1, 2, 3))
+
+
+def single_power_reference(p, n, z, dim, precision, check_stability):
+    """<z|[(a+)^r a^s]^n|z> by the single-n path: one table at dim + 16, a
+    narrow and a wide pass from the start, one sum; the value is the wide one."""
+    ops = build_ops(dim + 16 if check_stability else dim, precision)
+    bits = ops[0].bits
+    amps = fock_numeric._coherent(z, ops[0].roots, bits, dim, fock_numeric.tolerance(precision)).amps
+
+    def once(amps, ops):
+        vec = list(amps)
+        for _ in range(n):
+            for op in [ops[0]] * p.s + [ops[1]] * p.r:
+                vec = apply_operator(op, vec)
+        return sum(b * x for b, x in zip(amps, vec))
+
+    value = once(amps[:dim], [replace(op, roots=op.roots[:dim]) for op in ops])
+    if check_stability:
+        value = once(amps, ops)
+    with mp.workprec(precision):
+        return mp.ldexp(mp.mpf(value), -2 * bits)
 
 
 class TestBuildOps:
@@ -186,6 +212,7 @@ class TestExpectationPower:
 
     @pytest.mark.parametrize("check_stability", [True, False])
     def test_one_sqrt_table_per_expectation(self, monkeypatch, check_stability):
+        # one table per call, whether it returns one power or all of 1..n
         dims = []
 
         def counting_build_ops(dim, precision):
@@ -195,6 +222,8 @@ class TestExpectationPower:
         monkeypatch.setattr(fock_numeric, "build_ops", counting_build_ops)
         expectation_power(Params(2, 1), 2, Fraction(1, 2), 128, check_stability=check_stability)
         assert dims == [144 if check_stability else 128]
+        expectation_powers(Params(1, 1), 6, 1, 128, check_stability=check_stability)
+        assert dims == [144 if check_stability else 128] * 2
 
     def test_operators_and_coherent_vector_share_one_sqrt_table(self, monkeypatch):
         # build_ops at dim + 16 takes all 144 roots, math.isqrt(n << 2F) for
@@ -245,7 +274,8 @@ class TestExpectationPower:
 
     def test_apply_and_build_counts_of_one_expectation(self, monkeypatch):
         # 2 passes x n = 3 x (s + r) = 3 letters: 18 applications, 9 on the
-        # narrow dim-128 prefix and 9 on the dim-144 table, built once
+        # narrow dim-128 prefix and 9 on the dim-144 table, built once; the
+        # values for n = 1 and 2 come from the same pass at no extra step
         built, applied = [], []
         build_ops_, apply_operator_ = fock_numeric.build_ops, fock_numeric.apply_operator
 
@@ -260,6 +290,11 @@ class TestExpectationPower:
         monkeypatch.setattr(fock_numeric, "build_ops", counting_build_ops)
         monkeypatch.setattr(fock_numeric, "apply_operator", counting_apply)
         expectation_power(Params(2, 1), 3, Fraction(1, 2), 128)
+        assert built == [144]
+        assert applied == [128] * 9 + [144] * 9
+        built.clear()
+        applied.clear()
+        expectation_powers(Params(2, 1), 3, Fraction(1, 2), 128)
         assert built == [144]
         assert applied == [128] * 9 + [144] * 9
 
@@ -277,6 +312,43 @@ class TestExpectationPower:
                 value = expectation_power(p, n, z, dim, precision)
                 exact = z ** (n * abs(r - s)) * bell_polynomial(p, n, z * z)
                 assert value.to_fraction() == exact, (r, s, n, z)
+
+    def test_powers_return_every_prefix_in_order(self):
+        values = expectation_powers(Params(1, 1), 6, 1, 128)
+        assert [v.to_fraction() for v in values] == [1, 2, 5, 15, 52, 203]
+        assert values[-1] == expectation_power(Params(1, 1), 6, 1, 128)
+
+    @pytest.mark.parametrize("check_stability", [True, False])
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    def test_prefix_values_equal_the_single_power_path_bit_for_bit(self, precision, check_stability):
+        dim = fock_numeric.dimension_for(precision)
+        for (r, s, top) in SUITE_WORDS:
+            p = Params(r, s)
+            for z in (Fraction(1, 2), Fraction(1)):
+                values = expectation_powers(p, top, z, dim, precision, check_stability)
+                assert len(values) == top
+                for n, value in enumerate(values, 1):
+                    assert value.precision_bits == precision
+                    assert value.value == single_power_reference(
+                        p, n, z, dim, precision, check_stability), (r, s, n, z)
+
+    def test_stability_test_reads_every_power_not_only_the_last(self, monkeypatch):
+        # move the wide pass's n = 1 sum by 1 (2^(2F) in its units), far past
+        # 2^-128; the values for n = 2 and 3 are untouched
+        prefixes = fock_numeric._expectation_prefixes
+
+        def moved_first_wide_sum(p, n, amps, ops):
+            sums = prefixes(p, n, amps, ops)
+            if ops[0].dim == 144:
+                sums[0] += 1 << 2 * ops[0].bits
+            return sums
+
+        monkeypatch.setattr(fock_numeric, "_expectation_prefixes", moved_first_wide_sum)
+        with pytest.raises(FockTruncationError, match=r"^value moved by 1\.0 when widening dim 128 -> 144$"):
+            expectation_powers(Params(1, 1), 3, 1, 128)
+        with pytest.raises(FockTruncationError, match="when widening dim 128 -> 144$"):
+            expectation_power(Params(1, 1), 3, 1, 128)
+        assert expectation_power(Params(1, 1), 3, 1, 128, check_stability=False).to_fraction() == 5
 
     def test_truncation_rejected_when_word_cannot_fit(self):
         with pytest.raises(FockTruncationError):
