@@ -68,7 +68,6 @@ from .stirling_bell import (
     connection_identity_check,
     lah_closed_form,
     stirling,
-    stirling_diag_recurrence,
     stirling_diffop,
     stirling_explicit,
     triangle,

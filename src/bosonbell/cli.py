@@ -124,11 +124,12 @@ def _suite_oracle(args) -> list:
                     f"S_({r},{s})(n={n},.): finite sum = differential route = word rewriting",
                     ok, detail))
             if r == s:
-                # the recurrence multiplies by the word on the left, the table's
-                # _next_row on the right; they share no code, but on the diagonal
-                # their steps are equal, so this guards code, not a second identity
-                tri = stirling_bell.stirling_diag_recurrence(r, args.nmax)
-                ok = all(tri.row(n) == explicit_rows[n] for n in range(1, args.nmax + 1))
+                # the table's recurrence stepped afresh from row 0: unmemoized
+                # and unperturbed, so it checks _next_row itself
+                row, ok = {0: 1}, True
+                for n in range(1, args.nmax + 1):
+                    row = stirling_bell._next_row(p, row)
+                    ok = ok and row == explicit_rows[n]
                 checks.append(Check(
                     f"S_({r},{r}): diagonal recurrence matches the finite sum", ok))
     rng = random.Random(args.seed)
@@ -156,9 +157,11 @@ def _suite_symmetry(args) -> list:
         for s in range(1, args.rmax + 1):
             if r == s:
                 continue
-            p, q = Params(r, s), Params(s, r)
+            # the explicit sum of (r,s) against the table (_next_row) of (s,r)
+            table = stirling_bell.triangle(Params(s, r), args.nmax)
+            p = Params(r, s)
             ok = all(
-                stirling_bell.stirling(p, n, k) == stirling_bell.stirling(q, n, k)
+                stirling_bell.stirling(p, n, k) == table.value(n, k)
                 for n in range(1, args.nmax + 1)
                 for k in p.band(n)
             )

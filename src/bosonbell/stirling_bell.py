@@ -5,11 +5,16 @@ ordered expansion of [(a+)^r a^s]^n, where a, a+ are boson operators with
 [a, a+] = 1.  For r >= s the entries are nonzero exactly on the band
 s <= k <= n s; for r < s the band is r <= k <= n r and the values follow
 from the symmetry S_{r,s} = S_{s,r}.  Triangles are grown row by row with
-the Wick recurrence of ``_next_row``; independent routes check them:
+the Wick recurrence of ``_next_row``, the one recurrence for S_{r,s} here;
+independent routes check them:
 
 * the explicit alternating finite sum, also the route of ``stirling``,
 * a differential-operator route (apply x^r d^s/dx^s repeatedly),
 * and, in :mod:`bosonbell.boson_oracle`, literal rewriting of boson words.
+
+``stirling`` and ``_next_row`` both take the larger exponent as r, so
+the symmetry is checked across two routes: ``stirling`` of (r, s) against
+``triangle`` of (s, r).
 
 B_{r,s}(n) is the row sum of the triangle, with B_{r,s}(0) = 1 by
 convention; B_{r,s}(n, t) = sum_k S_{r,s}(n,k) t^k extends the row sums
@@ -265,36 +270,6 @@ def triangle(p: Params, n_max: int) -> StirlingTriangle:
             rows[n] = _next_row(p, rows[n - 1])
         snapshot = {n: _overlay(p, n, rows[n]) for n in range(1, n_max + 1)}
     return StirlingTriangle(n_max=n_max, rows=snapshot)
-
-
-def stirling_diag_recurrence(r: int, n_max: int) -> StirlingTriangle:
-    """S_{r,r} from the left-multiplication recurrence, unmemoized and
-    unperturbed, and independent of the table's ``_next_row``.
-
-    Left-multiplying the row-n normal form sum_k S(n,k) (a+)^(k+d) a^k,
-    d = n(r-s), by (a+)^r a^s and reordering with
-    a^s (a+)^m = sum_j C(s,j) m^falling(j) (a+)^(m-j) a^(s-j) gives
-    S(n+1, k+s-j) += C(s,j) (k+d)^falling(j) S(n,k); on the diagonal d = 0.
-    For r = 1 it is the classical S(n+1,k) = k S(n,k) + S(n,k-1).
-
-    On the diagonal this is not a second identity.  The step coefficient
-    C(r,j) k^falling(j) = r! k! / (j! (r-j)! (k-j)!) equals the producer's
-    C(k,j) r^falling(j), and both send S(n,k) to k + r - j: the two
-    recurrences are one recurrence coded twice, sharing no code.  Its check
-    against the finite sum therefore guards this code, not the Wick
-    identity, which the table's own check against the finite sum covers.
-    A route independent of the recurrence is the rook numbers of the word's
-    Ferrers board (Varvak; the rook-row item of ROADMAP.md)."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rows = [{0: 1}]
-    for _ in range(n_max):
-        out: Dict[int, int] = {}
-        for k, v in rows[-1].items():
-            for j in range(min(k, r) + 1):
-                out[k + r - j] = out.get(k + r - j, 0) + binomial(r, j) * falling_factorial(k, j) * v
-        rows.append(out)
-    return StirlingTriangle(n_max=n_max, rows=dict(enumerate(rows[1:], 1)))
 
 
 def anti_stirling(p: Params, n: int, k: int) -> int:

@@ -1,0 +1,157 @@
+"""Route audit: every route can fail a check, and a read perturbation is caught.
+
+Each route's entry point is patched with a small wrong-value mutant and
+``verify all`` runs in process.  Every mutant must fail some check, and the
+checks that no mutant fails must be exactly ``UNCAUGHT``: checks whose two
+sides both go through one route, so that no wrong value of that route shows.
+"""
+
+import contextlib
+import io
+import json
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from bosonbell import boson_oracle, cli, fock_numeric, series_eval, stirling_bell
+from bosonbell.exact_core import BigFloat, PowerSeries
+from bosonbell.stirling_bell import Params
+
+SMALL = Fraction(1, 2**32)
+
+
+def _top_entry_plus(delta):
+    """Mutant of a point-read route: ``delta`` added to the top band entry k = n s."""
+    return lambda real: lambda p, n, k: real(p, n, k) + (delta if k == n * p.s else 0)
+
+
+def _top_row_entry_plus_one(real):
+    def next_row(p, row):
+        out = real(p, row)
+        out[max(out)] += 1
+        return out
+    return next_row
+
+
+def _top_term_plus_one(real):
+    def normalize(word, *args, **kwargs):
+        nf = real(word, *args, **kwargs)
+        top = max(nf.terms)
+        return replace(nf, terms={**nf.terms, top: nf.terms[top] + 1})
+    return normalize
+
+
+def _value_moved(real):
+    def dobinski(*args, **kwargs):
+        sv = real(*args, **kwargs)
+        v = sv.value.to_fraction()
+        return replace(sv, value=BigFloat.from_fraction(v + SMALL * max(abs(v), 1),
+                                                        sv.precision_bits))
+    return dobinski
+
+
+def _interval_moved(real):
+    def enclosure(*args):
+        iv, used = real(*args)
+        return iv + SMALL, used
+    return enclosure
+
+
+# route -> (owner, entry point, mutant factory); the routes of ROADMAP item 5
+MUTANTS = {
+    "explicit sum": (stirling_bell, "stirling_explicit", _top_entry_plus(7)),
+    "differential operator": (stirling_bell, "stirling_diffop", _top_entry_plus(1)),
+    "table": (stirling_bell, "_next_row", _top_row_entry_plus_one),
+    "rewriter": (boson_oracle, "normalize", _top_term_plus_one),
+    "Dobinski stream": (series_eval, "dobinski_polynomial", _value_moved),
+    "pFq": (series_eval, "_hyp_enclosure", _interval_moved),
+    "egf power series": (PowerSeries, "coeff",
+                         lambda real: lambda self, n: real(self, n) + (SMALL if n == 2 else 0)),
+    "Fock": (fock_numeric, "apply_operator",
+             lambda real: lambda op, vec: [x + (x >> 32) for x in real(op, vec)]),
+    "Laguerre": (series_eval, "laguerre_value",
+                 lambda real: lambda *args, **kwargs: real(*args, **kwargs) + SMALL),
+}
+
+UNCAUGHT = [
+    "rewrite confluence: leftmost = rightmost = random strategy on random words",
+    *(f"word rewriting row for ({r},{s}) equals its conjugate ({s},{r}), n={n}"
+      for r in (1, 2, 3) for s in (1, 2, 3) for n in (1, 2, 3, 4)),
+    "r=1 recursion is the plain binomial transform",
+]
+
+# the checks whose two sides are the explicit sum and the table's _next_row
+REROUTED = [f"S_({r},{r}): diagonal recurrence matches the finite sum" for r in (1, 2, 3)] + [
+    f"S_({r},{s}) = S_({s},{r}) on the common band"
+    for r in (1, 2, 3) for s in (1, 2, 3) if r != s]
+
+
+def _verify_all():
+    """Exit code and checks of ``verify all --json``, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--json", "verify", "all"])
+    return code, json.loads(out.getvalue())["checks"]
+
+
+@pytest.fixture(scope="module")
+def mutant_runs():
+    """route -> (exit code, checks) of ``verify all`` under the route's
+    mutant, and None -> the clean run.  The triangle memo is cleared
+    around each run, so no mutated row outlives it."""
+    runs = {None: _verify_all()}
+    for route, (owner, name, make) in MUTANTS.items():
+        real = getattr(owner, name)
+        stirling_bell.clear_perturbations()
+        setattr(owner, name, make(real))
+        try:
+            runs[route] = _verify_all()
+        finally:
+            setattr(owner, name, real)
+            stirling_bell.clear_perturbations()
+    return runs
+
+
+def _failed_positions(checks):
+    # by position: some names print a value read from the table
+    return {i for i, c in enumerate(checks) if not c["ok"]}
+
+
+@pytest.mark.parametrize("route", MUTANTS)
+def test_every_route_mutant_fails_a_check(mutant_runs, route):
+    code, checks = mutant_runs[route]
+    assert code == 1 and len(checks) == len(mutant_runs[None][1])
+    assert _failed_positions(checks)
+
+
+def test_the_checks_no_mutant_fails_are_the_listed_ones(mutant_runs):
+    code, clean = mutant_runs[None]
+    assert code == 0
+    caught = set().union(*(_failed_positions(checks)
+                           for route, (_, checks) in mutant_runs.items() if route))
+    assert [c["name"] for i, c in enumerate(clean) if i not in caught] == UNCAUGHT
+    assert not set(REROUTED) & set(UNCAUGHT)
+
+
+def _row_four_entries():
+    for r in (1, 2, 3):
+        for s in (1, 2, 3):
+            for k in Params(r, s).band(4):
+                yield r, s, k
+
+
+@pytest.mark.parametrize("suite", ["oracle", "symmetry", "egf"])
+def test_a_read_perturbation_is_a_caught_one(capsys, suite):
+    """``verify SUITE --perturb`` on any row-4 entry exits 1, and either no
+    check read the entry or some check outside ``perturb`` failed: a suite
+    that reads an entry no check compares would pass it silently."""
+    entries = list(_row_four_entries())
+    assert len(entries) == 51
+    for r, s, k in entries:
+        code = cli.main(["--json", "verify", suite, "--perturb", f"{r},{s},4,{k}"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        perturb = [c for c in checks if c["suite"] == "perturb"]
+        assert code == 1, (r, s, k)
+        assert (perturb[0]["detail"] == "reads=0"
+                or any(not c["ok"] for c in checks if c["suite"] != "perturb")), (r, s, k)

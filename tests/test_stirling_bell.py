@@ -20,7 +20,6 @@ from bosonbell.stirling_bell import (
     perturbation_reads,
     set_perturbation,
     stirling,
-    stirling_diag_recurrence,
     stirling_diffop,
     stirling_explicit,
     triangle,
@@ -87,55 +86,6 @@ class TestDiffop:
         assert stirling_diffop(Params(2, 1), 2, 2) == 1
 
 
-class TestDiagonalRecurrence:
-    def test_r1_reduces_to_classical_recurrence(self):
-        tri = stirling_diag_recurrence(1, 10)
-        for n in range(1, 10):
-            for k in range(1, n + 2):
-                assert tri.value(n + 1, k) == k * tri.value(n, k) + tri.value(n, k - 1)
-
-    def test_r2_row2(self):
-        assert stirling_diag_recurrence(2, 2).row(2) == {2: 2, 3: 4, 4: 1}
-
-    def test_first_row_is_unit(self):
-        for r in (1, 2, 3):
-            assert stirling_diag_recurrence(r, 1).row(1) == {r: 1}
-
-    def test_matches_explicit(self):
-        for r in (1, 2, 3):
-            tri = stirling_diag_recurrence(r, 5)
-            p = Params(r, r)
-            for n in range(1, 6):
-                assert tri.row(n) == {k: stirling(p, n, k) for k in p.band(n)
-                                      if stirling(p, n, k)}
-
-    def test_independent_of_the_table_step(self, monkeypatch, capsys):
-        from bosonbell import cli, stirling_bell
-
-        real_next_row = stirling_bell._next_row
-
-        def broken_next_row(p, row):
-            out = real_next_row(p, row)
-            out[max(out)] += 1
-            return out
-
-        clear_perturbations()
-        monkeypatch.setattr(stirling_bell, "_next_row", broken_next_row)
-        try:
-            for r in (1, 2, 3, 4):
-                p = Params(r, r)
-                tri = stirling_diag_recurrence(r, 6)
-                for n in range(1, 7):
-                    assert tri.row(n) == {k: stirling_explicit(p, n, k) for k in p.band(n)}
-            assert cli.main(["--json", "verify", "oracle"]) == 1
-        finally:
-            clear_perturbations()
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        diagonal = [c for c in checks if "diagonal recurrence" in c["name"]]
-        assert len(diagonal) == 3 and all(c["ok"] for c in diagonal)
-        assert not all(c["ok"] for c in checks)
-
-
 class TestSymmetry:
     def test_swapped_equals_swapped_params(self):
         assert stirling(Params(1, 2), 2, 2) == 1
@@ -152,6 +102,21 @@ class TestSymmetry:
                 for n in range(1, 5):
                     for k in p.band(n):
                         assert stirling(p, n, k) == stirling(q, n, k)
+
+    def test_explicit_sum_mutant_fails_the_symmetry_checks(self, monkeypatch, capsys):
+        """Each symmetry check reads the explicit sum on one side only, so a
+        wrong explicit sum fails all six, even though ``stirling`` reads it
+        for both orders."""
+        from bosonbell import cli, stirling_bell
+
+        explicit = stirling_bell.stirling_explicit
+        monkeypatch.setattr(stirling_bell, "stirling_explicit",
+                            lambda p, n, k: explicit(p, n, k) + (7 if k == n * p.s else 0))
+        assert cli.main(["--json", "verify", "symmetry"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        band = [c for c in checks if c["name"].endswith("on the common band")]
+        assert len(band) == 6 and not any(c["ok"] for c in band)
+        assert all(c["ok"] for c in checks if c not in band)
 
 
 class TestAntiStirling:
@@ -310,6 +275,43 @@ def test_triangle_cache_is_thread_safe():
 
 
 class TestRowRecurrence:
+    def test_r1_reduces_to_classical_recurrence(self):
+        tri = triangle(Params(1, 1), 10)
+        for n in range(1, 10):
+            for k in range(1, n + 2):
+                assert tri.value(n + 1, k) == k * tri.value(n, k) + tri.value(n, k - 1)
+
+    def test_r2_row2(self):
+        assert triangle(Params(2, 2), 2).row(2) == {2: 2, 3: 4, 4: 1}
+
+    def test_first_row_is_unit(self):
+        for r in (1, 2, 3):
+            assert triangle(Params(r, r), 1).row(1) == {r: 1}
+
+    def test_diagonal_and_symmetry_checks_fail_with_the_table_step(self, monkeypatch, capsys):
+        from bosonbell import cli, stirling_bell
+
+        real_next_row = stirling_bell._next_row
+
+        def broken_next_row(p, row):
+            out = real_next_row(p, row)
+            out[max(out)] += 1
+            return out
+
+        clear_perturbations()
+        monkeypatch.setattr(stirling_bell, "_next_row", broken_next_row)
+        try:
+            assert cli.main(["--json", "verify", "oracle"]) == 1
+            assert cli.main(["--json", "verify", "symmetry"]) == 1
+        finally:
+            clear_perturbations()
+        oracle, symmetry = (json.loads(out)["checks"]
+                            for out in capsys.readouterr().out.splitlines())
+        diagonal = [c for c in oracle if "diagonal recurrence" in c["name"]]
+        band = [c for c in symmetry if c["name"].endswith("on the common band")]
+        assert len(diagonal) == 3 and not any(c["ok"] for c in diagonal)
+        assert len(band) == 6 and not any(c["ok"] for c in band)
+
     def test_matches_the_explicit_sum_for_every_order(self):
         clear_perturbations()
         for r in range(1, 5):
