@@ -332,24 +332,30 @@ def lah_closed_form(n: int, k: int) -> int:
     return factorial(n) // factorial(k) * binomial(n - 1, k - 1)
 
 
-def connection_identity_check(p: Params, n: int, x: int) -> bool:
+def connection_identity_check(p: Params, n: int, x: int, *more: int) -> bool:
     """Triangle entries as connection coefficients between falling factorials:
 
     prod_{j=1}^{n} (x + (j-1)(r-s))^falling(s)
         = sum_k S_{r,s}(n,k) x^falling(k),
 
-    evaluated at an integer x.  Must hold identically (r >= s).
+    evaluated at the integer x and at each further integer in ``more``;
+    true iff it holds at every point.  Row n is read through ``stirling``
+    once for all points, which are tested in order up to the first that
+    fails.  Must hold identically (r >= s).
     """
     r, s = p.r, p.s
     if r < s:
         raise ValueError("connection_identity_check requires r >= s")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lhs = 1
-    for j in range(n):
-        lhs *= falling_factorial(x + j * (r - s), s)
-    rhs = sum(stirling(p, n, k) * falling_factorial(x, k) for k in p.band(n))
-    return lhs == rhs
+    row = [(k, stirling(p, n, k)) for k in p.band(n)]
+    for y in (x, *more):
+        lhs = 1
+        for j in range(n):
+            lhs *= falling_factorial(y + j * (r - s), s)
+        if lhs != sum(v * falling_factorial(y, k) for k, v in row):
+            return False
+    return True
 
 
 def bell_recurrence_r1(r: int, n_max: int) -> BellSequence:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from bosonbell import cli, fock_numeric, stirling_bell
+from bosonbell import boson_oracle, cli, fock_numeric, series_eval, stirling_bell
 from bosonbell.exact_core import BigFloat
 from bosonbell.fock_numeric import FockTruncationError
 from bosonbell.stirling_bell import Params, stirling
@@ -314,6 +314,67 @@ class TestFockSuiteComputesEachValueOnce:
             "number-operator expectation at z=1 gives 5 (n=3)",
         ]
         assert calls.count((1, 1, 6, 1)) == 1
+
+
+def counting(monkeypatch, module, name, key):
+    """Wrap module.name so that each call appends key(*args) to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSuitesComputeEachValueOnce:
+    def test_dobinski_sums_each_series_once(self, capsys, monkeypatch):
+        # 36 Bell checks need the 24 series of r >= s; the 27 weighted checks
+        # add 18 at t != 1, and their t = 1 series are Bell series
+        sums = counting(monkeypatch, series_eval, "dobinski_polynomial",
+                        lambda p, n, t: (max(p.r, p.s), min(p.r, p.s), n, Fraction(t)))
+        gamma = counting(monkeypatch, series_eval, "dobinski_gamma_form",
+                         lambda p, n: (p.r, p.s, n))
+        code, out, _ = run_cli(capsys, "verify", "dobinski")
+        assert code == 0 and out.endswith("75 passed, 0 failed\n")
+        assert len(sums) == len(set(sums)) == 42
+        assert len(gamma) == len(set(gamma)) == 12
+
+    def test_symmetry_rewrites_each_word_once(self, capsys, monkeypatch):
+        words = counting(monkeypatch, boson_oracle, "extract_stirling_row",
+                         lambda p, n: (p.r, p.s, n))
+        code, out, _ = run_cli(capsys, "verify", "symmetry")
+        assert code == 0 and out.endswith("42 passed, 0 failed\n")
+        assert sorted(words) == [(r, s, n) for r in (1, 2, 3) for s in (1, 2, 3)
+                                 for n in (1, 2, 3, 4)]
+
+    def test_connection_reads_each_entry_once(self, capsys, monkeypatch):
+        reads = counting(monkeypatch, stirling_bell, "stirling",
+                         lambda p, n, k: (p.r, p.s, n, k))
+        code, out, _ = run_cli(capsys, "verify", "connection")
+        assert code == 0 and out.endswith("6 passed, 0 failed\n")
+        assert sorted(reads) == [(r, s, n, k) for r in (1, 2, 3) for s in range(1, r + 1)
+                                 for n in (1, 2, 3, 4) for k in Params(r, s).band(n)]
+
+    def test_shared_series_reads_its_own_table(self, capsys):
+        # the series of (r, s), r < s, is summed as that of (s, r), but the
+        # check of (r, s, n) still compares it with its own row sum
+        code, out, _ = run_cli(capsys, "--json", "verify", "dobinski", "--perturb", "1,3,2,2")
+        assert code == 1
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == [
+            "series B_(1,3)(2) brackets the exact value 5"]
+        for r, s in ((1, 2), (1, 3), (2, 3)):
+            p = Params(r, s)
+            for n in (1, 2, 3, 4):
+                for k in p.band(n):
+                    code, out, _ = run_cli(capsys, "--json", "verify", "dobinski",
+                                           "--perturb", f"{r},{s},{n},{k}")
+                    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+                    exact = stirling_bell.bell_number(p, n) + 1
+                    assert code == 1 and failed == [
+                        f"series B_({r},{s})({n}) brackets the exact value {exact}"]
 
 
 class TestFockToleranceFollowsPrecision:

@@ -187,6 +187,40 @@ class TestConnectionIdentity:
         if r >= s:
             assert connection_identity_check(Params(r, s), n, x)
 
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=12),
+           st.sampled_from([None, -2, 1]),
+           st.lists(st.integers(min_value=-6, max_value=8), min_size=1, max_size=6))
+    def test_several_points_are_the_conjunction_of_one_point_calls(
+            self, r, s, n, k_offset, delta, xs):
+        # a perturbed entry fails some points and not others: x^falling(k)
+        # vanishes at 0 <= x < k
+        r, s = max(r, s), min(r, s)
+        p = Params(r, s)
+        band = p.band(n)
+        k = band[k_offset % len(band)]
+        try:
+            if delta is not None:
+                set_perturbation(p, n, k, delta)
+            one_by_one = all(connection_identity_check(p, n, x) for x in xs)
+            assert connection_identity_check(p, n, *xs) == one_by_one
+        finally:
+            clear_perturbations()
+
+    def test_several_points_read_the_row_once(self):
+        p = Params(3, 2)
+        try:
+            set_perturbation(p, 3, 4, 1)
+            # the perturbed entry fails only at the last point, 4^falling(4) != 0
+            assert not connection_identity_check(p, 3, 0, 1, 2, 3, 4)
+            assert perturbation_reads(p, 3, 4) == 1
+        finally:
+            clear_perturbations()
+
+    def test_no_point_is_an_error(self):
+        with pytest.raises(TypeError):
+            connection_identity_check(Params(1, 1), 2)
+
 
 class TestBellRecurrence:
     def test_r1_binomial_transform(self):
