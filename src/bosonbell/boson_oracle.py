@@ -8,6 +8,14 @@ The engine keeps a multiset of weighted words and merges equal words
 eagerly, processing them in order of decreasing inversion count, which
 both guarantees termination and keeps the live set small.
 
+The input string is validated and capped as a string; inside the engine
+each live word is one int, its letters as bits ("A" = 1, "a" = 0, the
+first letter highest) under a marker 1 that keeps leading annihilators.
+A pair "aA" is then a set bit under a clear one, found with bit
+operations, and both children are cut from the parent's bits without
+building a string.  The normal words left at the end are read back by
+bit count and bit length.
+
 Only the input word's inversion count is counted letter by letter; each
 child's count is stepped from its parent's.  Rewriting the "aA" at
 positions i, i+1 of a word with ``inv`` inversions gives the swapped
@@ -39,6 +47,7 @@ DEFAULT_WORD_CAP = 64
 RANDOM_WORD_CAP = 24
 
 _SWAP_LETTERS = str.maketrans({ANNIHILATE: CREATE, CREATE: ANNIHILATE})
+_BITS = str.maketrans({ANNIHILATE: "0", CREATE: "1"})
 
 
 class WordLengthError(ValueError):
@@ -94,10 +103,6 @@ def _inversions(word: str) -> int:
     return inv
 
 
-def _reducible_positions(word: str):
-    return [i for i in range(len(word) - 1) if word[i] == ANNIHILATE and word[i + 1] == CREATE]
-
-
 def normalize(word: str, strategy: str = "leftmost", rng: random.Random | None = None) -> NormalForm:
     """Normal-order a boson word by exhaustive rewriting of aA pairs.
 
@@ -107,30 +112,42 @@ def normalize(word: str, strategy: str = "leftmost", rng: random.Random | None =
     count downward visits each distinct word once.  The result's
     ``words_rewritten`` counts those visits.
 
+    The live words are held as ints: letter ``i`` of an ``L``-letter word
+    is bit ``L-1-i``, 1 for "A" and 0 for "a", under a marker 1 at bit
+    ``L`` that keeps leading annihilators.  The pair at letters i, i+1 is
+    bit ``j = L-2-i`` set and bit ``j+1`` clear, so the pairs are the set
+    bits of ``(w & ~(w >> 1)) ^ (1 << L)``; rewriting one flips both bits
+    for the swapped child and cuts both out for the deleted one.
+
     ``strategy`` picks which reducible pair is rewritten: "leftmost",
-    "rightmost", or "random" (requires ``rng``).  The result is the same
-    for every strategy; the choice exists so tests can confirm that.
-    Words longer than ``DEFAULT_WORD_CAP`` letters, or than
-    ``RANDOM_WORD_CAP`` for "random", raise :class:`WordLengthError`
-    before any rewriting.
+    "rightmost", or "random" (requires ``rng``; it draws from the pairs
+    in increasing letter position).  The result is the same for every
+    strategy; the choice exists so tests can confirm that.  Words longer
+    than ``DEFAULT_WORD_CAP`` letters, or than ``RANDOM_WORD_CAP`` for
+    "random", raise :class:`WordLengthError` before any rewriting.
     """
     word = _validate_word(word, RANDOM_WORD_CAP if strategy == "random" else DEFAULT_WORD_CAP)
-    # index, not find: a word without an "aA" in a bucket above 0 raises
-    # instead of being cut at position -1
+    # the set bits of a word's pair mask m are the bits j of its "aA"
+    # pairs.  A word without a pair filed in a bucket above 0 has m == 0,
+    # so j == -1 and the shift 3 << j raises (rng.choice raises on an
+    # empty list) instead of rewriting a pair that is not there
     if strategy == "leftmost":
-        find = str.index
+        def find(m: int) -> int:
+            return m.bit_length() - 1
     elif strategy == "rightmost":
-        find = str.rindex
+        def find(m: int) -> int:
+            return (m & -m).bit_length() - 1
     elif strategy != "random":
         raise ValueError(f"unknown strategy {strategy!r}")
     elif rng is None:
         raise ValueError("strategy='random' needs an rng")
     else:
-        def find(w: str, _pair: str) -> int:
-            return rng.choice(_reducible_positions(w))
+        def find(m: int) -> int:
+            # highest bit first: the pairs in increasing letter position
+            return rng.choice([j for j in range(m.bit_length() - 1, -1, -1) if m >> j & 1])
 
-    pair, swapped = ANNIHILATE + CREATE, CREATE + ANNIHILATE
-    buckets: Dict[int, Dict[str, int]] = {_inversions(word): {word: 1}}
+    buckets: Dict[int, Dict[int, int]] = {
+        _inversions(word): {int("1" + word.translate(_BITS), 2): 1}}
     words_rewritten = 0
     while True:
         inv = max(buckets)
@@ -140,15 +157,18 @@ def normalize(word: str, strategy: str = "leftmost", rng: random.Random | None =
         words_rewritten += len(level)
         swap_level = buckets.setdefault(inv - 1, {})
         for w, c in level.items():
-            i = find(w, pair)
-            child = w[:i] + swapped + w[i + 2 :]
+            j = find((w & ~(w >> 1)) ^ (1 << (w.bit_length() - 1)))
+            child = w ^ (3 << j)
             swap_level[child] = swap_level.get(child, 0) + c
-            child = w[:i] + w[i + 2 :]
+            high, low = w >> (j + 2), w & ((1 << j) - 1)
+            child = high << j | low
+            # less the creators right of the pair and the annihilators
+            # left of it: the zero bits of the high part below its marker
             dropped = buckets.setdefault(
-                inv - 1 - w.count(CREATE, i + 2) - w.count(ANNIHILATE, 0, i), {})
+                inv - 1 - low.bit_count() - high.bit_length() + high.bit_count(), {})
             dropped[child] = dropped.get(child, 0) + c
     # the words left are A^i a^j, one per (i, j), with positive weights
-    terms = {(w.count(CREATE), w.count(ANNIHILATE)): c for w, c in level.items()}
+    terms = {(w.bit_count() - 1, w.bit_length() - w.bit_count()): c for w, c in level.items()}
     return NormalForm(terms=terms, words_rewritten=words_rewritten)
 
 

@@ -29,6 +29,9 @@ from _oracles import (
 )
 
 words = st.text(alphabet="aA", min_size=0, max_size=10)
+# the power words [(a+)^r a^s]^n of 24-64 letters the rewrite benchmark times
+POWER_ROWS = ((1, 1, 28), (2, 1, 19), (1, 2, 19), (2, 2, 14), (3, 1, 15),
+              (1, 3, 15), (3, 2, 11), (2, 3, 11), (3, 3, 9))
 
 
 def balanced_word(rng: random.Random, length: int) -> str:
@@ -132,16 +135,54 @@ class TestMerging:
     @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "random"])
     def test_longer_words(self, strategy):
         rng = random.Random(11)
-        for length in (12, 16, 20):
+        lengths = (12, 16, 20) if strategy == "random" else (12, 16, 20, 32, 40, 48, 64)
+        for length in lengths:
             word = balanced_word(rng, length)
             nf = normalize(word, strategy=strategy, rng=random.Random(length))
             expected = rescanning_normalize(word, strategy, random.Random(length))
             assert (nf.terms, nf.words_rewritten) == expected, word
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    @pytest.mark.parametrize("r,s,n", POWER_ROWS)
+    def test_power_rows_of_the_benchmark(self, r, s, n, strategy):
+        word = ("A" * r + "a" * s) * n
+        nf = normalize(word, strategy=strategy)
+        assert (nf.terms, nf.words_rewritten) == rescanning_normalize(word, strategy, None)
+
     def test_power_word_passes_the_count_through(self):
         word = "AAa" * 5
         assert power_word(Params(2, 1), 5).words_rewritten == \
             rescanning_normalize(word, "leftmost", None)[1] > 0
+
+
+class TestBitCoding:
+    """The engine holds each word as an int under a marker bit: words with
+    no letter, no creator, no annihilator, a long run of leading
+    annihilators, and the two extreme orders at the length cap: the
+    normal one rewrites no word, the other has the most inversions a
+    capped word can have."""
+
+    @pytest.mark.parametrize("word", [
+        "", "a", "A", "aaaa", "AAAA", "aaaaaA", "A" * 32 + "a" * 32, "a" * 32 + "A" * 32])
+    def test_edge_words(self, word):
+        strategies = ["leftmost", "rightmost"]
+        if len(word) <= boson_oracle.RANDOM_WORD_CAP:
+            strategies.append("random")
+        for strategy in strategies:
+            nf = normalize(word, strategy=strategy, rng=random.Random(len(word)))
+            assert nf.terms == wick_normal_form(word), strategy
+            expected = rescanning_normalize(word, strategy, random.Random(len(word)))
+            assert (nf.terms, nf.words_rewritten) == expected, strategy
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "random"])
+    @pytest.mark.parametrize("word", ["Aa", "aA", "aAA"])
+    def test_a_word_filed_too_high_raises(self, monkeypatch, word, strategy):
+        # with every inversion count one too high, some word without a pair
+        # reaches a bucket above 0: it must raise, not return a wrong form
+        counted = _inversions
+        monkeypatch.setattr(boson_oracle, "_inversions", lambda w: counted(w) + 1)
+        with pytest.raises((ValueError, IndexError)):
+            normalize(word, strategy=strategy, rng=random.Random(1))
 
 
 class TestAntinormalize:
