@@ -45,7 +45,7 @@ from .exact_core import (
     series_exp,
     series_exp_linear,
 )
-from .stirling_bell import Params, bell_number, bell_sequence, stirling
+from .stirling_bell import Params, bell_number, bell_sequence, triangle
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -558,14 +558,9 @@ def egf_stirling_diag_check(r: int, k: int, order: int) -> bool:
         = (-1)^k/k! sum_{q=r}^{k} (-1)^q C(k,q) (e^(x q^falling(r)) - 1).
 
     Coefficients below n = ceil(k/r) must vanish (the band is empty
-    there); the rest must equal S_{r,r}(n,k)/n! exactly.
-
-    This is not an independent route.  For n >= 1,
-    n! [x^n](e^(c x) - 1) = c^n, so n! times the coefficient of x^n is,
-    term for term, the d = 0 sum of ``stirling_explicit``,
-    (-1)^k/k! sum_q (-1)^q C(k,q) (q^falling(r))^n, which is what
-    ``stirling`` reads for r = s: the check compares the explicit sum
-    with itself.
+    there); the rest must equal S_{r,r}(n,k)/n! exactly.  n! times the
+    coefficient of x^n is the explicit sum's d = 0 form, so the values are
+    read from the table, which ``_next_row`` grows by Wick reordering.
     """
     if r < 1 or k < r or order < 1:
         raise ValueError("need r >= 1, k >= r, order >= 1")
@@ -575,11 +570,8 @@ def egf_stirling_diag_check(r: int, k: int, order: int) -> bool:
         growth = falling_factorial(q, r)
         acc += ((-1) ** q * binomial(k, q)) * (series_exp_linear(growth, order) - one)
     egf = acc * Fraction((-1) ** k, factorial(k))
-    p = Params(r, r)
-    return all(
-        egf.coeff(n) * factorial(n) == stirling(p, n, k)
-        for n in range(order + 1)
-    )
+    table = triangle(Params(r, r), order)
+    return all(egf.coeff(n) * factorial(n) == table.value(n, k) for n in range(order + 1))
 
 
 def egf_stirling_r1_check(r: int, k: int, order: int) -> bool:
@@ -598,11 +590,8 @@ def egf_stirling_r1_check(r: int, k: int, order: int) -> bool:
     base = series_binomial_power(Fraction(-1, r - 1), Fraction(r - 1), order) \
         - PowerSeries.one(order)
     egf = (base ** k) * Fraction(1, factorial(k))
-    p = Params(r, 1)
-    return all(
-        egf.coeff(n) * factorial(n) == stirling(p, n, k)
-        for n in range(order + 1)
-    )
+    table = triangle(Params(r, 1), order)
+    return all(egf.coeff(n) * factorial(n) == table.value(n, k) for n in range(order + 1))
 
 
 def bell_diag_egf_coefficient_check(r: int, n: int) -> bool:

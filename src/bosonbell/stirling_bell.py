@@ -60,24 +60,37 @@ class Params:
 
 @dataclass(frozen=True)
 class StirlingTriangle:
-    """Rows 1..n_max of S_{r,s}(n, k), nonzero entries only."""
+    """Rows 1..n_max of S_{r,s}(n, k), nonzero entries only.
 
+    ``rows`` holds the clean memo rows by reference; ``value`` and ``row``
+    add the perturbations of the in-band entries they return, so a
+    triangle taken before ``set_perturbation`` sees it too."""
+
+    p: Params
     n_max: int
     rows: Dict[int, Dict[int, int]]
+
+    def _clean(self, n: int) -> Dict[int, int]:
+        if not 1 <= n <= self.n_max:
+            raise IndexError(f"row {n} not in triangle up to n_max={self.n_max}")
+        return self.rows[n]
 
     def value(self, n: int, k: int) -> int:
         if n == 0:
             return 1 if k == 0 else 0
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"row {n} not in triangle up to n_max={self.n_max}")
-        return self.rows.get(n, {}).get(k, 0)
+        clean = self._clean(n)  # exactly the band, every entry nonzero
+        return _read(self.p, n, k, clean[k]) if k in clean else 0
 
     def row(self, n: int) -> Dict[int, int]:
         if n == 0:
             return {}
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"row {n} not in triangle up to n_max={self.n_max}")
-        return dict(self.rows.get(n, {}))
+        row = dict(self._clean(n))
+        for r, s, m, k in tuple(_perturbations):
+            if (r, s, m) == (self.p.r, self.p.s, n) and k in row:
+                row[k] = _read(self.p, n, k, row[k])
+                if not row[k]:
+                    del row[k]
+        return row
 
 
 @dataclass(frozen=True)
@@ -179,9 +192,10 @@ def stirling_diffop(p: Params, n: int, k: int) -> int:
 
 
 # Entry perturbation hook, used by the verification CLI to prove that the
-# cross-check suites actually detect a wrong table entry.  It is a read
-# overlay on clean memo rows, so a corrupted entry never reaches later rows;
-# the read counts tell a caught perturbation from one no check looked at.
+# cross-check suites actually detect a wrong table entry.  ``_read`` adds it
+# where a value is returned, never to the memo rows, so a corrupted entry
+# never reaches later rows; the read counts tell a caught perturbation from
+# one no check looked at.
 _perturbations: Dict[tuple, int] = {}
 _perturbation_reads: Dict[tuple, int] = {}
 _cache_lock = threading.Lock()
@@ -203,16 +217,19 @@ def clear_perturbations() -> None:
 
 
 def perturbation_reads(p: Params, n: int, k: int) -> int:
-    """How often ``stirling`` or ``triangle`` has returned the perturbed S_{r,s}(n,k)."""
+    """How often ``stirling`` or a triangle has returned the perturbed S_{r,s}(n,k)."""
     return _perturbation_reads.get((p.r, p.s, n, k), 0)
 
 
-def _perturbed(key: tuple, value: int) -> int:
+def _read(p: Params, n: int, k: int, value: int) -> int:
+    """``value``, the clean S_{r,s}(n,k), as ``stirling`` and a triangle
+    return it: with its perturbation added and the read counted."""
+    key = (p.r, p.s, n, k)
     delta = _perturbations.get(key)
     if delta is None:
         return value
-    # no lock: triangle() holds _cache_lock, and a lost update cannot zero a count
-    _perturbation_reads[key] = _perturbation_reads.get(key, 0) + 1
+    with _cache_lock:
+        _perturbation_reads[key] = _perturbation_reads.get(key, 0) + 1
     return value + delta
 
 
@@ -227,7 +244,7 @@ def stirling(p: Params, n: int, k: int) -> int:
     if n == 0:
         return 1 if k == 0 else 0
     value = stirling_explicit(p if p.r >= p.s else p.swapped(), n, k)
-    return _perturbed((p.r, p.s, n, k), value)
+    return _read(p, n, k, value)
 
 
 def _next_row(p: Params, row: Dict[int, int]) -> Dict[int, int]:
@@ -249,27 +266,16 @@ def _next_row(p: Params, row: Dict[int, int]) -> Dict[int, int]:
     return {k: v for k, v in enumerate(out) if v}
 
 
-def _overlay(p: Params, n: int, clean: Dict[int, int]) -> Dict[int, int]:
-    """A copy of a clean row with the in-band perturbations of (r, s, n) added."""
-    row = dict(clean)
-    for key in _perturbations:
-        if key[:3] == (p.r, p.s, n) and key[3] in p.band(n):
-            row[key[3]] = _perturbed(key, row[key[3]])
-            if not row[key[3]]:
-                del row[key[3]]
-    return row
-
-
 def triangle(p: Params, n_max: int) -> StirlingTriangle:
     """Rows 1..n_max of the (r, s) triangle, memoized per parameter pair."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     with _cache_lock:
-        rows = _triangle_cache.setdefault((p.r, p.s), {0: {0: 1}})
-        for n in range(len(rows), n_max + 1):
-            rows[n] = _next_row(p, rows[n - 1])
-        snapshot = {n: _overlay(p, n, rows[n]) for n in range(1, n_max + 1)}
-    return StirlingTriangle(n_max=n_max, rows=snapshot)
+        memo = _triangle_cache.setdefault((p.r, p.s), {0: {0: 1}})
+        for n in range(len(memo), n_max + 1):
+            memo[n] = _next_row(p, memo[n - 1])
+        rows = {n: memo[n] for n in range(1, n_max + 1)}
+    return StirlingTriangle(p=p, n_max=n_max, rows=rows)
 
 
 def anti_stirling(p: Params, n: int, k: int) -> int:
@@ -289,16 +295,16 @@ def anti_stirling(p: Params, n: int, k: int) -> int:
 
 
 def bell_number(p: Params, n: int) -> int:
-    """B_{r,s}(n): row sum of the triangle; B_{r,s}(0) = 1 by convention."""
+    """B_{r,s}(n): the sum of row n; B_{r,s}(0) = 1 by convention."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return bell_sequence(p, n).values[n]
+    return sum(triangle(p, n).row(n).values()) if n else 1
 
 
 def bell_sequence(p: Params, n_max: int) -> BellSequence:
-    """B_{r,s}(0..n_max) as the row sums of one triangle snapshot."""
-    rows = triangle(p, n_max).rows if n_max >= 1 else {}
-    values = (1,) + tuple(sum(rows[n].values()) for n in range(1, n_max + 1))
+    """B_{r,s}(0..n_max) as the row sums of one triangle."""
+    tri = triangle(p, n_max) if n_max >= 1 else None
+    values = (1,) + tuple(sum(tri.row(n).values()) for n in range(1, n_max + 1))
     return BellSequence(values=values[:n_max + 1])
 
 
@@ -313,7 +319,7 @@ def bell_polynomial(p: Params, n: int, t: RationalLike) -> Fraction:
     t = Fraction(t)
     if n == 0:
         return Fraction(1)
-    row = triangle(p, n).rows[n]
+    row = triangle(p, n).row(n)
     # after step k: num / den = sum_{j >= k} S(n,j) t^(j-k), den = b^(top-k)
     a, b, top = t.numerator, t.denominator, max(row, default=0)
     num, den = row.get(top, 0), 1

@@ -86,6 +86,12 @@ REROUTED = [f"S_({r},{r}): diagonal recurrence matches the finite sum" for r in 
     f"S_({r},{s}) = S_({s},{r}) on the common band"
     for r in (1, 2, 3) for s in (1, 2, 3) if r != s]
 
+# the checks whose series side is compared with table.value, grown by _next_row
+COLUMN_EGF = [f"column egf of S_({r},{r})(., k={k}) to order 6, exact"
+              for r in (1, 2) for k in range(r, 5)] + [
+    f"column egf of S_({r},1)(., k={k}) with k-th power, exact"
+    for r in (2, 3) for k in (1, 2, 3)]
+
 
 def _verify_all():
     """Exit code and checks of ``verify all --json``, run in process."""
@@ -132,6 +138,13 @@ def test_the_checks_no_mutant_fails_are_the_listed_ones(mutant_runs):
                            for route, (_, checks) in mutant_runs.items() if route))
     assert [c["name"] for i, c in enumerate(clean) if i not in caught] == UNCAUGHT
     assert not set(REROUTED) & set(UNCAUGHT)
+
+
+def test_the_table_mutant_fails_every_column_egf_check(mutant_runs):
+    _, clean = mutant_runs[None]
+    positions = {i for i, c in enumerate(clean) if c["name"] in COLUMN_EGF}
+    assert len(positions) == len(COLUMN_EGF) == 13
+    assert positions <= _failed_positions(mutant_runs["table"][1])
 
 
 def _row_four_entries():

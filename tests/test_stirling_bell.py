@@ -359,17 +359,32 @@ class TestRowRecurrence:
     def test_perturbation_stays_one_entry(self):
         p = Params(2, 1)
         clear_perturbations()
-        clean = triangle(p, 6)
+        clean = {n: triangle(p, 6).row(n) for n in range(1, 7)}
         try:
             set_perturbation(p, 3, 2, +5)
             tri = triangle(p, 6)
-            assert tri.row(3) == {**clean.row(3), 2: clean.value(3, 2) + 5}
+            assert tri.row(3) == {**clean[3], 2: clean[3][2] + 5}
             for n in (1, 2, 4, 5, 6):
-                assert tri.row(n) == clean.row(n)
+                assert tri.row(n) == clean[n]
             assert perturbation_reads(p, 3, 2) == 1
-            assert triangle(Params(1, 2), 6).row(3) == clean.row(3)  # keyed by (r, s)
+            assert triangle(Params(1, 2), 6).row(3) == clean[3]  # keyed by (r, s)
+            assert tri.rows == clean  # the memo rows stay clean
         finally:
             clear_perturbations()
+
+    def test_a_triangle_taken_before_the_perturbation_returns_it(self):
+        p = Params(2, 1)
+        clear_perturbations()
+        tri = triangle(p, 4)
+        clean = tri.value(3, 2)
+        try:
+            set_perturbation(p, 3, 2, +5)
+            assert tri.value(3, 2) == clean + 5
+            assert tri.row(3)[2] == clean + 5
+            assert perturbation_reads(p, 3, 2) == 2
+        finally:
+            clear_perturbations()
+        assert tri.value(3, 2) == clean
 
     def test_perturbation_to_zero_drops_the_entry(self):
         p = Params(2, 1)
@@ -521,3 +536,25 @@ class TestBellSequence:
             assert perturbation_reads(p, 3, 2) == 1
         finally:
             clear_perturbations()
+
+    def test_bell_number_reads_only_its_own_row(self):
+        p = Params(1, 1)
+        clear_perturbations()
+        try:
+            set_perturbation(p, 3, 2, +1)
+            assert bell_number(p, 5) == 52
+            assert perturbation_reads(p, 3, 2) == 0
+            assert bell_sequence(p, 5).values[3] == 6
+            assert perturbation_reads(p, 3, 2) == 1
+        finally:
+            clear_perturbations()
+
+
+def test_an_entry_no_check_compares_is_reported_unread(capsys):
+    """The (2,2) column egf checks compare k = 2..4 of a triangle whose row 4
+    also holds k = 5; only the reads a check makes count."""
+    from bosonbell import cli
+
+    assert cli.main(["--json", "verify", "egf", "--perturb", "2,2,4,5"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["suite"], c["detail"]) for c in checks if not c["ok"]] == [("perturb", "reads=0")]
