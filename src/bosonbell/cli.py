@@ -14,6 +14,7 @@ Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -326,13 +327,15 @@ def _suite_fock(args) -> list:
     tol = fock_numeric.tolerance(prec)
     zs = (Fraction(1, 2), Fraction(1))
     katriel = {}  # n -> whether <1|(a+ a)^n|1> matched B(n), Katriel's identity
-    # one prefix pass per word and z gives every power up to the word's n
-    for (r, s, nmax) in ((1, 1, 6), (2, 1, 3), (2, 2, 3), (1, 2, 3)):
-        p = Params(r, s)
-        values = {z: fock_numeric.expectation_powers(p, nmax, z, dim, precision=prec) for z in zs}
+    words = [(Params(r, s), nmax) for (r, s, nmax) in ((1, 1, 6), (2, 1, 3), (2, 2, 3), (1, 2, 3))]
+    # one sqrt table, one coherent vector per z, and one prefix pass per word
+    # and z that gives every power up to the word's n
+    values = fock_numeric._expectation_table(words, zs, dim, prec)
+    for p, nmax in words:
+        r, s = p.r, p.s
         for n in range(1, nmax + 1):
             for z in zs:
-                got = values[z][n - 1]
+                got = values[p, nmax, z][n - 1]
                 exact = z ** (n * abs(r - s)) * stirling_bell.bell_polynomial(p, n, z * z)
                 err = abs(got.to_fraction() - exact)
                 ok = err <= tol * max(abs(exact), Fraction(1))
@@ -529,6 +532,21 @@ def _parse_perturb(text: str) -> tuple:
     return tuple(parts)
 
 
+@contextlib.contextmanager
+def _any_length_ints():
+    """Lift CPython's digit limit on int <-> str conversion (4300 by default,
+    since 3.10.7) so that every exact value prints whole, and restore the
+    caller's limit on the way out; older Pythons have no limit to lift."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     """Exit 0 if every check passed, 1 if one failed, 2 on a usage or
     domain error, 3 on an internal error or an exceeded budget, and 141
@@ -551,25 +569,27 @@ def _dispatch(args) -> int:
     try:
         if args.prec < MIN_PRECISION_BITS:
             raise ValueError(f"--prec must be at least {MIN_PRECISION_BITS} bits, got {args.prec}")
-        if args.command == "triangle":
-            print(cmd_triangle(args.r, args.s, args.n_max, args.format))
-            return 0
-        if args.command == "bell":
-            print(cmd_bell(args.r, args.s, args.n_max, args.format))
-            return 0
-        if args.command == "normalize":
-            print(cmd_normalize(args.word, args.format))
-            return 0
-        if args.command == "verify":
-            perturbed = None
-            if args.perturb:
-                r, s, n, k, delta = _parse_perturb(args.perturb)
-                perturbed = (Params(r, s), n, k)
-                stirling_bell.set_perturbation(*perturbed, delta)
-            try:
-                return cmd_verify(args, perturbed)
-            finally:
-                stirling_bell.clear_perturbations()
+        perturbed = None
+        if args.command == "verify" and args.perturb:
+            r, s, n, k, delta = _parse_perturb(args.perturb)
+            perturbed = (Params(r, s), n, k)
+            stirling_bell.set_perturbation(*perturbed, delta)
+        # the input is read under the interpreter's digit limit, the output is not
+        with _any_length_ints():
+            if args.command == "triangle":
+                print(cmd_triangle(args.r, args.s, args.n_max, args.format))
+                return 0
+            if args.command == "bell":
+                print(cmd_bell(args.r, args.s, args.n_max, args.format))
+                return 0
+            if args.command == "normalize":
+                print(cmd_normalize(args.word, args.format))
+                return 0
+            if args.command == "verify":
+                try:
+                    return cmd_verify(args, perturbed)
+                finally:
+                    stirling_bell.clear_perturbations()
     except (ValueError, ArithmeticError, *_INTERNAL_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, _INTERNAL_ERRORS) else 2

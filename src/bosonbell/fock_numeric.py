@@ -12,7 +12,10 @@ a truncated coherent vector, one letter per step, and compared against the
 exact values z^(n|r-s|) B_{r,s}(n, z^2) from the triangle.  The vector
 after k words is the input to word k+1, so expectation_powers reads the
 inner product after every word and returns the values for 1, ..., n from
-one pass, on one table and one coherent vector.
+one pass.  The stability re-check widens the truncation by STABILITY_STEP;
+the narrow vector differs from the wide one only in its top n*max(r,s)
+entries, so it is stepped on that strip alone.  One table and one coherent
+vector per z serve every word of a verify suite (_expectation_table).
 
 Only real z >= 0 is supported.  For r = s the expectation depends on z
 only through z^2 (the phases cancel pairwise), so unit-modulus statements
@@ -23,6 +26,7 @@ factor conj(z)^(n(r-s)) that this module does not model.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Tuple
@@ -145,19 +149,75 @@ def coherent_state(z: RationalLike, dim: int, precision: int = DEFAULT_PRECISION
     return _coherent(z, roots, bits, dim, tolerance(precision))
 
 
-def _expectation_prefixes(p: Params, n: int, amps: tuple, ops) -> List[int]:
-    """The expectations of amps on ops' dimension after 1, ..., n words,
-    each scaled by 2^(2F): the vector after k words is the input to word k+1."""
-    a_op, adag_op = ops
-    vec = list(amps)
-    sums = []
+def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tuple[List[int], List[int]]:
+    """The expectations of amps after 1, ..., n words, each scaled by 2^(2F):
+    the vector after k words is the input to word k+1.  Returns (wide,
+    narrow) sums, wide on ops' dimension and narrow on its first ``dim``
+    entries; narrow is empty when ``dim`` is ops' dimension.
+
+    The narrow vector is stepped only on its strip [lo - 1, dim), lo =
+    dim - n*max(r,s) - 1.  At the lowest entry where the narrow and wide
+    vectors differ, an a moves it down by at most one and an a+ never down,
+    so below lo they agree at every letter: the strip's bottom entry is
+    copied from the wide vector before each letter, and both sums share the
+    head sum_{i<lo}.  The strip's operators hold the table slice
+    roots[lo-1:dim], on which FockOperator.entry would read sqrt(i) wrongly,
+    so they never leave this function.
+    """
+    lo = dim - n * max(p.r, p.s) - 1
+    stepped = dim < ops[0].dim
+    strip_ops = [replace(op, roots=op.roots[lo - 1:dim]) for op in ops]
+    word = [(ops[0], strip_ops[0])] * p.s + [(ops[1], strip_ops[1])] * p.r
+    vec, strip = list(amps), list(amps[lo - 1:dim])
+    tail = amps[lo:]
+    wide_sums, narrow_sums = [], []
     for _ in range(n):
-        for _ in range(p.s):
-            vec = apply_operator(a_op, vec)
-        for _ in range(p.r):
-            vec = apply_operator(adag_op, vec)
-        sums.append(sum(b * x for b, x in zip(amps, vec)))
-    return sums
+        for op, strip_op in word:
+            if stepped:
+                strip[0] = vec[lo - 1]
+                strip = apply_operator(strip_op, strip)
+            vec = apply_operator(op, vec)
+        head = sum(map(operator.mul, amps, vec[:lo]))
+        wide_sums.append(head + sum(map(operator.mul, tail, vec[lo:])))
+        if stepped:
+            narrow_sums.append(head + sum(map(operator.mul, tail, strip[1:])))
+    return wide_sums, narrow_sums
+
+
+def _expectation_table(
+    words, zs, dim: int,
+    precision: int = DEFAULT_PRECISION_BITS,
+    check_stability: bool = True,
+) -> dict:
+    """{(p, n, z): expectation_powers(p, n, z, dim, precision, check_stability)}
+    for every (p, n) in ``words`` and z in ``zs``, on one sqrt table and one
+    coherent vector per z."""
+    for p, n in words:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if dim < n * max(p.r, p.s) + 2:
+            raise FockTruncationError(
+                f"dim={dim} cannot hold {n} applications of a word of height {max(p.r, p.s)}")
+    # one sqrt table and one coherent vector per z at the widest dimension; the
+    # tail guard reads the narrow prefix, whose tail is never below the wide one
+    ops = build_ops(dim + STABILITY_STEP if check_stability else dim, precision)
+    bits = ops[0].bits
+    amps = {z: _coherent(z, ops[0].roots, bits, dim, tolerance(precision)).amps for z in zs}
+    table = {}
+    for p, n in words:
+        for z in zs:
+            values, narrow_values = _expectation_prefixes(p, n, amps[z], ops, dim)
+            for narrow, wide in zip(narrow_values, values):
+                moved = abs(narrow - wide)
+                if moved << precision // 2 > max(abs(narrow), abs(wide), 1 << 2 * bits):
+                    raise FockTruncationError(
+                        f"value moved by {mp.nstr(mp.ldexp(moved, -2 * bits), 8)} when widening "
+                        f"dim {dim} -> {dim + STABILITY_STEP}")
+            with mp.workprec(precision):
+                table[p, n, z] = [
+                    BigFloat(value=mp.ldexp(mp.mpf(v), -2 * bits), precision_bits=precision)
+                    for v in values]
+    return table
 
 
 def expectation_powers(
@@ -169,35 +229,16 @@ def expectation_powers(
 
     One pass: the word is applied letter by letter to the vector, never
     as a precomputed power, and the inner product is read after every
-    word.  With ``check_stability`` the pass is repeated at
-    dim + STABILITY_STEP and every one of the n values must agree with
-    its wider value to 2^(-precision/2), otherwise the truncation is
-    reported as too small.  Each sum is rounded once, to ``precision``
-    bits.  The exact targets are z^(k|r-s|) B_{r,s}(k, z^2).
+    word.  With ``check_stability`` the pass runs at dim + STABILITY_STEP,
+    the dim-wide values are stepped beside it on the top entries that can
+    differ, and every one of the n values must agree with its wider value
+    to 2^(-precision/2), otherwise the truncation is reported as too small.
+    Each sum is rounded once, to ``precision`` bits.  The exact targets are
+    z^(k|r-s|) B_{r,s}(k, z^2).  The one-word, one-z case of
+    _expectation_table, through which the fock suite shares one table and
+    one coherent vector per z among all its words.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if dim < n * max(p.r, p.s) + 2:
-        raise FockTruncationError(
-            f"dim={dim} cannot hold {n} applications of a word of height {max(p.r, p.s)}")
-    # one sqrt table and one coherent vector at the widest dimension; the narrow
-    # pass and the tail guard read their prefix, whose tail is never below the wide one
-    ops = build_ops(dim + STABILITY_STEP if check_stability else dim, precision)
-    bits = ops[0].bits
-    amps = _coherent(z, ops[0].roots, bits, dim, tolerance(precision)).amps
-    values = _expectation_prefixes(p, n, amps[:dim], [replace(op, roots=op.roots[:dim]) for op in ops])
-    if check_stability:
-        wider = _expectation_prefixes(p, n, amps, ops)
-        for value, wide in zip(values, wider):
-            moved = abs(value - wide)
-            if moved << precision // 2 > max(abs(value), abs(wide), 1 << 2 * bits):
-                raise FockTruncationError(
-                    f"value moved by {mp.nstr(mp.ldexp(moved, -2 * bits), 8)} when widening "
-                    f"dim {dim} -> {dim + STABILITY_STEP}")
-        values = wider
-    with mp.workprec(precision):
-        return [BigFloat(value=mp.ldexp(mp.mpf(v), -2 * bits), precision_bits=precision)
-                for v in values]
+    return _expectation_table([(p, n)], [z], dim, precision, check_stability)[p, n, z]
 
 
 def expectation_power(

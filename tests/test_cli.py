@@ -1,4 +1,6 @@
+import contextlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -263,31 +265,50 @@ class TestParserIsBuiltOnce:
 class TestFockSuiteComputesEachValueOnce:
     @staticmethod
     def recording(monkeypatch, shifted=None):
-        """Record each (r, s, n, z) passed to expectation_powers, and move the
-        value at power k of the ``shifted`` case (r, s, k, z) by 2^-70."""
+        """Record each (r, s, n, z) that _expectation_table computes, one list
+        per call, and move the value at power k of the ``shifted`` case
+        (r, s, k, z) by 2^-70."""
         calls = []
-        expectation_powers = fock_numeric.expectation_powers
+        expectation_table = fock_numeric._expectation_table
 
-        def wrapper(p, n, z, *args, **kwargs):
-            calls.append((p.r, p.s, n, Fraction(z)))
-            values = expectation_powers(p, n, z, *args, **kwargs)
-            for k, value in enumerate(values, 1):
-                if (p.r, p.s, k, Fraction(z)) == shifted:
-                    with mp.workprec(value.precision_bits + 64):
-                        values[k - 1] = replace(value, value=value.value + mp.mpf(2) ** -70)
-            return values
+        def wrapper(words, zs, *args, **kwargs):
+            table = expectation_table(words, zs, *args, **kwargs)
+            calls.append([(p.r, p.s, n, Fraction(z)) for (p, n, z) in table])
+            for (p, n, z), values in table.items():
+                for k, value in enumerate(values, 1):
+                    if (p.r, p.s, k, Fraction(z)) == shifted:
+                        with mp.workprec(value.precision_bits + 64):
+                            values[k - 1] = replace(value, value=value.value + mp.mpf(2) ** -70)
+            return table
 
-        monkeypatch.setattr(fock_numeric, "expectation_powers", wrapper)
+        monkeypatch.setattr(fock_numeric, "_expectation_table", wrapper)
         return calls
 
     def test_one_expectation_per_case(self, capsys, monkeypatch):
         calls = self.recording(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "fock")
         assert code == 0 and out.endswith("36 passed, 0 failed\n")
-        assert sorted(calls) == sorted(
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(
             (r, s, n, z) for (r, s, n) in ((1, 1, 6), (2, 1, 3), (2, 2, 3), (1, 2, 3))
             for z in (Fraction(1, 2), Fraction(1)))
-        assert len({(r, s, z) for (r, s, _, z) in calls}) == len(calls) == 8
+        assert len({(r, s, z) for (r, s, _, z) in calls[0]}) == len(calls[0]) == 8
+
+    def test_one_table_and_one_coherent_vector_per_z_for_the_suite(self, capsys, monkeypatch):
+        # one build_ops at dim 128 + 16 takes all 144 roots; the two coherent
+        # vectors (z = 1/2 and 1) step from that table, and every word reads them
+        built = counting(monkeypatch, fock_numeric, "build_ops", lambda dim, precision: dim)
+        coherent = counting(monkeypatch, fock_numeric, "_coherent", lambda z, *rest: Fraction(z))
+        roots = counting(monkeypatch, math, "isqrt", lambda x: x)
+        applied = counting(monkeypatch, fock_numeric, "apply_operator", lambda op, vec: op.dim)
+        code, out, _ = run_cli(capsys, "verify", "fock")
+        assert code == 0 and out.endswith("36 passed, 0 failed\n")
+        assert built == [144]
+        assert coherent == [Fraction(1, 2), Fraction(1)]
+        assert roots == [n << 2 * (256 + 64) for n in range(144)]
+        # each letter steps the dim-144 vector and the 8-entry strip of the
+        # dim-128 one: n * max(r, s) + 2 = 8 for every word of the suite
+        assert len(applied) == 168 and applied == [8, 144] * 84
 
     def test_every_word_is_applied_one_letter_per_step(self, capsys, monkeypatch):
         # per word and z: 2 passes x n x (r + s) letters, (1,1) to n = 6 and
@@ -313,7 +334,7 @@ class TestFockSuiteComputesEachValueOnce:
             "<z|[(a+)^1 a^1]^3|z> at z=1, dim 128(+16) matches the exact polynomial",
             "number-operator expectation at z=1 gives 5 (n=3)",
         ]
-        assert calls.count((1, 1, 6, 1)) == 1
+        assert len(calls) == 1 and calls[0].count((1, 1, 6, 1)) == 1
 
 
 def counting(monkeypatch, module, name, key):
@@ -384,13 +405,18 @@ class TestFockToleranceFollowsPrecision:
         polynomial by offset(exact); returns the CLI result and the calls."""
         calls = []
 
-        def moved(p, n, z, dim, precision):
-            calls.append((p.r, p.s, n, z))
-            exact = [z ** (k * abs(p.r - p.s)) * stirling_bell.bell_polynomial(p, k, z * z)
-                     for k in range(1, n + 1)]
-            return tuple(BigFloat.from_fraction(x + offset(x), precision + 128) for x in exact)
+        def moved(words, zs, dim, precision):
+            table = {}
+            for p, n in words:
+                for z in zs:
+                    calls.append((p.r, p.s, n, z))
+                    exact = [z ** (k * abs(p.r - p.s)) * stirling_bell.bell_polynomial(p, k, z * z)
+                             for k in range(1, n + 1)]
+                    table[p, n, z] = [BigFloat.from_fraction(x + offset(x), precision + 128)
+                                      for x in exact]
+            return table
 
-        monkeypatch.setattr(fock_numeric, "expectation_powers", moved)
+        monkeypatch.setattr(fock_numeric, "_expectation_table", moved)
         return run_cli(capsys, "--prec", str(prec), "verify", "fock"), calls
 
     def test_low_precision_allows_its_own_rounding(self, capsys, monkeypatch):
@@ -506,6 +532,61 @@ class TestExitCodes:
         read_check = json.loads(out)["checks"][-1]
         assert read_check["name"] == "perturbed entry S_(2,1)(2,1) was read by a check"
         assert read_check["ok"]
+
+
+class TestIntegersOfAnyLength:
+    # CPython refuses int <-> str conversion past 4300 digits by default
+    # (since 3.10.7); S_(1700,1700)(2, 1700) = 1700!, which has 4755 digits
+
+    @staticmethod
+    @contextlib.contextmanager
+    def digit_limit(limit):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_main_prints_every_digit_and_keeps_the_callers_limit(self, capsys):
+        with self.digit_limit(4500):
+            code, out, err = run_cli(capsys, "triangle", "1700", "1700", "2", "--format", "csv")
+            assert code == 0 and err == ""
+            assert sys.get_int_max_str_digits() == 4500
+            code, bell_out, err = run_cli(capsys, "bell", "1700", "1700", "2")
+            assert code == 0 and err == ""
+            assert sys.get_int_max_str_digits() == 4500
+        with self.digit_limit(0):
+            assert f"\n2,1700,{math.factorial(1700)}\n" in out
+            assert bell_out.split() == [
+                "1", "1", str(stirling_bell.bell_number(Params(1700, 1700), 2))]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_a_check_that_reads_a_long_perturbation_exits_one(self, capsys):
+        # a 4300-digit DELTA parses, and the failing check's detail holds the
+        # perturbed entry 6 + (10^4300 - 1), which has 4301 digits
+        code, out, err = run_cli(capsys, "verify", "oracle", "--perturb", "2,1,3,2," + "9" * 4300)
+        assert code == 1 and err == ""
+        assert " table={1: 6, 2: 1" + "0" * 4299 + "5, 3: 1}" in out
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_pythons_without_a_digit_limit_print_as_before(self, capsys, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        code, out, _ = run_cli(capsys, "bell", "1", "1", "5", "--format", "oeis")
+        assert code == 0 and out == "1, 1, 2, 5, 15, 52\n"
+
+    @pytest.mark.parametrize("command", ["triangle", "bell"])
+    def test_module_entry_point_prints_every_digit(self, command):
+        result = subprocess.run(
+            [sys.executable, "-m", "bosonbell", command, "1700", "1700", "2", "--format", "csv"],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0 and result.stderr == ""
+        lines = result.stdout.splitlines()
+        # the Bell sequence ends on B(2); the triangle's row 2 has 1701 entries
+        widest = max(lines, key=len)
+        assert widest.startswith("2,") and len(widest.rsplit(",", 1)[1]) > 4300
 
 
 def test_module_entry_point_subprocess():

@@ -180,6 +180,60 @@ class TestCoherentState:
             coherent_state(2, 4, precision=64)
 
 
+# words that reach their strip's bottom through a and a+ in every mix:
+# r = s, r > s and r < s, with heights 1 to 3
+STRIP_WORDS = SUITE_WORDS + ((1, 3, 4), (3, 1, 2), (3, 3, 2), (2, 3, 3))
+
+
+def full_prefix_sums(p, n, amps, ops, dim):
+    """The wide and narrow sums after 1, ..., n words by two full passes,
+    the narrow one on amps[:dim] and the dim-wide prefix of the table."""
+    def sums(amps, ops):
+        vec, out = list(amps), []
+        for _ in range(n):
+            for op in [ops[0]] * p.s + [ops[1]] * p.r:
+                vec = apply_operator(op, vec)
+            out.append(sum(b * x for b, x in zip(amps, vec)))
+        return out
+
+    return sums(amps, ops), sums(amps[:dim], [replace(op, roots=op.roots[:dim]) for op in ops])
+
+
+class TestNarrowStrip:
+    @pytest.mark.parametrize("precision", [16, 256])
+    @pytest.mark.parametrize("r,s,n", STRIP_WORDS)
+    def test_strip_sums_equal_a_full_narrow_pass_bit_for_bit(self, r, s, n, precision):
+        # the narrow sums come from the strip [lo - 1, dim) and the shared
+        # head, on dims from the smallest legal one, where the strip starts
+        # at entry 0, up to 128; z = 0 leaves all but the vacuum at zero
+        p = Params(r, s)
+        smallest = n * max(r, s) + 2
+        for dim in (smallest, smallest + 1, smallest + 16, 64, 128):
+            ops = build_ops(dim + fock_numeric.STABILITY_STEP, precision)
+            bits = ops[0].bits
+            for z in (0, Fraction(1, 2), 1, 2):
+                # threshold 1 accepts any tail: z = 2 on dim 8 loses most of it
+                amps = fock_numeric._coherent(z, ops[0].roots, bits, dim, 1).amps
+                got = fock_numeric._expectation_prefixes(p, n, amps, ops, dim)
+                assert got == full_prefix_sums(p, n, amps, ops, dim), (dim, z)
+
+    def test_no_strip_without_the_stability_pass(self, monkeypatch):
+        # on ops of width dim there is one pass and no narrow sum
+        applied = []
+        apply_operator_ = fock_numeric.apply_operator
+
+        def counting_apply(op, vec):
+            applied.append(op.dim)
+            return apply_operator_(op, vec)
+
+        monkeypatch.setattr(fock_numeric, "apply_operator", counting_apply)
+        ops = build_ops(32)
+        amps = fock_numeric._coherent(1, ops[0].roots, ops[0].bits, 32, 1).amps
+        wide, narrow = fock_numeric._expectation_prefixes(Params(2, 1), 3, amps, ops, 32)
+        assert narrow == [] and wide == full_prefix_sums(Params(2, 1), 3, amps, ops, 32)[0]
+        assert applied == [32] * 9
+
+
 class TestExpectationPower:
     @pytest.mark.parametrize("r,s,n,z,expected", [
         (1, 1, 3, 1, 5),
@@ -273,9 +327,10 @@ class TestExpectationPower:
                     assert abs(amp - mp.ldexp(exact, bits)) < 5, (precision, n)
 
     def test_apply_and_build_counts_of_one_expectation(self, monkeypatch):
-        # 2 passes x n = 3 x (s + r) = 3 letters: 18 applications, 9 on the
-        # narrow dim-128 prefix and 9 on the dim-144 table, built once; the
-        # values for n = 1 and 2 come from the same pass at no extra step
+        # 2 passes x n = 3 x (s + r) = 3 letters: 18 applications, each letter
+        # on the dim-144 table, built once, after the 8-entry strip [lo - 1,
+        # 128) of the narrow vector, lo = 128 - 3 * 2 - 1; the values for
+        # n = 1 and 2 come from the same pass at no extra step
         built, applied = [], []
         build_ops_, apply_operator_ = fock_numeric.build_ops, fock_numeric.apply_operator
 
@@ -291,12 +346,12 @@ class TestExpectationPower:
         monkeypatch.setattr(fock_numeric, "apply_operator", counting_apply)
         expectation_power(Params(2, 1), 3, Fraction(1, 2), 128)
         assert built == [144]
-        assert applied == [128] * 9 + [144] * 9
+        assert applied == [8, 144] * 9
         built.clear()
         applied.clear()
         expectation_powers(Params(2, 1), 3, Fraction(1, 2), 128)
         assert built == [144]
-        assert applied == [128] * 9 + [144] * 9
+        assert applied == [8, 144] * 9
 
     @pytest.mark.parametrize("precision", [64, 256])
     def test_every_fock_suite_case_is_exact(self, precision):
@@ -337,11 +392,11 @@ class TestExpectationPower:
         # 2^-128; the values for n = 2 and 3 are untouched
         prefixes = fock_numeric._expectation_prefixes
 
-        def moved_first_wide_sum(p, n, amps, ops):
-            sums = prefixes(p, n, amps, ops)
+        def moved_first_wide_sum(p, n, amps, ops, dim):
+            wide, narrow = prefixes(p, n, amps, ops, dim)
             if ops[0].dim == 144:
-                sums[0] += 1 << 2 * ops[0].bits
-            return sums
+                wide[0] += 1 << 2 * ops[0].bits
+            return wide, narrow
 
         monkeypatch.setattr(fock_numeric, "_expectation_prefixes", moved_first_wide_sum)
         with pytest.raises(FockTruncationError, match=r"^value moved by 1\.0 when widening dim 128 -> 144$"):
