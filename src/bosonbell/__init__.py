@@ -11,7 +11,6 @@ from .boson_oracle import (
     AntiNormalForm,
     NormalForm,
     antinormalize,
-    coherent_expectation_exact,
     extract_anti_stirling_row,
     extract_stirling_row,
     normalize,
@@ -28,12 +27,9 @@ from .exact_core import (
     series_exp,
 )
 from .fock_numeric import (
-    CoherentVector,
     FockOperator,
     build_ops,
-    coherent_state,
-    expectation_power,
-    expectation_powers,
+    expectation_table,
 )
 from .series_eval import (
     HgfCheckResult,

@@ -32,10 +32,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exact_core import RationalLike
 from .stirling_bell import Params
 
 ANNIHILATE = "a"
@@ -239,8 +237,3 @@ def extract_anti_stirling_row(p: Params, n: int) -> Dict[int, int]:
     nf = normalize((ANNIHILATE * p.s + CREATE * p.r) * n)
     return _banded_row(nf, n, p.r - p.s, range(n * p.s + 1))
 
-
-def coherent_expectation_exact(nf: NormalForm, z: RationalLike) -> Fraction:
-    """<z| nf |z> for real rational z, using <z|(a+)^i a^j|z> = z^(i+j)."""
-    z = Fraction(z)
-    return sum((c * z ** (i + j) for (i, j), c in nf.terms.items()), Fraction(0))

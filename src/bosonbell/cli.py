@@ -330,7 +330,7 @@ def _suite_fock(args) -> list:
     words = [(Params(r, s), nmax) for (r, s, nmax) in ((1, 1, 6), (2, 1, 3), (2, 2, 3), (1, 2, 3))]
     # one sqrt table, one coherent vector per z, and one prefix pass per word
     # and z that gives every power up to the word's n
-    values = fock_numeric._expectation_table(words, zs, dim, prec)
+    values = fock_numeric.expectation_table(words, zs, dim, prec)
     for p, nmax in words:
         r, s = p.r, p.s
         for n in range(1, nmax + 1):

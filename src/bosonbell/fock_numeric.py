@@ -10,12 +10,12 @@ stepped from the same table after one mpmath exp.  Expectation values
 <z| [(a+)^r a^s]^n |z> are formed by repeated O(D) shift-and-scale steps on
 a truncated coherent vector, one letter per step, and compared against the
 exact values z^(n|r-s|) B_{r,s}(n, z^2) from the triangle.  The vector
-after k words is the input to word k+1, so expectation_powers reads the
+after k words is the input to word k+1, so expectation_table reads the
 inner product after every word and returns the values for 1, ..., n from
-one pass.  The stability re-check widens the truncation by STABILITY_STEP;
-the narrow vector differs from the wide one only in its top n*max(r,s)
-entries, so it is stepped on that strip alone.  One table and one coherent
-vector per z serve every word of a verify suite (_expectation_table).
+one pass.  The stability re-check always widens the truncation by
+STABILITY_STEP; the narrow vector differs from the wide one only in its top
+n*max(r,s) entries, so it is stepped on that strip alone.  One table and one
+coherent vector per z serve every word that expectation_table is given.
 
 Only real z >= 0 is supported.  For r = s the expectation depends on z
 only through z^2 (the phases cancel pairwise), so unit-modulus statements
@@ -38,7 +38,7 @@ from .stirling_bell import Params
 
 _GUARD_BITS = 64
 
-# expectation_powers re-checks every value at dim + STABILITY_STEP
+# expectation_table re-checks every value at dim + STABILITY_STEP
 STABILITY_STEP = 16
 
 
@@ -50,7 +50,7 @@ def dimension_for(precision: int) -> int:
 
 def tolerance(precision: int) -> Fraction:
     """Relative agreement 2^(-precision//2) of an expectation with its
-    exact value: the bound expectation_powers enforces between dim and
+    exact value: the bound expectation_table enforces between dim and
     dim + STABILITY_STEP."""
     return Fraction(1, 2 ** (precision // 2))
 
@@ -76,29 +76,19 @@ class FockOperator:
         return Fraction(self.roots[max(i, j)], 1 << self.bits) if j - i == self.shift else Fraction(0)
 
 
-@dataclass(frozen=True)
-class CoherentVector:
-    amps: tuple  # integers scaled by 2^(precision + _GUARD_BITS)
-    tail_mass: Fraction  # 1 - sum_n (amps[n] / 2^F)^2, exact
-
-
-def _root_table(dim: int, precision: int) -> Tuple[int, tuple]:
-    """F = precision + _GUARD_BITS and the table floor(sqrt(n) 2^F), n < dim."""
-    bits = precision + _GUARD_BITS
-    return bits, tuple(math.isqrt(n << 2 * bits) for n in range(dim))
-
-
 def build_ops(dim: int, precision: int = DEFAULT_PRECISION_BITS) -> Tuple[FockOperator, FockOperator]:
     """Truncated (annihilator, creator) pair on dimension ``dim``.
 
     Both share one table of sqrt(n) rounded down to F = precision + 64
-    fraction bits, the scale of coherent_state at the same ``precision``.
-    On the truncated space [a, a+] equals the identity except for the
-    corner entry (D-1, D-1), which is 1 - D.
+    fraction bits, the scale of the coherent amplitudes that
+    expectation_table steps from the same table.  On the truncated space
+    [a, a+] equals the identity except for the corner entry (D-1, D-1),
+    which is 1 - D.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    bits, roots = _root_table(dim, precision)
+    bits = precision + _GUARD_BITS
+    roots = tuple(math.isqrt(n << 2 * bits) for n in range(dim))
     return (FockOperator(roots, 1, bits), FockOperator(roots, -1, bits))
 
 
@@ -116,10 +106,12 @@ def apply_operator(op: FockOperator, vec: List[int]) -> List[int]:
     return [0] + [r * x >> op.bits for r, x in zip(op.roots[1:], vec)]
 
 
-def _coherent(z: RationalLike, roots: tuple, bits: int, dim: int, tail_threshold) -> CoherentVector:
-    """Coherent amplitudes on n < len(roots), stepped from roots[n] =
-    floor(sqrt(n) 2^bits) after one mpmath exp.  ``tail_mass`` and the
-    tail-mass guard read the first ``dim`` amplitudes."""
+def _coherent(z: RationalLike, roots: tuple, bits: int, dim: int, tail_threshold) -> tuple:
+    """Coherent amplitudes e^(-z^2/2) z^n / sqrt(n!) scaled by 2^bits on
+    n < len(roots), stepped from roots[n] = floor(sqrt(n) 2^bits) after one
+    mpmath exp.  The tail-mass guard reads the first ``dim`` amplitudes: if
+    the weight 1 - sum_{n<dim} amps[n]^2 lost to truncation exceeds
+    ``tail_threshold``, the dimension is rejected as too small."""
     p, q = Fraction(z).as_integer_ratio()
     if p < 0:
         raise ValueError("only real z >= 0 is supported")
@@ -133,27 +125,14 @@ def _coherent(z: RationalLike, roots: tuple, bits: int, dim: int, tail_threshold
         raise FockTruncationError(
             f"coherent tail mass {mp.nstr(mp.ldexp(tail, -2 * bits), 8)} above threshold "
             f"at dim={dim}")
-    return CoherentVector(amps=tuple(amps), tail_mass=Fraction(tail, one))
-
-
-def coherent_state(z: RationalLike, dim: int, precision: int = DEFAULT_PRECISION_BITS) -> CoherentVector:
-    """Truncated coherent vector e^(-z^2/2) z^n / sqrt(n!) scaled by 2^(precision + 64).
-
-    ``tail_mass`` is the probability weight lost to truncation,
-    1 - sum_n amps[n]^2; if it exceeds tolerance(precision) =
-    2^(-precision/2) the dimension is rejected as too small.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    bits, roots = _root_table(dim, precision)
-    return _coherent(z, roots, bits, dim, tolerance(precision))
+    return tuple(amps)
 
 
 def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tuple[List[int], List[int]]:
     """The expectations of amps after 1, ..., n words, each scaled by 2^(2F):
     the vector after k words is the input to word k+1.  Returns (wide,
     narrow) sums, wide on ops' dimension and narrow on its first ``dim``
-    entries; narrow is empty when ``dim`` is ops' dimension.
+    entries.
 
     The narrow vector is stepped only on its strip [lo - 1, dim), lo =
     dim - n*max(r,s) - 1.  At the lowest entry where the narrow and wide
@@ -165,7 +144,6 @@ def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tupl
     so they never leave this function.
     """
     lo = dim - n * max(p.r, p.s) - 1
-    stepped = dim < ops[0].dim
     strip_ops = [replace(op, roots=op.roots[lo - 1:dim]) for op in ops]
     word = [(ops[0], strip_ops[0])] * p.s + [(ops[1], strip_ops[1])] * p.r
     vec, strip = list(amps), list(amps[lo - 1:dim])
@@ -173,25 +151,29 @@ def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tupl
     wide_sums, narrow_sums = [], []
     for _ in range(n):
         for op, strip_op in word:
-            if stepped:
-                strip[0] = vec[lo - 1]
-                strip = apply_operator(strip_op, strip)
+            strip[0] = vec[lo - 1]
+            strip = apply_operator(strip_op, strip)
             vec = apply_operator(op, vec)
         head = sum(map(operator.mul, amps, vec[:lo]))
         wide_sums.append(head + sum(map(operator.mul, tail, vec[lo:])))
-        if stepped:
-            narrow_sums.append(head + sum(map(operator.mul, tail, strip[1:])))
+        narrow_sums.append(head + sum(map(operator.mul, tail, strip[1:])))
     return wide_sums, narrow_sums
 
 
-def _expectation_table(
-    words, zs, dim: int,
-    precision: int = DEFAULT_PRECISION_BITS,
-    check_stability: bool = True,
-) -> dict:
-    """{(p, n, z): expectation_powers(p, n, z, dim, precision, check_stability)}
-    for every (p, n) in ``words`` and z in ``zs``, on one sqrt table and one
-    coherent vector per z."""
+def expectation_table(words, zs, dim: int, precision: int = DEFAULT_PRECISION_BITS) -> dict:
+    """<z| [(a+)^r a^s]^k |z> on the truncated space as {(p, n, z): [values
+    for k = 1, ..., n]}, for every (p, n) in ``words`` and z in ``zs``.
+
+    One sqrt table at dim + STABILITY_STEP and one coherent vector per z
+    serve every word.  Each word and z take one pass: the word is applied
+    letter by letter to the vector, never as a precomputed power, and the
+    inner product is read after every word.  The pass runs at dim +
+    STABILITY_STEP, the dim-wide values are stepped beside it on the top
+    entries that can differ, and every one of the n values must agree with
+    its wider value to 2^(-precision/2), otherwise the truncation is
+    reported as too small.  Each sum is rounded once, to ``precision``
+    bits.  The exact targets are z^(k|r-s|) B_{r,s}(k, z^2).
+    """
     for p, n in words:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
@@ -200,9 +182,9 @@ def _expectation_table(
                 f"dim={dim} cannot hold {n} applications of a word of height {max(p.r, p.s)}")
     # one sqrt table and one coherent vector per z at the widest dimension; the
     # tail guard reads the narrow prefix, whose tail is never below the wide one
-    ops = build_ops(dim + STABILITY_STEP if check_stability else dim, precision)
+    ops = build_ops(dim + STABILITY_STEP, precision)
     bits = ops[0].bits
-    amps = {z: _coherent(z, ops[0].roots, bits, dim, tolerance(precision)).amps for z in zs}
+    amps = {z: _coherent(z, ops[0].roots, bits, dim, tolerance(precision)) for z in zs}
     table = {}
     for p, n in words:
         for z in zs:
@@ -218,35 +200,3 @@ def _expectation_table(
                     BigFloat(value=mp.ldexp(mp.mpf(v), -2 * bits), precision_bits=precision)
                     for v in values]
     return table
-
-
-def expectation_powers(
-    p: Params, n: int, z: RationalLike, dim: int,
-    precision: int = DEFAULT_PRECISION_BITS,
-    check_stability: bool = True,
-) -> List[BigFloat]:
-    """<z| [(a+)^r a^s]^k |z> on the truncated space for k = 1, ..., n.
-
-    One pass: the word is applied letter by letter to the vector, never
-    as a precomputed power, and the inner product is read after every
-    word.  With ``check_stability`` the pass runs at dim + STABILITY_STEP,
-    the dim-wide values are stepped beside it on the top entries that can
-    differ, and every one of the n values must agree with its wider value
-    to 2^(-precision/2), otherwise the truncation is reported as too small.
-    Each sum is rounded once, to ``precision`` bits.  The exact targets are
-    z^(k|r-s|) B_{r,s}(k, z^2).  The one-word, one-z case of
-    _expectation_table, through which the fock suite shares one table and
-    one coherent vector per z among all its words.
-    """
-    return _expectation_table([(p, n)], [z], dim, precision, check_stability)[p, n, z]
-
-
-def expectation_power(
-    p: Params, n: int, z: RationalLike, dim: int,
-    precision: int = DEFAULT_PRECISION_BITS,
-    check_stability: bool = True,
-) -> BigFloat:
-    """<z| [(a+)^r a^s]^n |z> on the truncated space: the last value of
-    expectation_powers.  With ``check_stability`` the powers below n are
-    tested too, so a truncation that moves any of them is reported."""
-    return expectation_powers(p, n, z, dim, precision, check_stability)[-1]

@@ -6,13 +6,12 @@ import pytest
 from mpmath import mp
 
 from bosonbell import fock_numeric
+from bosonbell.exact_core import mpf_to_fraction
 from bosonbell.fock_numeric import (
     FockTruncationError,
     apply_operator,
     build_ops,
-    coherent_state,
-    expectation_power,
-    expectation_powers,
+    expectation_table,
 )
 from bosonbell.stirling_bell import Params, bell_polynomial
 
@@ -20,12 +19,29 @@ from bosonbell.stirling_bell import Params, bell_polynomial
 SUITE_WORDS = ((1, 1, 6), (2, 1, 3), (2, 2, 3), (1, 2, 3))
 
 
+def expectation_power(p, n, z, dim, precision=256):
+    """<z|[(a+)^r a^s]^n|z>: the last value of the one-word, one-z table."""
+    return expectation_table([(p, n)], [z], dim, precision)[p, n, z][-1]
+
+
+def coherent_amps(z, dim, precision=256):
+    """The coherent amplitudes on their own dim-entry table, scaled by
+    2^(precision + 64), under the tail guard at tolerance(precision)."""
+    a, _ = build_ops(dim, precision)
+    return fock_numeric._coherent(z, a.roots, a.bits, dim, fock_numeric.tolerance(precision))
+
+
+def tail_mass(amps, bits):
+    """The weight 1 - sum_n (amps[n] / 2^bits)^2 lost to truncation, exact."""
+    return max(Fraction(0), 1 - Fraction(sum(a * a for a in amps), 1 << 2 * bits))
+
+
 def single_power_reference(p, n, z, dim, precision, check_stability):
     """<z|[(a+)^r a^s]^n|z> by the single-n path: one table at dim + 16, a
     narrow and a wide pass from the start, one sum; the value is the wide one."""
     ops = build_ops(dim + 16 if check_stability else dim, precision)
     bits = ops[0].bits
-    amps = fock_numeric._coherent(z, ops[0].roots, bits, dim, fock_numeric.tolerance(precision)).amps
+    amps = fock_numeric._coherent(z, ops[0].roots, bits, dim, fock_numeric.tolerance(precision))
 
     def once(amps, ops):
         vec = list(amps)
@@ -39,6 +55,14 @@ def single_power_reference(p, n, z, dim, precision, check_stability):
         value = once(amps, ops)
     with mp.workprec(precision):
         return mp.ldexp(mp.mpf(value), -2 * bits)
+
+
+def test_public_surface():
+    # one expectation function; build_ops and apply_operator stay for audits
+    public = {name for name, obj in vars(fock_numeric).items()
+              if not name.startswith("_") and getattr(obj, "__module__", None) == fock_numeric.__name__}
+    assert public == {"dimension_for", "tolerance", "FockTruncationError", "FockOperator",
+                      "build_ops", "apply_operator", "expectation_table"}
 
 
 class TestBuildOps:
@@ -132,52 +156,50 @@ class TestCoherentState:
     BITS = 256 + 64
 
     def test_vacuum(self):
-        ket = coherent_state(0, 8)
-        assert ket.amps[0] == 1 << self.BITS
-        assert all(a == 0 for a in ket.amps[1:])
-        assert ket.tail_mass == 0
+        amps = coherent_amps(0, 8)
+        assert amps[0] == 1 << self.BITS
+        assert all(a == 0 for a in amps[1:])
+        assert tail_mass(amps, self.BITS) == 0
 
     def test_unit_tail_mass_tiny(self):
-        ket = coherent_state(1, 64)
-        assert isinstance(ket.tail_mass, Fraction)
-        assert ket.tail_mass < Fraction(1, 10**60)
+        assert tail_mass(coherent_amps(1, 64), self.BITS) < Fraction(1, 10**60)
 
     def test_eigenrelation_residual(self):
         dim = 64
-        ket = coherent_state(1, dim)
+        amps = coherent_amps(1, dim)
         a, _ = build_ops(dim)
         assert a.bits == self.BITS
-        out = apply_operator(a, list(ket.amps))
-        residual = [x - y for x, y in zip(out, ket.amps)]
+        out = apply_operator(a, list(amps))
+        residual = [x - y for x, y in zip(out, amps)]
         # |residual| < 1e-40, squared and scaled by 2^(2F)
         assert sum(x * x for x in residual) * 10**80 < 1 << 2 * self.BITS
 
     def test_number_expectation_at_one(self):
-        ket = coherent_state(1, 64)
+        amps = coherent_amps(1, 64)
         a, adag = build_ops(64)
         assert a.bits == adag.bits == self.BITS
-        out = apply_operator(adag, apply_operator(a, list(ket.amps)))
-        value = sum(b * x for b, x in zip(ket.amps, out))  # scaled by 2^(2F)
+        out = apply_operator(adag, apply_operator(a, list(amps)))
+        value = sum(b * x for b, x in zip(amps, out))  # scaled by 2^(2F)
         assert abs(value - (1 << 2 * self.BITS)) * 10**50 < 1 << 2 * self.BITS
 
     @pytest.mark.parametrize("precision", [16, 64, 256, 2048])
     @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(1)])
     def test_operators_and_vector_at_the_same_precision_pair_up(self, precision, z):
-        # build_ops and coherent_state read one precision on one scale 2^F:
-        # q a|z> - p|z> (z = p/q) is a few units of 2^-F in every component
+        # build_ops and the coherent amplitudes read one precision on one scale
+        # 2^F: q a|z> - p|z> (z = p/q) is a few units of 2^-F in every component
         # but the top, where a's truncation leaves exactly -p amps[D-1]
         dim = fock_numeric.dimension_for(precision)
-        ket = coherent_state(z, dim, precision)
+        amps = coherent_amps(z, dim, precision)
         a, _ = build_ops(dim, precision)
         assert a.bits == precision + 64
-        out = apply_operator(a, list(ket.amps))
-        residual = [x * z.denominator - z.numerator * y for x, y in zip(out, ket.amps)]
+        out = apply_operator(a, list(amps))
+        residual = [x * z.denominator - z.numerator * y for x, y in zip(out, amps)]
         assert all(abs(x) < 64 for x in residual[:-1])
-        assert residual[-1] == -z.numerator * ket.amps[-1]
+        assert residual[-1] == -z.numerator * amps[-1]
 
     def test_small_dimension_rejected(self):
         with pytest.raises(FockTruncationError, match="at dim=4$"):
-            coherent_state(2, 4, precision=64)
+            coherent_amps(2, 4, precision=64)
 
 
 # words that reach their strip's bottom through a and a+ in every mix:
@@ -213,25 +235,9 @@ class TestNarrowStrip:
             bits = ops[0].bits
             for z in (0, Fraction(1, 2), 1, 2):
                 # threshold 1 accepts any tail: z = 2 on dim 8 loses most of it
-                amps = fock_numeric._coherent(z, ops[0].roots, bits, dim, 1).amps
+                amps = fock_numeric._coherent(z, ops[0].roots, bits, dim, 1)
                 got = fock_numeric._expectation_prefixes(p, n, amps, ops, dim)
                 assert got == full_prefix_sums(p, n, amps, ops, dim), (dim, z)
-
-    def test_no_strip_without_the_stability_pass(self, monkeypatch):
-        # on ops of width dim there is one pass and no narrow sum
-        applied = []
-        apply_operator_ = fock_numeric.apply_operator
-
-        def counting_apply(op, vec):
-            applied.append(op.dim)
-            return apply_operator_(op, vec)
-
-        monkeypatch.setattr(fock_numeric, "apply_operator", counting_apply)
-        ops = build_ops(32)
-        amps = fock_numeric._coherent(1, ops[0].roots, ops[0].bits, 32, 1).amps
-        wide, narrow = fock_numeric._expectation_prefixes(Params(2, 1), 3, amps, ops, 32)
-        assert narrow == [] and wide == full_prefix_sums(Params(2, 1), 3, amps, ops, 32)[0]
-        assert applied == [32] * 9
 
 
 class TestExpectationPower:
@@ -264,8 +270,7 @@ class TestExpectationPower:
         conjugate = expectation_power(Params(1, 2), 3, Fraction(1, 2), 128)
         assert forward.value == conjugate.value
 
-    @pytest.mark.parametrize("check_stability", [True, False])
-    def test_one_sqrt_table_per_expectation(self, monkeypatch, check_stability):
+    def test_one_sqrt_table_per_expectation(self, monkeypatch):
         # one table per call, whether it returns one power or all of 1..n
         dims = []
 
@@ -274,10 +279,10 @@ class TestExpectationPower:
             return build_ops(dim, precision)
 
         monkeypatch.setattr(fock_numeric, "build_ops", counting_build_ops)
-        expectation_power(Params(2, 1), 2, Fraction(1, 2), 128, check_stability=check_stability)
-        assert dims == [144 if check_stability else 128]
-        expectation_powers(Params(1, 1), 6, 1, 128, check_stability=check_stability)
-        assert dims == [144 if check_stability else 128] * 2
+        expectation_power(Params(2, 1), 2, Fraction(1, 2), 128)
+        assert dims == [144]
+        expectation_table([(Params(1, 1), 6)], [1], 128)
+        assert dims == [144] * 2
 
     def test_operators_and_coherent_vector_share_one_sqrt_table(self, monkeypatch):
         # build_ops at dim + 16 takes all 144 roots, math.isqrt(n << 2F) for
@@ -299,28 +304,25 @@ class TestExpectationPower:
         assert calls["sqrt"] == []
         assert len(calls["exp"]) == 1
 
-    def test_amplitudes_from_the_shared_table_match_coherent_state(self, monkeypatch):
-        # build_ops and coherent_state share one scale 2^(precision + 64); the
-        # vector on a wider table starts with the narrow one, and its tail mass
-        # is the narrow prefix's. Each floor loses under one unit of 2^-F and the
-        # steps z/sqrt(n) damp the carried error, so every amplitude is within
-        # 5 units of its value
+    def test_amplitudes_from_a_wider_table_start_with_the_narrow_ones(self):
+        # build_ops and the coherent amplitudes share one scale 2^(precision +
+        # 64); the vector on a wider table starts with the narrow one. Each
+        # floor loses under one unit of 2^-F and the steps z/sqrt(n) damp the
+        # carried error, so every amplitude is within 5 units of its value
         z = Fraction(3, 2)
-        # dim 40 loses about 2^-113 of the mass at z = 3/2; accept any tail
-        monkeypatch.setattr(fock_numeric, "tolerance", lambda precision: 1)
         for precision in (64, 256, 2048):
             bits = precision + 64
             a, _ = build_ops(40, precision)
             wide, _ = build_ops(56, precision)
             assert a.bits == wide.bits == bits
-            shared = fock_numeric._coherent(z, a.roots, bits, 40, 1)
+            # dim 40 loses about 2^-113 of the mass at z = 3/2; accept any tail
+            own = fock_numeric._coherent(z, a.roots, bits, 40, 1)
             from_wide = fock_numeric._coherent(z, wide.roots, bits, 40, 1)
-            own = coherent_state(z, 40, precision)
-            assert shared == own
-            assert from_wide.amps[:40] == own.amps and from_wide.tail_mass == own.tail_mass
-            assert all(type(x) is int for x in own.amps)
+            assert len(own) == 40 and len(from_wide) == 56
+            assert from_wide[:40] == own
+            assert all(type(x) is int for x in own)
             with mp.workprec(bits + 64):
-                for n, amp in enumerate(own.amps):
+                for n, amp in enumerate(own):
                     exact = mp.sqrt(mp.exp(-mp.mpf(z.numerator ** 2) / z.denominator ** 2)
                                     * mp.mpf(z.numerator ** 2) ** n
                                     / (z.denominator ** (2 * n) * mp.factorial(n)))
@@ -344,12 +346,7 @@ class TestExpectationPower:
 
         monkeypatch.setattr(fock_numeric, "build_ops", counting_build_ops)
         monkeypatch.setattr(fock_numeric, "apply_operator", counting_apply)
-        expectation_power(Params(2, 1), 3, Fraction(1, 2), 128)
-        assert built == [144]
-        assert applied == [8, 144] * 9
-        built.clear()
-        applied.clear()
-        expectation_powers(Params(2, 1), 3, Fraction(1, 2), 128)
+        expectation_table([(Params(2, 1), 3)], [Fraction(1, 2)], 128)
         assert built == [144]
         assert applied == [8, 144] * 9
 
@@ -369,23 +366,22 @@ class TestExpectationPower:
                 assert value.to_fraction() == exact, (r, s, n, z)
 
     def test_powers_return_every_prefix_in_order(self):
-        values = expectation_powers(Params(1, 1), 6, 1, 128)
+        values = expectation_table([(Params(1, 1), 6)], [1], 128)[Params(1, 1), 6, 1]
         assert [v.to_fraction() for v in values] == [1, 2, 5, 15, 52, 203]
         assert values[-1] == expectation_power(Params(1, 1), 6, 1, 128)
 
-    @pytest.mark.parametrize("check_stability", [True, False])
     @pytest.mark.parametrize("precision", [64, 256, 1024])
-    def test_prefix_values_equal_the_single_power_path_bit_for_bit(self, precision, check_stability):
+    def test_prefix_values_equal_the_single_power_path_bit_for_bit(self, precision):
         dim = fock_numeric.dimension_for(precision)
         for (r, s, top) in SUITE_WORDS:
             p = Params(r, s)
             for z in (Fraction(1, 2), Fraction(1)):
-                values = expectation_powers(p, top, z, dim, precision, check_stability)
+                values = expectation_table([(p, top)], [z], dim, precision)[p, top, z]
                 assert len(values) == top
                 for n, value in enumerate(values, 1):
                     assert value.precision_bits == precision
                     assert value.value == single_power_reference(
-                        p, n, z, dim, precision, check_stability), (r, s, n, z)
+                        p, n, z, dim, precision, check_stability=True), (r, s, n, z)
 
     def test_stability_test_reads_every_power_not_only_the_last(self, monkeypatch):
         # move the wide pass's n = 1 sum by 1 (2^(2F) in its units), far past
@@ -394,20 +390,39 @@ class TestExpectationPower:
 
         def moved_first_wide_sum(p, n, amps, ops, dim):
             wide, narrow = prefixes(p, n, amps, ops, dim)
-            if ops[0].dim == 144:
-                wide[0] += 1 << 2 * ops[0].bits
+            wide[0] += 1 << 2 * ops[0].bits
             return wide, narrow
 
         monkeypatch.setattr(fock_numeric, "_expectation_prefixes", moved_first_wide_sum)
         with pytest.raises(FockTruncationError, match=r"^value moved by 1\.0 when widening dim 128 -> 144$"):
-            expectation_powers(Params(1, 1), 3, 1, 128)
-        with pytest.raises(FockTruncationError, match="when widening dim 128 -> 144$"):
             expectation_power(Params(1, 1), 3, 1, 128)
-        assert expectation_power(Params(1, 1), 3, 1, 128, check_stability=False).to_fraction() == 5
+        monkeypatch.undo()
+        assert expectation_power(Params(1, 1), 3, 1, 128).to_fraction() == 5
 
     def test_truncation_rejected_when_word_cannot_fit(self):
         with pytest.raises(FockTruncationError):
             expectation_power(Params(3, 1), 5, 1, 8)
+
+    def test_every_word_is_checked_before_any_table_is_built(self, monkeypatch):
+        # a bad word anywhere in the list stops the call before build_ops
+        built = []
+        monkeypatch.setattr(fock_numeric, "build_ops", lambda dim, precision: built.append(dim))
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            expectation_table([(Params(1, 1), 3), (Params(2, 1), 0)], [1], 128)
+        with pytest.raises(FockTruncationError, match="^dim=8 cannot hold 3 applications of a word of height 3$"):
+            expectation_table([(Params(1, 1), 3), (Params(3, 1), 3)], [1], 8)
+        assert built == []
+
+    def test_one_table_for_many_words_equals_one_table_per_word(self):
+        # the words share one sqrt table and one coherent vector per z, and
+        # each value is the one its own one-word, one-z table gives, bit for bit
+        words = [(Params(r, s), n) for (r, s, n) in SUITE_WORDS]
+        zs = (Fraction(1, 2), Fraction(1))
+        table = expectation_table(words, zs, 128)
+        assert set(table) == {(p, n, z) for p, n in words for z in zs}
+        for p, n in words:
+            for z in zs:
+                assert table[p, n, z] == expectation_table([(p, n)], [z], 128)[p, n, z]
 
     def test_error_shrinks_with_dimension(self):
         # z = 2 pushes the knee high enough that truncation is visible
@@ -415,13 +430,13 @@ class TestExpectationPower:
         exact = bell_polynomial(p, 3, 4)
         errors = []
         for dim in (56, 64, 80):
-            v = expectation_power(p, 3, 2, dim, check_stability=False)
-            errors.append(abs(v.to_fraction() - exact))
+            v = single_power_reference(p, 3, 2, dim, 256, check_stability=False)
+            errors.append(abs(mpf_to_fraction(v) - exact))
         assert errors[0] > errors[1] > errors[2]
 
     def test_tail_mass_guard_rejects_small_dimensions(self):
         with pytest.raises(FockTruncationError):
-            expectation_power(Params(2, 2), 3, 2, 32, check_stability=False)
+            expectation_power(Params(2, 2), 3, 2, 32)
 
     def test_tail_guard_reads_the_narrow_prefix(self):
         # the one coherent vector spans dim + 16, but its guard judges dim
