@@ -98,9 +98,17 @@ class BigFloat:
         rounding: str = "n",
     ) -> "BigFloat":
         """Round num/den (den > 0, the pair need not be coprime) to
-        ``precision_bits`` in the mpmath mode ``rounding``."""
-        raw = libmp.from_rational(num, den, precision_bits, rounding)
-        return cls(mpmath.mp.make_mpf(raw), precision_bits)
+        ``precision_bits`` in the mpmath mode ``rounding``.
+
+        The powers of two of num and den leave as one exact exponent shift,
+        so mpmath rounds odd/odd (or 0): binary rounding commutes with
+        scaling by 2^k, and mpmath's python backend would strip trailing
+        zero bits one byte per loop.  Any other common factor stays.
+        """
+        zd = (den & -den).bit_length() - 1
+        zn = (num & -num).bit_length() - 1 if num else zd
+        raw = libmp.from_rational(num >> zn, den >> zd, precision_bits, rounding)
+        return cls(mpmath.mp.make_mpf(libmp.mpf_shift(raw, zn - zd)), precision_bits)
 
     def to_fraction(self) -> Fraction:
         return mpf_to_fraction(self.value)

@@ -19,8 +19,9 @@ coherent vector per z serve every word that expectation_table is given.
 
 Only real z >= 0 is supported.  For r = s the expectation depends on z
 only through z^2 (the phases cancel pairwise), so unit-modulus statements
-are exercised at z = 1; for r != s a complex phase would contribute a
-factor conj(z)^(n(r-s)) that this module does not model.
+are exercised at z = 1.  For complex z and r != s the expectation is
+B_{r,s}(n, |z|^2) times conj(z)^(n(r-s)) if r > s and z^(n(s-r)) if
+r < s, a phase this module does not model.
 """
 
 from __future__ import annotations

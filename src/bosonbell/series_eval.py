@@ -2,7 +2,8 @@
 
 Every series here is summed in exact rational arithmetic and rounded
 once at the end: terms and partial sums are integers over one running
-integer denominator, reduced once when the sum stops.  Truncation is
+integer denominator, and the enclosure a sum ends in is two integer ends
+over one denominator, never reduced up to that rounding.  Truncation is
 certified: a term-ratio upper bound that is valid for *all* later terms
 and non-increasing in the index turns the remainder into a geometric
 series, giving an exact rational tail bound.  The only irrational
@@ -59,43 +60,72 @@ class ConvergenceError(ValueError):
     """The series diverges (or cannot be certified) at the given argument."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Interval:
-    """Closed interval with exact rational endpoints."""
+    """Closed interval [lo_num/den, hi_num/den]: two integer ends over one
+    positive denominator, never reduced.  Every operation works on the
+    integers; ``lo`` and ``hi`` read the ends as reduced Fractions."""
 
-    lo: Fraction
-    hi: Fraction
+    lo_num: int
+    hi_num: int
+    den: int
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        if self.den <= 0:
+            raise ValueError(f"interval denominator must be positive, got {self.den}")
+        if self.lo_num > self.hi_num:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
 
     def __add__(self, other):
         if isinstance(other, _Interval):
-            return _Interval(self.lo + other.lo, self.hi + other.hi)
+            a, b = self.den, other.den
+            return _Interval(self.lo_num * b + other.lo_num * a,
+                             self.hi_num * b + other.hi_num * a, a * b)
         other = Fraction(other)
-        return _Interval(self.lo + other, self.hi + other)
+        p, q = other.numerator * self.den, other.denominator
+        return _Interval(self.lo_num * q + p, self.hi_num * q + p, self.den * q)
 
     def __mul__(self, other):
         other = Fraction(other)
-        if other >= 0:
-            return _Interval(self.lo * other, self.hi * other)
-        return _Interval(self.hi * other, self.lo * other)
+        p, q = other.numerator, self.den * other.denominator
+        if p >= 0:
+            return _Interval(self.lo_num * p, self.hi_num * p, q)
+        return _Interval(self.hi_num * p, self.lo_num * p, q)
 
     def over_exp(self, t: Fraction, bits: int) -> "_Interval":
-        """This interval divided by exp(t): each endpoint over the end of the
-        exp(t) enclosure that moves it outward."""
+        """This interval divided by exp(t): each end over the end of the
+        exp(t) enclosure [el/ed, eh/ed] that moves it outward.  Over the
+        common denominator den el eh / ed, an end divided by eh keeps the
+        factor el and one divided by el keeps eh."""
         e = _exp_bounds(t, bits)
-        return _Interval(self.lo / (e.hi if self.lo >= 0 else e.lo),
-                         self.hi / (e.lo if self.hi >= 0 else e.hi))
+        el, eh = e.lo_num, e.hi_num
+        # ed = td^(K+1) (K+1)! when the exp(t) sum stops at term K, and the
+        # running denominator of each series divided here holds td^k k! for
+        # a k that is mostly larger, so g = gcd(den, ed) is mostly all of ed:
+        # cancelling it first keeps a factor the size of ed out of all three
+        # products.  The ends themselves stay unreduced.
+        g = gcd(self.den, e.den)
+        rest = e.den // g
+        return _Interval(self.lo_num * rest * (el if self.lo_num >= 0 else eh),
+                         self.hi_num * rest * (eh if self.hi_num >= 0 else el),
+                         self.den // g * el * eh)
 
     def contains(self, x: RationalLike) -> bool:
         x = Fraction(x)
-        return self.lo <= x <= self.hi
+        p, q = x.numerator * self.den, x.denominator
+        return self.lo_num * q <= p <= self.hi_num * q
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
 
 @dataclass(frozen=True)
@@ -118,16 +148,10 @@ class SeriesValue:
 
 
 def _series_value(iv: _Interval, terms_used: int, bits: int) -> SeriesValue:
-    # the midpoint is mid/den and the half-width half/den, unreduced: mpmath
-    # rounds a quotient correctly whatever its form.  Only the common factor
-    # g of the endpoint denominators is cancelled: the two ends of a pFq
-    # enclosure share nearly all of theirs, and keeping it would double the
-    # size of both divisions
-    a, b = iv.lo.numerator, iv.lo.denominator
-    c, e = iv.hi.numerator, iv.hi.denominator
-    g = gcd(b, e)
-    b, e = b // g, e // g
-    mid, half, den = a * e + c * b, c * b - a * e, 2 * b * e * g
+    # the midpoint is mid/den and the half-width half/den over the interval's
+    # own denominator, unreduced: mpmath rounds a quotient correctly whatever
+    # its form, and from_rational moves the powers of two into the exponent
+    mid, half, den = iv.lo_num + iv.hi_num, iv.hi_num - iv.lo_num, 2 * iv.den
     value = BigFloat.from_rational(mid, den, bits, "n")
     sign, man, exp, _ = value.value._mpf_
     man = -int(man) if sign else int(man)
@@ -206,8 +230,7 @@ def _sum_series(
             if not ruled_out and big > 0 and (size * rho_num) << (bits + 8) <= big * gap:
                 # the partial sum and the tail over one denominator, den gap
                 whole, tail = partial * gap, size * rho_num
-                return _Interval(Fraction(whole - tail if signed else whole, den * gap),
-                                 Fraction(whole + tail, den * gap)), used
+                return _Interval(whole - tail if signed else whole, whole + tail, den * gap), used
         if used >= max_terms:
             raise TermBudgetError(
                 f"series needed more than {max_terms} terms for the requested precision"
@@ -427,7 +450,7 @@ def _hyp_combination(parts, x: Fraction, bits: int) -> Tuple[_Interval, int]:
     ``(uppers, lowers, coefficient)`` triples in ``parts``, with the total
     number of terms summed.  Coefficients must be exact rationals.
     """
-    total = _Interval(_ZERO, _ZERO)
+    total = _Interval(0, 0, 1)
     used = 0
     for uppers, lowers, coefficient in parts:
         iv, terms = _hyp_enclosure(uppers, lowers, x, bits)
@@ -714,7 +737,7 @@ def hgf_check(
             yield (k + s if k else factorial(s)), acc, lows[k + s], lows[k] * (k + s + 1)
 
     if lam == 0 or order == 0:
-        sums, used = _Interval(_ZERO, _ZERO), 0
+        sums, used = _Interval(0, 0, 1), 0
     else:
         sums, used = _sum_series(terms(), precision, _HGF_MAX_OUTER)
         sums *= Fraction(1, prod(steps))

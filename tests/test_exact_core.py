@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from bosonbell.exact_core import (
     BigFloat,
@@ -241,3 +243,35 @@ class TestBigFloat:
 
     def test_precision_recorded(self):
         assert BigFloat.from_fraction(1, 128).precision_bits == 128
+
+    def test_from_rational_matches_mpmath_bit_for_bit(self):
+        # ends with up to 4000 trailing zero bits each, rounded in all five
+        # modes: the shifted odd quotient is mpmath's rounding of the whole
+        rng = random.Random(26)
+        for _ in range(3000):
+            num = rng.choice([0, rng.randint(-2**3000, 2**3000), rng.randint(-2**64, 2**64)])
+            den = rng.randint(1, 2 ** rng.randint(1, 3000))
+            num, den = num << rng.randint(0, 4000), den << rng.randint(0, 4000)
+            prec, mode = rng.randint(2, 4096), rng.choice("nfcdu")
+            got = BigFloat.from_rational(num, den, prec, mode)
+            assert got.value._mpf_ == libmp.from_rational(num, den, prec, mode), (num, den, prec, mode)
+            assert got.precision_bits == prec
+
+    @pytest.mark.parametrize("num,den", [(0, 1), (0, 2**40), (3 << 900, 5 << 10),
+                                         (-(7 << 3), 9 << 3000), (2**64, 2**64), (-1, 3)],
+                             ids=("zero", "zero-over-even", "even-over-even", "negative",
+                                  "one", "odd-over-odd"))
+    def test_mpmath_rounds_odd_over_odd(self, monkeypatch, num, den):
+        seen = []
+        rounding = libmp.from_rational
+        expected = rounding(num, den, 53, "n")
+
+        def spy(p, q, *rest):
+            seen.append((p, q))
+            return rounding(p, q, *rest)
+
+        monkeypatch.setattr(libmp, "from_rational", spy)
+        assert BigFloat.from_rational(num, den, 53).value._mpf_ == expected
+        assert len(seen) == 1
+        p, q = seen[0]
+        assert (p == 0 or p % 2) and q % 2

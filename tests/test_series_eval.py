@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice, tee
-from math import ceil, factorial, perm, prod
+from math import ceil, factorial, lcm, perm, prod
 
 import mpmath
 import pytest
@@ -634,8 +634,28 @@ class TestCombinationParts:
             assert got == hyp_enclosure_reference(*call, 100_000), call
 
 
+def _over_one_den(lo, hi, scale=1):
+    """The interval [lo, hi] as two integer ends over their least common
+    denominator, every one of the three integers times ``scale``."""
+    den = lcm(lo.denominator, hi.denominator)
+    return series_eval._Interval(int(lo * den) * scale, int(hi * den) * scale, den * scale)
+
+
+ROUNDING_CASES = [
+    (Fraction(-7, 3), Fraction(-2, 9)),                   # negative midpoint
+    (Fraction(-5, 3), Fraction(1, 7)),                    # straddles zero, midpoint < 0
+    (Fraction(-1, 3), Fraction(1, 3)),                    # zero midpoint
+    (Fraction(0), Fraction(0)),                           # zero, zero width
+    (Fraction(1, 3), Fraction(1, 3)),                     # zero width, inexact
+    (Fraction(2**300 + 1), Fraction(2**300 + 1)),         # large integer, zero width
+    (Fraction(3**200, 7), Fraction(3**200 + 5, 7)),       # large value
+    (Fraction(10**40 + 1, 3**50), Fraction(10**41, 3**49)),
+    (Fraction(-7, 5 * 3**40), Fraction(11, 7 * 3**40)),   # shared denominator factor
+]
+
+
 class TestSeriesValueRounding:
-    """The rounding of an enclosure over unreduced integer pairs against the
+    """The rounding of an enclosure over unreduced integer ends against the
     Fraction formula it replaced."""
 
     @staticmethod
@@ -646,31 +666,101 @@ class TestSeriesValueRounding:
         tail = BigFloat.from_fraction((iv.hi - iv.lo) / 2 + rounding_error, bits, "c")
         return value.value._mpf_, tail.value._mpf_
 
+    @staticmethod
+    def _rounded(iv, bits):
+        sv = series_eval._series_value(iv, 1, bits)
+        return sv.value.value._mpf_, sv.tail_bound.value._mpf_
+
     @pytest.mark.parametrize("bits", (16, 64, 256))
-    @pytest.mark.parametrize("lo,hi", [
-        (Fraction(-7, 3), Fraction(-2, 9)),                   # negative midpoint
-        (Fraction(-5, 3), Fraction(1, 7)),                    # straddles zero, midpoint < 0
-        (Fraction(-1, 3), Fraction(1, 3)),                    # zero midpoint
-        (Fraction(0), Fraction(0)),                           # zero, zero width
-        (Fraction(1, 3), Fraction(1, 3)),                     # zero width, inexact
-        (Fraction(2**300 + 1), Fraction(2**300 + 1)),         # large integer, zero width
-        (Fraction(3**200, 7), Fraction(3**200 + 5, 7)),       # large value
-        (Fraction(10**40 + 1, 3**50), Fraction(10**41, 3**49)),
-        (Fraction(-7, 5 * 3**40), Fraction(11, 7 * 3**40)),   # shared denominator factor
-    ])
+    @pytest.mark.parametrize("lo,hi", ROUNDING_CASES)
     def test_matches_the_fraction_formula(self, lo, hi, bits):
-        sv = series_eval._series_value(series_eval._Interval(lo, hi), 7, bits)
-        assert (sv.value.value._mpf_, sv.tail_bound.value._mpf_) == \
-            self._by_fractions(series_eval._Interval(lo, hi), bits)
+        iv = _over_one_den(lo, hi)
+        sv = series_eval._series_value(iv, 7, bits)
+        assert (sv.value.value._mpf_, sv.tail_bound.value._mpf_) == self._by_fractions(iv, bits)
         assert (sv.terms_used, sv.precision_bits) == (7, bits)
         assert sv.brackets(lo) and sv.brackets(hi)
 
+    @pytest.mark.parametrize("bits", (16, 256, 4096))
+    @pytest.mark.parametrize("scale", (3**500, 1 << 3000, 3**500 << 3000),
+                             ids=("odd", "two", "both"))
+    @pytest.mark.parametrize("lo,hi", ROUNDING_CASES)
+    def test_common_factors_round_as_the_reduced_interval(self, lo, hi, scale, bits):
+        # the ends and the denominator share an odd factor, thousands of
+        # trailing zero bits, or both; the value and its bound do not move
+        assert self._rounded(_over_one_den(lo, hi, scale), bits) == \
+            self._rounded(_over_one_den(lo, hi), bits)
+
     def test_cases_reach_a_zero_mantissa_and_a_nonnegative_exponent(self):
         def rounded(lo, hi):
-            return series_eval._series_value(series_eval._Interval(lo, hi), 1, 256).value.value._mpf_
+            return self._rounded(_over_one_den(lo, hi), 256)[0]
 
         assert rounded(Fraction(-1, 3), Fraction(1, 3))[1] == 0
         assert rounded(Fraction(3**200, 7), Fraction(3**200 + 5, 7))[2] >= 0
+
+
+class TestInterval:
+    """Interval arithmetic on integer ends over one unreduced denominator."""
+
+    def test_ends_read_as_reduced_fractions(self):
+        iv = series_eval._Interval(-6, 10, 4)
+        assert (iv.lo, iv.hi, iv.midpoint) == (Fraction(-3, 2), Fraction(5, 2), Fraction(1, 2))
+        assert (iv.lo_num, iv.hi_num, iv.den) == (-6, 10, 4)
+
+    @pytest.mark.parametrize("ends", [(2, 1, 3), (0, 0, 0), (1, 2, -3)])
+    def test_empty_or_unsigned_intervals_are_refused(self, ends):
+        with pytest.raises(ValueError):
+            series_eval._Interval(*ends)
+
+    def test_add_intervals_over_unequal_denominators(self):
+        total = series_eval._Interval(1, 2, 6) + series_eval._Interval(-1, 5, 4)
+        assert (total.lo, total.hi) == (Fraction(1, 6) - Fraction(1, 4), Fraction(2, 6) + Fraction(5, 4))
+        assert total.den == 24  # the product, not the lcm 12
+
+    @pytest.mark.parametrize("other", [Fraction(-5, 4), Fraction(7, 6), 3, 0])
+    def test_add_a_rational(self, other):
+        total = series_eval._Interval(-1, 5, 6) + other
+        assert (total.lo, total.hi) == (Fraction(-1, 6) + other, Fraction(5, 6) + other)
+
+    @pytest.mark.parametrize("factor", [Fraction(3, 4), Fraction(-3, 4), 0, -2])
+    def test_mul_swaps_the_ends_for_a_negative_factor(self, factor):
+        product = series_eval._Interval(-1, 5, 6) * factor
+        ends = sorted([Fraction(-1, 6) * factor, Fraction(5, 6) * factor])
+        assert [product.lo, product.hi] == ends
+
+    @pytest.mark.parametrize("lo,hi", [
+        (Fraction(2, 3), Fraction(7, 5)),      # both ends positive
+        (Fraction(-2, 3), Fraction(7, 5)),     # negative lo
+        (Fraction(-7, 5), Fraction(-2, 3)),    # negative lo and hi
+        (Fraction(0), Fraction(0)),
+        (Fraction(-1, 9), Fraction(0)),
+    ])
+    @pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 3)])
+    def test_over_exp_moves_each_end_outward(self, lo, hi, t):
+        e = series_eval._exp_bounds(t, 64)
+        got = _over_one_den(lo, hi, 5).over_exp(t, 64)
+        assert got.lo == lo / (e.hi if lo >= 0 else e.lo)
+        assert got.hi == hi / (e.lo if hi >= 0 else e.hi)
+        assert got.lo <= got.hi
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_sum_series_hands_back_den_times_gap_unreduced(self, signed):
+        # partial 14 over den 8 after two terms; rho = 1/2^20 stops the sum
+        # with gap 2^20 - 1 and tail 2 rho_num, and 2 divides all three ends
+        gap = 2**20 - 1
+        terms = [(4, 6, 1, 1), (2, 2, 1, 2**20)]
+        sums, used = series_eval._sum_series(iter(terms), 1, 2, signed=signed)
+        whole = 14 * gap
+        assert (sums.lo_num, sums.hi_num, sums.den, used) == \
+            (whole - 2 if signed else whole, whole + 2, 8 * gap, 2)
+
+    def test_contains_both_ends_exactly(self):
+        iv = series_eval._Interval(-6 * 7, 10 * 7, 4 * 7)
+        assert iv.contains(Fraction(-3, 2)) and iv.contains(Fraction(5, 2))
+        assert iv.contains(0) and iv.contains(2)
+        tiny = Fraction(1, 10**30)
+        assert not iv.contains(Fraction(-3, 2) - tiny)
+        assert not iv.contains(Fraction(5, 2) + tiny)
+        assert not iv.contains(3)
 
 
 class TestExpBounds:
