@@ -39,7 +39,9 @@ from .series_eval import (
     bell_r1_hypergeometric_check,
     dobinski_bell,
     dobinski_gamma_form,
+    dobinski_gamma_forms,
     dobinski_polynomial,
+    dobinski_polynomials,
     egf_bell_r1_check,
     egf_stirling_diag_check,
     egf_stirling_r1_check,

@@ -197,19 +197,31 @@ def _suite_anti(args) -> list:
     return checks
 
 
+# the weights and (r, s) of the weighted-series checks, n = 1, 2, 3 each
+_WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(2))
+_WEIGHTED_PAIRS = ((1, 1), (2, 1), (2, 2))
+_WEIGHTED_NMAX = 3
+
+
 def _suite_dobinski(args) -> list:
     checks = []
     prec = args.prec
     # B_{r,s} = B_{s,r}, and the weighted series at t = 1 is the Bell series,
-    # so each series is summed once under (max, min, n, t); every check still
-    # compares it with the exact value read from the table of its own (r, s)
-    sums = {}
+    # so each series is summed once, in the family of its (max, min, t)
+    # with every n its checks read: at t = 1 that is n <= 3 for the weighted
+    # pairs whatever --nmax says.  Every check still compares its series with
+    # the exact value read from the table of its own (r, s).
+    sizes = {(r, s, Fraction(1)): args.nmax for r in range(1, args.rmax + 1) for s in range(1, r + 1)}
+    for t in _WEIGHTS:
+        for r, s in _WEIGHTED_PAIRS:
+            sizes[r, s, t] = max(sizes.get((r, s, t), 0), _WEIGHTED_NMAX)
+    sums = {(r, s, t): series_eval.dobinski_polynomials(Params(r, s), n_max, t, precision=prec)
+            for (r, s, t), n_max in sizes.items()}
+    gammas = {(r, s): series_eval.dobinski_gamma_forms(Params(r, s), args.nmax, precision=prec)
+              for r in range(1, args.rmax + 1) for s in range(1, r)}
 
     def series(r, s, n, t):
-        r, s = max(r, s), min(r, s)
-        if (r, s, n, t) not in sums:
-            sums[r, s, n, t] = series_eval.dobinski_polynomial(Params(r, s), n, t, precision=prec)
-        return sums[r, s, n, t]
+        return sums[max(r, s), min(r, s), t][n - 1]
 
     for r in range(1, args.rmax + 1):
         for s in range(1, args.rmax + 1):
@@ -224,14 +236,14 @@ def _suite_dobinski(args) -> list:
                     f"series B_({r},{s})({n}) brackets the exact value {exact}", ok,
                     f"tail={sv.tail_bound}"))
                 if r > s:
-                    sv2 = series_eval.dobinski_gamma_form(p, n, precision=prec)
+                    sv2 = gammas[r, s][n - 1]
                     ok2 = sv2.brackets(exact) and sv2.tail_bound.to_fraction() <= tail_cap
                     checks.append(Check(
                         f"Gamma-ratio series B_({r},{s})({n}) brackets {exact}", ok2))
-    for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        for (r, s) in ((1, 1), (2, 1), (2, 2)):
+    for t in _WEIGHTS:
+        for (r, s) in _WEIGHTED_PAIRS:
             p = Params(r, s)
-            for n in (1, 2, 3):
+            for n in range(1, _WEIGHTED_NMAX + 1):
                 exact_poly = stirling_bell.bell_polynomial(p, n, t)
                 sv = series(r, s, n, t)
                 checks.append(Check(

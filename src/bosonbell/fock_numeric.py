@@ -14,8 +14,9 @@ after k words is the input to word k+1, so expectation_table reads the
 inner product after every word and returns the values for 1, ..., n from
 one pass.  The stability re-check always widens the truncation by
 STABILITY_STEP; the narrow vector differs from the wide one only in its top
-n*max(r,s) entries, so it is stepped on that strip alone.  One table and one
-coherent vector per z serve every word that expectation_table is given.
+s + (n-1)*max(0, s-r) entries, so it is stepped on that strip alone.  One
+table and one coherent vector per z serve every word that
+expectation_table is given.
 
 Only real z >= 0 is supported.  For r = s the expectation depends on z
 only through z^2 (the phases cancel pairwise), so unit-modulus statements
@@ -129,6 +130,13 @@ def _coherent(z: RationalLike, roots: tuple, bits: int, dim: int, tail_threshold
     return tuple(amps)
 
 
+def _strip_bottom(p: Params, n: int, dim: int) -> int:
+    """lo = dim - s - (n-1)*max(0, s-r): the lowest entry at which the
+    narrow vector of :func:`_expectation_prefixes` can differ from the
+    wide one during n words (r, s)."""
+    return dim - p.s - (n - 1) * max(0, p.s - p.r)
+
+
 def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tuple[List[int], List[int]]:
     """The expectations of amps after 1, ..., n words, each scaled by 2^(2F):
     the vector after k words is the input to word k+1.  Returns (wide,
@@ -136,15 +144,25 @@ def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tupl
     entries.
 
     The narrow vector is stepped only on its strip [lo - 1, dim), lo =
-    dim - n*max(r,s) - 1.  At the lowest entry where the narrow and wide
-    vectors differ, an a moves it down by at most one and an a+ never down,
-    so below lo they agree at every letter: the strip's bottom entry is
-    copied from the wide vector before each letter, and both sums share the
-    head sum_{i<lo}.  The strip's operators hold the table slice
-    roots[lo-1:dim], on which FockOperator.entry would read sqrt(i) wrongly,
-    so they never leave this function.
+    :func:`_strip_bottom`.  Let L bound the entries where the narrow and
+    wide vectors agree: they agree on every entry below L.  Before the
+    first letter L = dim, where the narrow vector ends.  An a (out[i] =
+    sqrt(i+1) vec[i+1]) moves L down by one.  An a+ (out[i] = sqrt(i)
+    vec[i-1]) moves it up by one, but not past dim, as the narrow vector
+    drops what leaves its top entry.  A word (a+)^r a^s applies its s
+    letters a first, so a word that starts at L goes down to L - s and
+    ends at min(L - s + r, dim): word j starts at dim - (j-1) max(0, s-r),
+    and over n words L never goes below dim - s - (n-1) max(0, s-r) = lo.
+    Below lo the two vectors agree at every letter: the strip's bottom
+    entry is copied from the wide vector before each letter, and both sums
+    share the head sum_{i<lo}.  For s > r the bound is tight: a strip from
+    lo + 1 up changes some narrow sum.  (For r >= s each word ends at L =
+    dim, so the narrow sums, read after whole words, would not show it.)
+    The strip's operators hold the table slice roots[lo-1:dim], on which
+    FockOperator.entry would read sqrt(i) wrongly, so they never leave this
+    function.
     """
-    lo = dim - n * max(p.r, p.s) - 1
+    lo = _strip_bottom(p, n, dim)
     strip_ops = [replace(op, roots=op.roots[lo - 1:dim]) for op in ops]
     word = [(ops[0], strip_ops[0])] * p.s + [(ops[1], strip_ops[1])] * p.r
     vec, strip = list(amps), list(amps[lo - 1:dim])

@@ -320,9 +320,10 @@ class TestFockSuiteComputesEachValueOnce:
         assert built == [144]
         assert coherent == [Fraction(1, 2), Fraction(1)]
         assert roots == [n << 2 * (256 + 64) for n in range(144)]
-        # each letter steps the dim-144 vector and the 8-entry strip of the
-        # dim-128 one: n * max(r, s) + 2 = 8 for every word of the suite
-        assert len(applied) == 168 and applied == [8, 144] * 84
+        # each letter steps the dim-144 vector and the strip of the dim-128
+        # one, s + (n-1)*max(0, s-r) + 1 entries: 2 for (1,1,6) and (2,1,3),
+        # 3 for (2,2,3) and 5 for (1,2,3), each word at z = 1/2 and 1
+        assert applied == [2, 144] * 24 + [2, 144] * 18 + [3, 144] * 24 + [5, 144] * 18
 
     def test_every_word_is_applied_one_letter_per_step(self, capsys, monkeypatch):
         # per word and z: 2 passes x n x (r + s) letters, (1,1) to n = 6 and
@@ -367,15 +368,28 @@ def counting(monkeypatch, module, name, key):
 class TestSuitesComputeEachValueOnce:
     def test_dobinski_sums_each_series_once(self, capsys, monkeypatch):
         # 36 Bell checks need the 24 series of r >= s; the 27 weighted checks
-        # add 18 at t != 1, and their t = 1 series are Bell series
-        sums = counting(monkeypatch, series_eval, "dobinski_polynomial",
-                        lambda p, n, t: (max(p.r, p.s), min(p.r, p.s), n, Fraction(t)))
-        gamma = counting(monkeypatch, series_eval, "dobinski_gamma_form",
-                         lambda p, n: (p.r, p.s, n))
+        # add 18 at t != 1, and their t = 1 series are Bell series: 42 series
+        # in 12 families of one (max(r,s), min(r,s), t), and the 12
+        # Gamma-ratio series in the 3 families of r > s
+        families = counting(monkeypatch, series_eval, "_dobinski_family",
+                            lambda p, ns, t, gamma, bits: (p.r, p.s, t, gamma, tuple(ns)))
         code, out, _ = run_cli(capsys, "verify", "dobinski")
         assert code == 0 and out.endswith("75 passed, 0 failed\n")
-        assert len(sums) == len(set(sums)) == 42
-        assert len(gamma) == len(set(gamma)) == 12
+        for gamma, n_families, n_series in ((False, 12, 42), (True, 3, 12)):
+            calls = [call for call in families if call[3] == gamma]
+            assert len(calls) == len({(max(r, s), min(r, s), t) for r, s, t, _, _ in calls}) == n_families
+            sums = [(max(r, s), min(r, s), t, n) for r, s, t, _, ns in calls for n in ns]
+            assert len(sums) == len(set(sums)) == n_series
+
+    @pytest.mark.parametrize("rmax,nmax", [(1, 1), (2, 2), (5, 6)])
+    def test_dobinski_edges_match_the_snapshot(self, capsys, rmax, nmax):
+        # the t = 1 weighted checks of (1,1), (2,1) and (2,2) read n <= 3
+        # whatever --rmax and --nmax say, so their families are sized by both
+        code, out, _ = run_cli(capsys, "--json", "verify", "dobinski",
+                               "--rmax", str(rmax), "--nmax", str(nmax))
+        snapshot = pathlib.Path(__file__).with_name("verify_dobinski_edges.json")
+        assert code == 0
+        assert json.loads(out) == json.loads(snapshot.read_text())[f"--rmax {rmax} --nmax {nmax}"]
 
     def test_symmetry_rewrites_each_word_once(self, capsys, monkeypatch):
         words = counting(monkeypatch, boson_oracle, "extract_stirling_row",

@@ -239,6 +239,24 @@ class TestNarrowStrip:
                 got = fock_numeric._expectation_prefixes(p, n, amps, ops, dim)
                 assert got == full_prefix_sums(p, n, amps, ops, dim), (dim, z)
 
+    @pytest.mark.parametrize("r,s,n", [(r, s, n) for r, s, n in STRIP_WORDS if s > r])
+    def test_a_strip_one_entry_higher_changes_a_narrow_sum(self, monkeypatch, r, s, n):
+        # the lowest entry where the narrow and wide vectors differ reaches
+        # dim - s - (n-1)*(s-r) in the last word, so a strip from there + 1 up
+        # copies a wide entry where the narrow one differs.  With r >= s each
+        # word ends with the two vectors equal below dim, so no narrow sum
+        # can show it there.
+        p = Params(r, s)
+        dim = 64
+        ops = build_ops(dim + fock_numeric.STABILITY_STEP, 256)
+        amps = fock_numeric._coherent(2, ops[0].roots, ops[0].bits, dim, 1)
+        exact = full_prefix_sums(p, n, amps, ops, dim)
+        assert fock_numeric._expectation_prefixes(p, n, amps, ops, dim) == exact
+        bottom = fock_numeric._strip_bottom
+        monkeypatch.setattr(fock_numeric, "_strip_bottom", lambda *args: bottom(*args) + 1)
+        wide, narrow = fock_numeric._expectation_prefixes(p, n, amps, ops, dim)
+        assert wide == exact[0] and narrow != exact[1]
+
 
 class TestExpectationPower:
     @pytest.mark.parametrize("r,s,n,z,expected", [
@@ -330,8 +348,8 @@ class TestExpectationPower:
 
     def test_apply_and_build_counts_of_one_expectation(self, monkeypatch):
         # 2 passes x n = 3 x (s + r) = 3 letters: 18 applications, each letter
-        # on the dim-144 table, built once, after the 8-entry strip [lo - 1,
-        # 128) of the narrow vector, lo = 128 - 3 * 2 - 1; the values for
+        # on the dim-144 table, built once, after the 2-entry strip [lo - 1,
+        # 128) of the narrow vector, lo = 128 - s = 127; the values for
         # n = 1 and 2 come from the same pass at no extra step
         built, applied = [], []
         build_ops_, apply_operator_ = fock_numeric.build_ops, fock_numeric.apply_operator
@@ -348,7 +366,7 @@ class TestExpectationPower:
         monkeypatch.setattr(fock_numeric, "apply_operator", counting_apply)
         expectation_table([(Params(2, 1), 3)], [Fraction(1, 2)], 128)
         assert built == [144]
-        assert applied == [8, 144] * 9
+        assert applied == [2, 144] * 9
 
     @pytest.mark.parametrize("precision", [64, 256])
     def test_every_fock_suite_case_is_exact(self, precision):

@@ -42,13 +42,15 @@ def _top_term_plus_one(real):
     return normalize
 
 
-def _value_moved(real):
-    def dobinski(*args, **kwargs):
-        sv = real(*args, **kwargs)
-        v = sv.value.to_fraction()
-        return replace(sv, value=BigFloat.from_fraction(v + SMALL * max(abs(v), 1),
-                                                        sv.precision_bits))
-    return dobinski
+def _values_moved(real):
+    def family(*args, **kwargs):
+        moved = []
+        for sv in real(*args, **kwargs):
+            v = sv.value.to_fraction()
+            moved.append(replace(sv, value=BigFloat.from_fraction(v + SMALL * max(abs(v), 1),
+                                                                  sv.precision_bits)))
+        return moved
+    return family
 
 
 def _interval_moved(real):
@@ -64,7 +66,7 @@ MUTANTS = {
     "differential operator": (stirling_bell, "stirling_diffop", _top_entry_plus(1)),
     "table": (stirling_bell, "_next_row", _top_row_entry_plus_one),
     "rewriter": (boson_oracle, "normalize", _top_term_plus_one),
-    "Dobinski stream": (series_eval, "dobinski_polynomial", _value_moved),
+    "Dobinski stream": (series_eval, "_dobinski_family", _values_moved),
     "pFq": (series_eval, "_hyp_enclosure", _interval_moved),
     "egf power series": (PowerSeries, "coeff",
                          lambda real: lambda self, n: real(self, n) + (SMALL if n == 2 else 0)),

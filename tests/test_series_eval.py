@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import islice, tee
 from math import ceil, factorial, lcm, perm, prod
@@ -14,7 +15,9 @@ from bosonbell.series_eval import (
     bell_r1_hypergeometric_check,
     dobinski_bell,
     dobinski_gamma_form,
+    dobinski_gamma_forms,
     dobinski_polynomial,
+    dobinski_polynomials,
     egf_bell_r1_check,
     egf_stirling_diag_check,
     egf_stirling_r1_check,
@@ -65,6 +68,22 @@ def _recorded_streams(monkeypatch):
 
     monkeypatch.setattr(series_eval, "_sum_series", recording)
     return seen
+
+
+def _member_streams(p, n_max, t, gamma, count):
+    """The (den_step, num, rho_num, rho_den) terms that the family loop
+    reads for each member n = 1, ..., n_max of one family, run past every
+    member's certified stop until it has read ``count`` + 1 terms."""
+    seen = []
+    series_eval._dobinski_family(p, range(1, n_max + 1), t, gamma, 256,
+                                 min_terms=count + 1, seen=seen)
+    streams = {}
+    for k, n, *term in seen:
+        streams.setdefault(n, []).append((k, term))
+    for terms in streams.values():
+        ks = [k for k, _ in terms]
+        assert ks == list(range(ks[0], ks[0] + len(ks)))  # every k once, in order
+    return {n: iter([tuple(term) for _, term in terms]) for n, terms in streams.items()}
 
 
 def _assert_ratio_bounds_hold(stream, count):
@@ -162,8 +181,9 @@ class TestDobinskiPolynomial:
 
 
 class TestDobinskiTermStreams:
-    """The stepped numerators against their closed forms, and each ratio
-    bound against the terms it must bound, 200 terms past the first."""
+    """The numerators of every member of a family against their closed
+    forms, and each member's ratio bound against the terms it must bound,
+    200 terms past the first."""
 
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
     @pytest.mark.parametrize("r,s,n", [
@@ -172,27 +192,29 @@ class TestDobinskiTermStreams:
         (3, 1, 4), (1, 3, 3),              # r - s = 2
         (5, 2, 2),
     ])
-    def test_weighted_series(self, monkeypatch, r, s, n, t):
-        series_eval._exp_bounds(t, 256)  # cached, so only the Dobinski stream is recorded
-        seen = _recorded_streams(monkeypatch)
+    def test_weighted_series(self, r, s, n, t):
         p = Params(r, s)
-        assert dobinski_polynomial(p, n, t).brackets(bell_polynomial(p, n, t))
-        [stream] = seen
-        nums = _assert_ratio_bounds_hold(stream, 200)
+        for m, sv in enumerate(dobinski_polynomials(p, n, t), 1):
+            assert sv.brackets(bell_polynomial(p, m, t))
+        streams = _member_streams(p, n, t, False, 200)
+        assert sorted(streams) == list(range(1, n + 1))
         r, s = max(r, s), min(r, s)
-        assert nums == [t.numerator**k * prod(perm(k + j * (r - s), s) for j in range(n))
-                        for k in range(s, s + 201)]
+        for m, stream in streams.items():
+            nums = _assert_ratio_bounds_hold(stream, 200)
+            assert nums == [t.numerator**k * prod(perm(k + j * (r - s), s) for j in range(m))
+                            for k in range(s, s + 201)], m
 
     @pytest.mark.parametrize("r,s,n", [(2, 1, 1), (2, 1, 3), (3, 2, 2), (3, 1, 4), (5, 2, 3)])
-    def test_gamma_form(self, monkeypatch, r, s, n):
-        series_eval._exp_bounds(Fraction(1), 256)
-        seen = _recorded_streams(monkeypatch)
+    def test_gamma_form(self, r, s, n):
         p = Params(r, s)
-        assert dobinski_gamma_form(p, n).brackets(bell_number(p, n))
-        [stream] = seen
-        nums = _assert_ratio_bounds_hold(stream, 200)
-        assert nums == [prod(k + j + m * (r - s) for j in range(1, s + 1) for m in range(1, n))
-                        for k in range(201)]
+        for m, sv in enumerate(dobinski_gamma_forms(p, n), 1):
+            assert sv.brackets(bell_number(p, m))
+        streams = _member_streams(p, n, Fraction(1), True, 200)
+        assert sorted(streams) == list(range(1, n + 1))
+        for m, stream in streams.items():
+            nums = _assert_ratio_bounds_hold(stream, 200)
+            assert nums == [prod(k + j + i * (r - s) for j in range(1, s + 1) for i in range(1, m))
+                            for k in range(201)], m
 
 
 class TestHypergeometric:
@@ -504,24 +526,44 @@ class TestAgainstFractionLoops:
     def test_dobinski(self, monkeypatch, enclosures, r, s, n, min_terms, max_terms, bits):
         monkeypatch.setattr(series_eval, "_DOBINSKI_MAX_TERMS", max_terms)
         if min_terms:
-            # the Dobinski series leave the loop's own min_terms at 0; force
+            # the Dobinski sums leave the family loop's min_terms at 0; force
             # it here to run the loop past its certified stop
-            summing = series_eval._sum_series
-
-            def forcing(*args, **kwargs):
-                kwargs.setdefault("min_terms", min_terms)
-                return summing(*args, **kwargs)
-
-            monkeypatch.setattr(series_eval, "_sum_series", forcing)
+            family = series_eval._dobinski_family
+            monkeypatch.setattr(series_eval, "_dobinski_family",
+                                lambda *args, **kwargs: family(*args, min_terms=min_terms, **kwargs))
+        # families n = 1..n where the loop's own stop rule is forced or cut
+        # short; TestDobinskiFamilies covers the rest against single calls
+        forced = min_terms or max_terms < 200_000
         p = Params(r, s)
         got = _enclosure_of(dobinski_bell, enclosures, p, n, bits)
         assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms, min_terms)
         for t in (Fraction(1, 3), Fraction(5, 2)):
             got = _enclosure_of(dobinski_polynomial, enclosures, p, n, t, bits)
             assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms, min_terms)
+            if forced:
+                self._assert_family_matches(
+                    enclosures, _outcome(dobinski_polynomials, p, n, t, bits),
+                    [_outcome(dobinski_polynomial_reference, r, s, m, t, bits, max_terms, min_terms)
+                     for m in range(1, n + 1)])
         if r > s:
             got = _enclosure_of(dobinski_gamma_form, enclosures, p, n, bits)
             assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms, min_terms)
+            if forced:
+                self._assert_family_matches(
+                    enclosures, _outcome(dobinski_gamma_forms, p, n, bits),
+                    [_outcome(dobinski_gamma_form_reference, r, s, m, bits, max_terms, min_terms)
+                     for m in range(1, n + 1)])
+
+    @staticmethod
+    def _assert_family_matches(enclosures, got, references):
+        """A family's members against their references, or the error of
+        the first member that raised (all budget errors read alike)."""
+        errors = [ref for ref in references if ref[0] in (RuntimeError, ValueError)]
+        if errors:
+            assert got == errors[0]
+        else:
+            assert enclosures[-len(references):] == references
+            del enclosures[-len(references):]
 
     @pytest.mark.parametrize("bits", PRECISIONS)
     @pytest.mark.parametrize("r,s,lam,order", [
@@ -538,6 +580,74 @@ class TestAgainstFractionLoops:
         assert res.rhs_exact == 1 + sum(
             Fraction(bell_number(Params(r, s), n), factorial(n) ** (res.t_power + 1)) * lam**n
             for n in range(1, order + 1))
+
+
+def _bits_of(sv):
+    return sv.value.value._mpf_, sv.tail_bound.value._mpf_, sv.terms_used, sv.precision_bits
+
+
+class TestDobinskiFamilies:
+    """Every member of a family summed in one pass over k equals its
+    one-member call bit for bit: value, tail bound, terms used, and the
+    exact enclosure ends handed to the final rounding."""
+
+    def _assert_members_are_single_calls(self, enclosures, family_call, single_call, ns):
+        family = family_call()
+        family_ends = enclosures[-len(family):]
+        del enclosures[:]
+        singles = [single_call(n) for n in ns]
+        assert [_bits_of(sv) for sv in family] == [_bits_of(sv) for sv in singles]
+        assert family_ends == enclosures
+        del enclosures[:]
+        return singles, family_ends
+
+    @pytest.mark.parametrize("bits", PRECISIONS)
+    @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    @pytest.mark.parametrize("r,s", [(r, s) for r in (1, 2, 3) for s in (1, 2, 3)])
+    def test_weighted_members(self, enclosures, r, s, t, bits):
+        p = Params(r, s)
+        singles, ends = self._assert_members_are_single_calls(
+            enclosures, lambda: dobinski_polynomials(p, 6, t, bits),
+            lambda n: dobinski_polynomial(p, n, t, bits), range(1, 7))
+        # a family sums only the members asked for, in the order asked
+        for ns in ((2,), (5,), (5, 2)):
+            got = series_eval._dobinski_family(p, ns, t, False, bits)
+            assert [_bits_of(sv) for sv in got] == [_bits_of(singles[n - 1]) for n in ns]
+            assert enclosures == [ends[n - 1] for n in ns]
+            del enclosures[:]
+        if t == 1:
+            assert [_bits_of(dobinski_bell(p, n, bits)) for n in range(1, 7)] == \
+                [_bits_of(sv) for sv in singles]
+
+    @pytest.mark.parametrize("bits", PRECISIONS)
+    @pytest.mark.parametrize("r,s", [(2, 1), (3, 1), (3, 2)])
+    def test_gamma_members(self, enclosures, r, s, bits):
+        p = Params(r, s)
+        singles, ends = self._assert_members_are_single_calls(
+            enclosures, lambda: dobinski_gamma_forms(p, 6, bits),
+            lambda n: dobinski_gamma_form(p, n, bits), range(1, 7))
+        for ns in ((2,), (5,), (5, 2)):
+            got = series_eval._dobinski_family(p, ns, Fraction(1), True, bits)
+            assert [_bits_of(sv) for sv in got] == [_bits_of(singles[n - 1]) for n in ns]
+            assert enclosures == [ends[n - 1] for n in ns]
+            del enclosures[:]
+
+    def test_family_sizes_and_arguments_are_checked(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            dobinski_polynomials(Params(1, 1), 0, 1)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            dobinski_gamma_forms(Params(2, 1), 0)
+        with pytest.raises(ValueError, match="t must be positive"):
+            dobinski_polynomials(Params(1, 1), 3, 0)
+        with pytest.raises(ValueError, match="requires r > s"):
+            dobinski_gamma_forms(Params(1, 2), 3)
+
+    def test_a_member_past_the_budget_fails_the_family(self, monkeypatch):
+        # B_(1,1)(1) at 16 bits stops within 12 terms and B_(1,1)(6) does not
+        monkeypatch.setattr(series_eval, "_DOBINSKI_MAX_TERMS", 12)
+        assert dobinski_bell(Params(1, 1), 1, 16).terms_used <= 12
+        with pytest.raises(TermBudgetError, match="more than 12 terms"):
+            dobinski_polynomials(Params(1, 1), 6, 1, 16)
 
 
 class TestHypergeometricTermStreams:
@@ -696,6 +806,42 @@ class TestSeriesValueRounding:
 
         assert rounded(Fraction(-1, 3), Fraction(1, 3))[1] == 0
         assert rounded(Fraction(3**200, 7), Fraction(3**200 + 5, 7))[2] >= 0
+
+
+class TestBrackets:
+    """SeriesValue.brackets in integers against the Fraction form
+    |value - target| <= tail_bound it replaced."""
+
+    @staticmethod
+    def _by_fractions(sv, target):
+        return abs(sv.value.to_fraction() - Fraction(target)) <= sv.tail_bound.to_fraction()
+
+    @staticmethod
+    def _float(man, exp):
+        return BigFloat(mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(man, exp)), 64)
+
+    def test_seeded_values_tails_and_targets(self):
+        rng = random.Random(27)
+        for _ in range(2000):
+            mv = rng.choice((0, 1, -1)) * rng.getrandbits(rng.randint(1, 300))
+            mt = rng.choice((0, 1, 1)) * rng.getrandbits(rng.randint(1, 64))
+            ev, et = rng.randint(-4000, 4000), rng.randint(-4000, 4000)
+            sv = SeriesValue(self._float(mv, ev), self._float(mt, et), 1, 64)
+            v, tail = sv.value.to_fraction(), sv.tail_bound.to_fraction()
+            nudge = Fraction(1, rng.choice((3, 2**4100, 3 * 2**4100)))
+            targets = [v, v - tail, v + tail, v - tail - nudge, v + tail + nudge,
+                       v + tail - nudge, round(v), round(v) + rng.choice((-1, 1)),
+                       Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))]
+            for target in targets:
+                assert sv.brackets(target) == self._by_fractions(sv, target), (mv, ev, mt, et, target)
+
+    def test_both_ends_are_inside(self):
+        sv = SeriesValue(self._float(-3, -4000), self._float(1, -4001), 1, 64)
+        v, tail = Fraction(-3, 2**4000), Fraction(1, 2**4001)
+        assert sv.brackets(v - tail) and sv.brackets(v + tail)
+        assert not sv.brackets(v + tail + Fraction(1, 2**5000))
+        big = SeriesValue(self._float(5, 4000), self._float(0, 0), 1, 64)
+        assert big.brackets(5 << 4000) and not big.brackets((5 << 4000) + 1)
 
 
 class TestInterval:
