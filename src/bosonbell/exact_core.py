@@ -105,6 +105,9 @@ class BigFloat:
         scaling by 2^k, and mpmath's python backend would strip trailing
         zero bits one byte per loop.  Any other common factor stays.
         """
+        if precision_bits < 2:
+            # checked before mpmath, whose from_rational loops on a negative one
+            raise ValueError("precision_bits must be at least 2")
         zd = (den & -den).bit_length() - 1
         zn = (num & -num).bit_length() - 1 if num else zd
         raw = libmp.from_rational(num >> zn, den >> zd, precision_bits, rounding)

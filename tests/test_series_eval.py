@@ -35,6 +35,7 @@ from bosonbell.exact_core import (
     mpf_to_fraction,
     series_binomial_power,
     series_exp,
+    series_exp_linear,
 )
 from bosonbell.stirling_bell import (
     Params,
@@ -332,6 +333,8 @@ class TestEgf:
 
 # hgf pairs other than (3, 2) and (2s, s), swapped ones included
 NEW_PAIRS = [(3, 1), (4, 3), (5, 2), (5, 3), (1, 2), (2, 3)]
+# r = s: the inner sums are entire, so G_{r,r} has no radius
+EQUAL_PAIRS = [(1, 1), (2, 2), (3, 3)]
 
 
 def _radius(r, s):
@@ -351,7 +354,8 @@ class TestHgf:
         (3, 2, Fraction(1, 20)),
         (4, 2, Fraction(1, 20)),
         (4, 2, Fraction(1, 50)),
-    ] + [(r, s, f * _radius(r, s)) for r, s in NEW_PAIRS for f in (Fraction(1, 5), Fraction(9, 10))])
+    ] + [(r, s, f * _radius(r, s)) for r, s in NEW_PAIRS for f in (Fraction(1, 5), Fraction(9, 10))]
+      + [(r, r, lam) for r, _ in EQUAL_PAIRS for lam in (Fraction(1, 5), Fraction(1, 2), Fraction(2))])
     def test_routes_agree_at_order_twelve(self, r, s, lam):
         res = hgf_check(r, s, lam, 12)
         assert res.ok
@@ -377,10 +381,22 @@ class TestHgf:
                 hgf_check(r, s, _radius(r, s), 4)
 
     @pytest.mark.parametrize("r", [1, 2])
-    def test_equal_indices_rejected(self, r):
-        # d = r - s = 0 has no hypergeometric generating function
-        with pytest.raises(ValueError):
-            hgf_check(r, r, Fraction(1, 100), 4)
+    def test_equal_indices_have_no_radius(self, r):
+        # d = r - s = 0: the inner sums are entire 0F(r-1) functions, so
+        # lambda may be as large as the exact side can be summed
+        for lam in (Fraction(1, 100), Fraction(10), Fraction(1000)):
+            res = hgf_check(r, r, lam, 4)
+            assert res.ok and res.t_power == r - 1, lam
+
+    def test_one_one_matches_the_bell_egf(self):
+        """G_{1,1} is exp(e^x - 1), the egf of the Bell numbers, at x = lambda."""
+        order = 12
+        egf = series_exp(series_exp_linear(1, order) - PowerSeries.one(order))
+        for lam in (Fraction(1, 5), Fraction(2), Fraction(10)):
+            truncation = sum(egf.coeff(n) * lam**n for n in range(order + 1))
+            res = hgf_check(1, 1, lam, order)
+            assert res.rhs_exact == truncation, lam
+            assert res.ok and res.lhs.brackets(truncation), lam
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -405,18 +421,19 @@ class TestHgf:
         with pytest.raises(TermBudgetError):
             hgf_check(3, 2, Fraction(1, 5), 12)
 
-    @pytest.mark.parametrize("r,s", [(3, 2), (2, 1), (4, 2), (6, 3), (3, 1), (4, 3), (5, 2)])
+    @pytest.mark.parametrize("r,s", [(3, 2), (2, 1), (4, 2), (6, 3), (3, 1), (4, 3), (5, 2),
+                                     *EQUAL_PAIRS])
     def test_growth_bounds_every_inner_ratio(self, monkeypatch, r, s):
         d = r - s
 
         def u(k, m):
             # u_m(k) without its lambda^m, which cancels in u_m(k+1)/u_m(k)
-            return prod(Fraction(k + s - i, d) + j for i in range(s) for j in range(m)) \
-                * d ** (s * m) / factorial(m) ** s
+            return Fraction(prod(k + s - i + j * d for i in range(s) for j in range(m)),
+                            factorial(m) ** s)
 
         seen = _recorded_streams(monkeypatch)
         for M in range(1, 13):
-            hgf_check(r, s, _radius(r, s) / 10, M, precision=16)
+            hgf_check(r, s, _radius(r, s) / 10 if d else Fraction(1, 10), M, precision=16)
             # the k-series is summed first; its rho is the growth bound over k+s+1
             tuples = list(islice(seen[0], 41))
             seen.clear()
@@ -444,6 +461,7 @@ class TestHgf:
         (3, 2, Fraction(1, 5), 12), (4, 2, Fraction(1, 20), 12),
         (2, 1, Fraction(1, 5), 10), (6, 3, Fraction(1, 135), 6),
         (3, 1, Fraction(9, 20), 12), (4, 3, Fraction(9, 10), 12), (5, 2, Fraction(1, 10), 12),
+        (1, 1, Fraction(2), 12), (2, 2, Fraction(1, 5), 12), (3, 3, Fraction(10), 8),
     ])
     def test_outer_ratio_bound_holds_for_the_summed_terms(self, monkeypatch, r, s, lam, order):
         """Every series hgf_check sums, its k-series and that of e, gets a
@@ -650,25 +668,187 @@ class TestDobinskiFamilies:
             dobinski_polynomials(Params(1, 1), 6, 1, 16)
 
 
+def _factor_stream(uppers, lowers, x, count):
+    """The first ``count`` (p, q, rho_num, rho_den) of a pFq: term(m+1) =
+    term(m) p/q, and the ratio bound rho of term m."""
+    uppers, lowers = tuple(map(Fraction, uppers)), tuple(map(Fraction, lowers))
+    terminating = any(a <= 0 and a.denominator == 1 for a in uppers)
+    factor, rho = series_eval._hyp_ratio(uppers, lowers, Fraction(x), terminating)
+    return [factor(m) + rho(m) for m in range(count)]
+
+
 class TestHypergeometricTermStreams:
-    """Each convergent non-terminating pFq case of TestAgainstFractionLoops
-    with x != 0: rho is 1 below m_start and from there on bounds
-    |term(m+1)/term(m)| and does not increase, 200 terms on."""
+    """The factor stream of each pFq case of TestAgainstFractionLoops, 200
+    terms on."""
 
     CASES = [(uppers, lowers, x) for uppers, lowers, x, _ in TestAgainstFractionLoops.HYPER_CASES
              if x != 0 and not any(Fraction(a) <= 0 and Fraction(a).denominator == 1 for a in uppers)
              and not (len(uppers) == len(lowers) + 1 and abs(x) >= 1)]
 
     @pytest.mark.parametrize("uppers,lowers,x", CASES)
-    def test_ratio_bounds(self, monkeypatch, uppers, lowers, x):
-        seen = _recorded_streams(monkeypatch)
-        hypergeometric(HyperParams(uppers, lowers, x))
-        [stream] = seen
+    def test_ratio_bounds(self, uppers, lowers, x):
+        """Each convergent non-terminating case with x != 0: rho is 1 below
+        m_start and from there on bounds |p/q| = |term(m+1)/term(m)| and
+        does not increase."""
+        factors = _factor_stream(uppers, lowers, x, 200)
         # below m_start some a + m or b + m may be negative: rho bounds nothing
         m_start = max([0] + [ceil(-Fraction(a)) for a in uppers]
                       + [ceil(1 - Fraction(b)) for b in lowers + (1,)])
-        assert all(rho_num == rho_den for *_, rho_num, rho_den in islice(stream, m_start))
-        _assert_ratio_bounds_hold(stream, 200)
+        assert all(rho_num == rho_den for *_, rho_num, rho_den in factors[:m_start])
+        bounds = [Fraction(rho_num, rho_den) for *_, rho_num, rho_den in factors[m_start:]]
+        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+        for (p, q, *_), bound in zip(factors[m_start:], bounds):
+            assert abs(Fraction(p, q)) <= bound
+
+    @pytest.mark.parametrize("uppers,lowers,x,_", TestAgainstFractionLoops.HYPER_CASES)
+    def test_factors_and_the_screen_premise(self, uppers, lowers, x, _):
+        """Every case: p/q is the term ratio x prod (a+m) / ((m+1) prod (b+m))
+        with q > 0, and wherever rho < 1, rho >= |p/q|, the premise on which
+        the screen skips a term."""
+        for m, (p, q, rho_num, rho_den) in enumerate(_factor_stream(uppers, lowers, x, 200)):
+            ratio = Fraction(x, m + 1) * prod(Fraction(a) + m for a in uppers) \
+                / prod(Fraction(b) + m for b in lowers)
+            assert q > 0 and Fraction(p, q) == ratio, m
+            if rho_num < rho_den:
+                assert rho_num * q >= abs(p) * rho_den, m
+
+
+def _hyp_outcome(uppers, lowers, x, bits):
+    """(lo, hi, terms_used) of the package's pFq enclosure, or its error."""
+    def ends(*args):
+        iv, used = series_eval._hyp_enclosure(*args)
+        return iv.lo, iv.hi, used
+    return _outcome(ends, uppers, lowers, Fraction(x), bits)
+
+
+def _random_hyper_cases(count, seed):
+    """Seeded pFq cases: 0-3 lowers, up to one upper more, parameters of
+    either sign (integer uppers <= 0 terminate), x = 0, |x| < 1 for
+    p = q + 1, up to |x| = 1200 otherwise, and budgets from 1 term up."""
+    rng = random.Random(seed)
+
+    def param():
+        return Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 4, 5, 7)))
+
+    cases = []
+    while len(cases) < count:
+        q = rng.randint(0, 3)
+        uppers = tuple(param() for _ in range(rng.randint(0, q + 1)))
+        lowers = tuple(b for b in (param() for _ in range(q)) if b > 0 or b.denominator > 1)
+        roll = rng.random()
+        if roll < 0.05:
+            x = Fraction(0)
+        elif len(uppers) == len(lowers) + 1:
+            x = Fraction(rng.randint(-19, 19), 20)
+        elif roll < 0.1:
+            x = Fraction(rng.randint(-1200, 1200), rng.choice((1, 3)))
+        else:
+            x = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 16)))
+        bits = rng.choice((16, 17, 31, 64, 100, 256, 512, 1024))
+        budget = rng.choice((1, 2, 3, 10, 50) + (100_000,) * 4)
+        cases.append((uppers, lowers, x, bits, budget))
+    return cases
+
+
+class TestHypergeometricSplit:
+    """The screen, the binary split and the hand-over to the certified loop
+    against the Fraction loop: the same ends, the same terms_used, or the
+    same error type and message."""
+
+    GAUSS = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(5, 2),))
+    CASES = [
+        GAUSS + (Fraction(1, 2), 1024),                     # 1005 terms
+        GAUSS + (Fraction(1, 4), 2048),                     # 1014 terms
+        ((1,), (2,), Fraction(-40), 256),                   # signed, heavy cancellation
+        ((1,), (1,), Fraction(710), 64),                    # terms past 2^1000 from m = 579
+        ((-100, -100), (), Fraction(1024), 64),             # terminating, terms past 2^1000
+        ((-4,), (Fraction(5, 2),), Fraction(-3), 64),       # terminating, signed
+        ((Fraction(1, 3),), (Fraction(-1, 2),), Fraction(3, 4), 64),  # m_start = 2
+        ((1,), (2,), Fraction(0), 64),                      # x = 0
+        ((Fraction(1, 3),), (Fraction(-1, 2),), Fraction(0), 64),     # x = 0 below m_start
+    ]
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The start state that each pFq hands to the certified loop."""
+        seen = []
+        summing = series_eval._sum_series
+
+        def recording(terms, *rest, **options):
+            seen.append(options["start"])
+            return summing(terms, *rest, **options)
+
+        monkeypatch.setattr(series_eval, "_sum_series", recording)
+        return seen
+
+    @pytest.mark.parametrize("uppers,lowers,x,bits", CASES)
+    def test_matches_the_fraction_loop(self, uppers, lowers, x, bits):
+        assert _hyp_outcome(uppers, lowers, x, bits) \
+            == _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, 100_000)
+
+    @pytest.mark.parametrize("uppers,lowers,x,bits,handed_over", [
+        (*GAUSS, Fraction(1, 2), 1024, 998),
+        (*GAUSS, Fraction(1, 4), 2048, 1011),
+        ((1,), (1,), Fraction(710), 64, 579),   # the first term past 2^1000
+        ((-4,), (Fraction(5, 2),), Fraction(-3), 64, 4),  # the zero factor
+        ((1,), (2,), Fraction(0), 64, 0),
+    ])
+    def test_where_the_screen_hands_over(self, starts, uppers, lowers, x, bits, handed_over):
+        """The screen leaves the long sums' last few terms to the certified
+        loop, and a sum past 2^1000 or with a zero factor from there on."""
+        series_eval._hyp_enclosure(uppers, lowers, x, bits)
+        [(partial, den, used)] = starts
+        assert used == handed_over
+        assert (partial, den) == _running_sum(uppers, lowers, x, used)
+
+    def test_every_skipped_term_is_ruled_out_by_the_pre_test(self, starts, monkeypatch):
+        """The screen skips a term only where the certified loop's pre-test
+        rules it out: term j < the hand-over index with rho < 1 has
+        bl(|num|) + bl(rho_num) + bits + 7 > bl(big) + bl(gap)."""
+        cases = [case + (100_000,) for case in self.CASES] + _random_hyper_cases(300, 29)
+        skipped = 0
+        for uppers, lowers, x, bits, budget in cases:
+            monkeypatch.setattr(series_eval, "_HYP_MAX_TERMS", budget)
+            starts.clear()
+            _hyp_outcome(uppers, lowers, x, bits)
+            if not starts:
+                continue  # a divergent argument: nothing was summed
+            [(_, _, handed_over)] = starts
+            partial, den, num, step = 0, 1, 1, 1
+            for p, q, rho_num, rho_den in _factor_stream(uppers, lowers, x, handed_over):
+                partial, den = partial * step + num, den * step
+                if rho_num < rho_den:
+                    big, gap = max(abs(partial), den), rho_den - rho_num
+                    assert num and rho_num
+                    assert abs(num).bit_length() + rho_num.bit_length() + bits + 7 \
+                        > big.bit_length() + gap.bit_length(), (uppers, lowers, x, bits)
+                    skipped += 1
+                num, step = num * p, q
+        assert skipped > 10_000
+
+    @pytest.mark.parametrize("max_terms", [1005, 1004])
+    def test_a_budget_at_the_stop_index(self, monkeypatch, max_terms):
+        # the 1024-bit Gauss sum stops at term 1005
+        monkeypatch.setattr(series_eval, "_HYP_MAX_TERMS", max_terms)
+        case = self.GAUSS + (Fraction(1, 2), 1024)
+        got = _hyp_outcome(*case)
+        assert got == _outcome(hyp_enclosure_reference, *case, max_terms)
+        assert (got[2] == 1005) if max_terms == 1005 else (got[0] is RuntimeError)
+
+    def test_a_seeded_sweep(self, monkeypatch):
+        for *case, budget in _random_hyper_cases(300, 28):
+            monkeypatch.setattr(series_eval, "_HYP_MAX_TERMS", budget)
+            assert _hyp_outcome(*case) == _outcome(hyp_enclosure_reference, *case, budget), (case, budget)
+
+
+def _running_sum(uppers, lowers, x, used):
+    """(partial, den) after ``used`` terms of a pFq summed term by term over
+    one running denominator, as the certified loop forms them."""
+    partial, den, num, step = 0, 1, 1, 1
+    for p, q, _, _ in _factor_stream(uppers, lowers, x, used):
+        partial, den = partial * step + num, den * step
+        num, step = num * p, q
+    return partial, den
 
 
 class _NoProduct(int):
@@ -935,6 +1115,47 @@ class TestExpBounds:
         # t/(k+1) stays above 1/2 for all 64*16 + 1026 budgeted terms
         with pytest.raises(TermBudgetError):
             series_eval._exp_bounds(Fraction(10**4), 16)
+
+
+class TestPrecisionFloor:
+    """Every certified series refuses a precision below MIN_PRECISION_BITS
+    before it sums anything.  mpmath's rounding is patched to fail, so a
+    missing guard fails the test where it would hang or sum a whole series."""
+
+    CALLS = [
+        lambda b: hypergeometric(HyperParams((1,), (2,), 1), precision=b),
+        lambda b: dobinski_bell(Params(2, 1), 3, precision=b),
+        lambda b: dobinski_polynomial(Params(2, 1), 3, 2, precision=b),
+        lambda b: dobinski_polynomials(Params(2, 2), 3, 2, precision=b),
+        lambda b: dobinski_gamma_form(Params(3, 1), 3, precision=b),
+        lambda b: dobinski_gamma_forms(Params(3, 1), 3, precision=b),
+        lambda b: series_eval.kummer_bell_value(2, 3, precision=b),
+        lambda b: kummer_bell_check(2, 3, precision=b),
+        lambda b: family_bell_check(1, 1, 2, precision=b),
+        lambda b: bell_r1_hypergeometric_check(3, 2, precision=b),
+        lambda b: hgf_check(3, 2, Fraction(1, 5), 4, precision=b),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def no_rounding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mpmath rounding reached")
+
+        monkeypatch.setattr(mpmath.libmp, "from_rational", refuse)
+
+    @pytest.mark.parametrize("bits", [-20, -5, -1, 0, series_eval.MIN_PRECISION_BITS - 1])
+    @pytest.mark.parametrize("call", range(len(CALLS)))
+    def test_below_the_floor_raises_before_summing(self, call, bits):
+        floor = series_eval.MIN_PRECISION_BITS
+        with pytest.raises(ValueError, match=f"^precision must be >= {floor} bits, got {bits}$"):
+            self.CALLS[call](bits)
+
+    @pytest.mark.parametrize("bits", [-3, 0, 1])
+    def test_bigfloat_refuses_before_mpmath(self, bits):
+        with pytest.raises(ValueError, match="at least 2"):
+            BigFloat.from_rational(1, 3, bits)
+        with pytest.raises(ValueError, match="at least 2"):
+            BigFloat.from_fraction(Fraction(1, 3), bits)
 
 
 class TestAlternatingHypergeometric:
