@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from . import boson_oracle, fock_numeric, series_eval, stirling_bell
 from .boson_oracle import OracleStructureError
-from .exact_core import DEFAULT_PRECISION_BITS, binomial
+from .exact_core import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, binomial
 from .fock_numeric import FockTruncationError
-from .series_eval import MIN_PRECISION_BITS, TermBudgetError
+from .series_eval import TermBudgetError
 from .stirling_bell import DivisibilityError, Params
 
 # exit 3; DivisibilityError is an ArithmeticError but signals a bug, not bad input

@@ -15,14 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 import mpmath
 from mpmath import libmp
 
 DEFAULT_PRECISION_BITS = 256
 
+# the smallest working precision that every certified series, the Fock
+# table and the CLI's --prec accept
+MIN_PRECISION_BITS = 16
+
 RationalLike = Union[int, Fraction]
+
+
+def _check_precision(bits: int) -> None:
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
 
 
 def binomial(n: int, k: int) -> int:
@@ -57,14 +66,17 @@ def rising_factorial(x, s: int):
     return result
 
 
+def _man_exp(x: mpmath.mpf) -> Tuple[int, int]:
+    """The integers (m, e) of a finite mpf x = m 2^e, m signed."""
+    sign, man, exp, _ = x._mpf_
+    if man == 0 and x != 0:
+        raise ValueError(f"non-finite value {x!r}")
+    return (-int(man) if sign else int(man)), exp
+
+
 def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
     """Exact rational value of a finite binary float."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ValueError(f"cannot convert non-finite value {x!r}")
-    man = -int(man) if sign else int(man)
+    man, exp = _man_exp(x)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 

@@ -35,7 +35,7 @@ from typing import List, Tuple
 
 from mpmath import mp
 
-from .exact_core import DEFAULT_PRECISION_BITS, BigFloat, RationalLike
+from .exact_core import DEFAULT_PRECISION_BITS, BigFloat, RationalLike, _check_precision
 from .stirling_bell import Params
 
 _GUARD_BITS = 64
@@ -191,8 +191,10 @@ def expectation_table(words, zs, dim: int, precision: int = DEFAULT_PRECISION_BI
     entries that can differ, and every one of the n values must agree with
     its wider value to 2^(-precision/2), otherwise the truncation is
     reported as too small.  Each sum is rounded once, to ``precision``
-    bits.  The exact targets are z^(k|r-s|) B_{r,s}(k, z^2).
+    bits.  The exact targets are z^(k|r-s|) B_{r,s}(k, z^2).  A precision
+    below MIN_PRECISION_BITS is refused before any work.
     """
+    _check_precision(precision)
     for p, n in words:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
@@ -214,8 +216,5 @@ def expectation_table(words, zs, dim: int, precision: int = DEFAULT_PRECISION_BI
                     raise FockTruncationError(
                         f"value moved by {mp.nstr(mp.ldexp(moved, -2 * bits), 8)} when widening "
                         f"dim {dim} -> {dim + STABILITY_STEP}")
-            with mp.workprec(precision):
-                table[p, n, z] = [
-                    BigFloat(value=mp.ldexp(mp.mpf(v), -2 * bits), precision_bits=precision)
-                    for v in values]
+            table[p, n, z] = [BigFloat.from_rational(v, 1 << 2 * bits, precision) for v in values]
     return table

@@ -11,23 +11,20 @@ constant, e, enters through an exact rational enclosure of exp(t), so
 every :class:`SeriesValue` brackets the true sum of the identity it
 evaluates.
 
-Two loops sum the series.  :func:`_dobinski_family` sums the Dobinski
-series, weighted and Gamma-ratio: every member n of one family (r, s, t)
-in one pass over k, over one shared running denominator, each member's
-numerator the prefix product of small integer factors formed once per k.
-:func:`_sum_series` sums exp(t), the outer k-sum of :func:`hgf_check`
-and each pFq, each a stream of integer tuples (den_step, num, rho_num,
-rho_den); a pFq stream has signed terms, reads the integers of its
-Fraction parameters once, and ends at its zero term if it terminates.
-Both stop a series at the same term by the same rule: a bit-length
-pre-test skips the terms whose sizes alone rule out a stop before the
-cross-multiplied stop test forms its products, and only the full test
-decides where a sum stops.  The Dobinski loop is separate because most
-of a Dobinski sum's cost was the per-term generator protocol and the
-per-n stepping: the family loop made ``verify dobinski`` about twice as
-fast, while in a prototype feeding :func:`_sum_series` lists of members
-left it no faster and slowed every single pFq stream by about 15% per
-term.
+Two loops sum the series, and :func:`_stop` is the one stop rule of
+both.  :func:`_dobinski_family` sums the Dobinski series, weighted and
+Gamma-ratio: every member n of one family (r, s, t) in one pass over k,
+over one shared running denominator, each member's numerator the prefix
+product of small integer factors formed once per k.  :func:`_sum_series`
+sums exp(t), the outer k-sum of :func:`hgf_check` and each pFq, each a
+stream of integer tuples (den_step, num, rho_num, rho_den); a pFq stream
+has signed terms, reads the integers of its Fraction parameters once,
+and ends at its zero term if it terminates.  The Dobinski loop is
+separate because of the per-term generator protocol and the per-n
+stepping, which were most of a Dobinski sum's cost: the family loop
+made ``verify dobinski`` about twice as fast.  (A prototype feeding
+:func:`_sum_series` lists of members, measured before the pFq screen
+below existed, also slowed every pFq term by about 15%.)
 
 A pFq does not step its growing integers term by term from the start.
 A screen steps only the small factors p/q of its term ratio, with a
@@ -54,11 +51,15 @@ from itertools import count
 from math import ceil, factorial, gcd, log2, perm, prod
 from typing import Iterable, Iterator, Tuple
 
+from . import stirling_bell
 from .exact_core import (
     DEFAULT_PRECISION_BITS,
+    MIN_PRECISION_BITS,
     BigFloat,
     PowerSeries,
     RationalLike,
+    _check_precision,
+    _man_exp,
     binomial,
     falling_factorial,
     rising_factorial,
@@ -70,15 +71,6 @@ from .stirling_bell import Params, bell_number, bell_sequence, triangle
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-# the smallest working precision that every certified series and the CLI's
-# --prec accept
-MIN_PRECISION_BITS = 16
-
-
-def _check_precision(bits: int) -> None:
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
 
 
 class TermBudgetError(RuntimeError):
@@ -157,14 +149,6 @@ class _Interval:
         return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
 
-def _man_exp(x) -> Tuple[int, int]:
-    """The integers (m, e) of a finite mpf x = m 2^e, m signed."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0 and x != 0:
-        raise ValueError(f"non-finite value {x!r}")
-    return (-int(man) if sign else int(man)), exp
-
-
 @dataclass(frozen=True)
 class SeriesValue:
     """A rounded series value together with a certified absolute error.
@@ -233,6 +217,38 @@ def _exp_bounds(t: Fraction, bits: int) -> _Interval:
     return _sum_series(terms(), bits, 64 * bits + 1026, min_terms=2)[0]
 
 
+def _stop(num: int, partial: int, den: int, rho_num: int, rho_den: int, bits: int,
+          signed: bool = False):
+    """The one stop rule of every certified sum: the enclosure of the sum
+    at the term num/den with partial sum partial/den, or None where the
+    sum must go on.
+
+    A rho = rho_num/rho_den (rho_den > 0) below 1 bounds |term(j+1)/term(j)|
+    for every later j, as a per-term bound that does not increase does; a
+    rho of 1 or more bounds nothing and cannot stop the sum.  Then the tail
+    is at most |num/den| rho / (1 - rho), and the sum stops once that is at
+    most 2^-(bits+8) of big/den: big is the partial sum, which must be
+    positive, and with ``signed``, for terms of either sign, max(|partial|,
+    den).  Over the one denominator den (rho_den - rho_num) the enclosure is
+    [whole, whole + tail], or [whole - tail, whole + tail] with ``signed``.
+    """
+    if rho_num >= rho_den:
+        return None
+    size, gap = abs(num), rho_den - rho_num
+    big = max(abs(partial), den) if signed else partial
+    # the stop test is size rho_num 2^(bits+8) <= big gap; for nonzero size
+    # and rho_num the left side is at least 2^(bl(size) + bl(rho_num) + bits +
+    # 6) and the right side below 2^(bl(big) + bl(gap)), bl = int.bit_length,
+    # so bit lengths rule out most terms before any product is formed
+    if size and rho_num and size.bit_length() + rho_num.bit_length() + bits + 7 \
+            > big.bit_length() + gap.bit_length():
+        return None
+    if big <= 0 or (size * rho_num) << (bits + 8) > big * gap:
+        return None
+    whole, tail = partial * gap, size * rho_num
+    return _Interval(whole - tail if signed else whole, whole + tail, den * gap)
+
+
 def _sum_series(
     terms: Iterable[Tuple[int, int, int, int]],
     bits: int,
@@ -247,15 +263,10 @@ def _sum_series(
     The stream ``terms`` yields one tuple (den_step, num, rho_num,
     rho_den > 0) per term, in order.  term(k) = num / den(k), where the
     running denominator den(k) > 0 is the product of the den_step values up
-    to and including term k.  A rho = rho_num/rho_den below 1 bounds
-    |term(j+1)/term(j)| for every j >= k, as a per-term bound that does not
-    increase does; a rho of 1 or more bounds nothing and cannot stop the
-    sum.  Then |sum_{j > k} term(j)| <= |term(k)| rho / (1 - rho).  The sum
-    stops once that tail is at most 2^-(bits+8) of the partial sum, which
-    must be positive; with ``signed``, for terms of either sign, of
-    max(|partial sum|, 1).  Returns the enclosure [partial, partial + tail]
-    of the sum, [partial - tail, partial + tail] with ``signed``, and the
-    number of terms used.
+    to and including term k, and rho = rho_num/rho_den is the ratio bound
+    of :func:`_stop`.  The sum stops at the first term from ``min_terms``
+    on where :func:`_stop` does, and returns its enclosure and the number
+    of terms used; ``signed`` allows terms of either sign.
 
     ``start`` = (partial, den, used) resumes a sum after its first ``used``
     terms, with the partial sum partial/den; the stream then yields term
@@ -267,20 +278,10 @@ def _sum_series(
         partial = partial * step + num
         den *= step
         used += 1
-        if used >= min_terms and rho_num < rho_den:
-            size, gap = abs(num), rho_den - rho_num
-            big = max(abs(partial), den) if signed else partial
-            # the stop test is size rho_num 2^(bits+8) <= big gap; for nonzero
-            # size and rho_num the left side is at least 2^(bl(size) +
-            # bl(rho_num) + bits + 6) and the right side below 2^(bl(big) +
-            # bl(gap)), bl = int.bit_length, so bit lengths rule out most
-            # terms before any product is formed
-            ruled_out = size and rho_num and size.bit_length() + rho_num.bit_length() + bits + 7 \
-                > big.bit_length() + gap.bit_length()
-            if not ruled_out and big > 0 and (size * rho_num) << (bits + 8) <= big * gap:
-                # the partial sum and the tail over one denominator, den gap
-                whole, tail = partial * gap, size * rho_num
-                return _Interval(whole - tail if signed else whole, whole + tail, den * gap), used
+        if used >= min_terms:
+            iv = _stop(num, partial, den, rho_num, rho_den, bits, signed)
+            if iv is not None:
+                return iv, used
         if used >= max_terms:
             raise TermBudgetError(
                 f"series needed more than {max_terms} terms for the requested precision"
@@ -291,8 +292,7 @@ def _sum_series(
 _DOBINSKI_MAX_TERMS = 200_000
 
 
-def _dobinski_family(p: Params, ns, t: Fraction, gamma: bool, bits: int,
-                     min_terms: int = 0, seen: list = None) -> list:
+def _dobinski_family(p: Params, ns, t: Fraction, gamma: bool, bits: int) -> list:
     """The certified Dobinski sums of the members n in ``ns`` of one family,
     as a list of SeriesValues in the order of ``ns``: the one loop that sums
     every Dobinski series.
@@ -312,13 +312,9 @@ def _dobinski_family(p: Params, ns, t: Fraction, gamma: bool, bits: int,
 
     bounds every later term ratio of the member and does not increase in k.
 
-    Each member stops where :func:`_sum_series` stops its stream of
-    (den_step, num, rho_num, rho_den) tuples: the first term from
-    ``min_terms`` on at which rho < 1 and the same bit-length pre-test and
-    full test pass.  The family raises :class:`TermBudgetError` if a member
-    has not stopped after ``_DOBINSKI_MAX_TERMS`` terms.  Given a list
-    ``seen``, every term of every member appends (k, n, den_step, num,
-    rho_num, rho_den) to it.
+    Each member stops at its first term where :func:`_stop` does.  The
+    family raises :class:`TermBudgetError` if a member has not stopped
+    after ``_DOBINSKI_MAX_TERMS`` terms.
     """
     _check_precision(bits)
     if gamma and p.r <= p.s:
@@ -348,13 +344,11 @@ def _dobinski_family(p: Params, ns, t: Fraction, gamma: bool, bits: int,
             gain, loss, rho_num0, rho_den0 = k + 1, k + 1 - s, tn, td * (k + 1)
         # rho_den/rho_num <= rho_den0 for every member, so a stop needs
         # num 2^(bits+8) < partial rho_den0: a term whose bit lengths rule
-        # that out cannot stop its member, and its rho is not formed.  As
-        # partial >= num, a screen of -1 rules out nothing.
-        screen = -1 if seen is not None else bits + 7 - rho_den0.bit_length()
+        # that out cannot stop its member, and its rho is not formed
+        screen = bits + 7 - rho_den0.bit_length()
         # the prefix product of the factors, and the next factor
         prefix, x = 1, k + base
         factor = perm(x, s)
-        stopped = False
         for c in range(top + 1):
             if c:
                 prefix *= factor
@@ -368,26 +362,14 @@ def _dobinski_family(p: Params, ns, t: Fraction, gamma: bool, bits: int,
             partial = partials[c] = partial * step + num
             if num.bit_length() + screen >= partial.bit_length():
                 continue
-            rho_num, rho_den = rho_num0 * gain ** (e * c), rho_den0 * loss ** (e * c)
-            if seen is not None:
-                seen.append((k, c + shift, step, num, rho_num, rho_den))
-            if used >= min_terms and rho_num < rho_den:
-                # the stop test of _sum_series, whose pre-test always applies
-                # here: num and rho_num are positive
-                gap = rho_den - rho_num
-                if num.bit_length() + rho_num.bit_length() + bits + 7 \
-                        <= partial.bit_length() + gap.bit_length() \
-                        and (num * rho_num) << (bits + 8) <= partial * gap:
-                    whole = partial * gap
-                    done[c] = _Interval(whole, whole + num * rho_num, den * gap), used
-                    partials[c] = None
-                    stopped = True
-        if stopped:
-            while top >= 0 and partials[top] is None:
-                top -= 1
-            if top < 0:
-                return [_series_value(done[c][0].over_exp(t, bits), done[c][1], bits)
-                        for c in cs]
+            iv = _stop(num, partial, den, rho_num0 * gain ** (e * c), rho_den0 * loss ** (e * c), bits)
+            if iv is not None:
+                done[c] = iv, used
+                partials[c] = None
+        while top >= 0 and partials[top] is None:
+            top -= 1
+        if top < 0:
+            return [_series_value(done[c][0].over_exp(t, bits), done[c][1], bits) for c in cs]
         if used >= max_terms:
             raise TermBudgetError(
                 f"series needed more than {max_terms} terms for the requested precision"
@@ -690,8 +672,8 @@ def kummer_bell_value(r: int, n: int, precision: int = DEFAULT_PRECISION_BITS) -
     """
     if r < 1 or n < 1:
         raise ValueError("r and n must be >= 1")
-    parts = [((r * n + 1,), (r + 1,), Fraction(factorial(r * n), factorial(r)))]
-    iv, used = _hyp_combination(parts, _ONE, precision)
+    # the family part at (p, r) = (r, 1): (rn)!/r!, upper rn+1, lower r+1
+    iv, used = _hyp_combination([_family_part(r, 1, n)], _ONE, precision)
     return _series_value(iv, used, precision)
 
 
@@ -712,13 +694,18 @@ def family_bell_check(p: int, r: int, n: int, precision: int = DEFAULT_PRECISION
     """
     if p < 1 or r < 1 or n < 1:
         raise ValueError("p, r and n must be >= 1")
+    iv, _ = _hyp_combination([_family_part(p, r, n)], _ONE, precision)
+    return iv.contains(bell_number(Params(p * (r + 1), p * r), n))
+
+
+def _family_part(p: int, r: int, n: int) -> tuple:
+    """The one (uppers, lowers, prefactor) part of B_{p(r+1), pr}(n) for
+    :func:`_hyp_combination`, as :func:`family_bell_check` states it."""
     prefactor = _ONE
     for j in range(1, r + 1):
         prefactor *= Fraction(factorial(p * (n - 1 + j)), factorial(p * j))
-    uppers = tuple(p * n + 1 + p * i for i in range(r))
-    lowers = tuple(1 + p * j for j in range(1, r + 1))
-    iv, _ = _hyp_combination([(uppers, lowers, prefactor)], _ONE, precision)
-    return iv.contains(bell_number(Params(p * (r + 1), p * r), n))
+    return (tuple(p * n + 1 + p * i for i in range(r)),
+            tuple(1 + p * j for j in range(1, r + 1)), prefactor)
 
 
 def bell_r1_hypergeometric_check(r: int, n: int, precision: int = DEFAULT_PRECISION_BITS) -> bool:
@@ -822,17 +809,17 @@ def bell_diag_egf_coefficient_check(r: int, n: int) -> bool:
     fast for the sum to define a function of real lambda > 0.  The
     (n!)^r-weighted function of the same numbers is entire, and
     :func:`hgf_check` evaluates it at r = s.
+
+    The inner sum over q, times (-1)^k/k!, is the explicit alternating sum
+    for S_{r,r}(n,k), so n! times the coefficient is read from
+    ``stirling_explicit`` over the band and compared with the Bell number
+    of the table.
     """
     if r < 1 or n < 1:
         raise ValueError("r and n must be >= 1")
-    coeff = _ZERO
-    for k in range(r, n * r + 1):
-        inner = sum(
-            (-1) ** q * binomial(k, q) * falling_factorial(q, r) ** n
-            for q in range(r, k + 1)
-        )
-        coeff += Fraction((-1) ** k * inner, factorial(k))
-    return coeff == bell_number(Params(r, r), n)
+    p = Params(r, r)
+    return sum(stirling_bell.stirling_explicit(p, n, k) for k in range(r, n * r + 1)) \
+        == bell_number(p, n)
 
 
 # ---------------------------------------------------------------------------

@@ -151,27 +151,32 @@ def exp_bounds_reference(t, bits: int):
             raise RuntimeError("exp series did not converge in budget")
 
 
-def _positive_series_reference(term, ratio_bound, first_index, bits, max_terms, min_terms):
-    rel_tol = Fraction(1, 2 ** (bits + 8))
-    partial = Fraction(0)
-    k, used = first_index, 0
+def positive_series_stops(partial, term, rho, bits: int) -> bool:
+    """The stop test of a positive series at a term with partial sum
+    ``partial``: rho < 1 bounds every later term ratio, and the geometric
+    tail term rho / (1 - rho) is at most 2^-(bits+8) of the partial sum."""
+    return rho < 1 and partial > 0 and term * rho / (1 - rho) <= Fraction(1, 2 ** (bits + 8)) * partial
+
+
+def _positive_series_reference(series, bits, max_terms):
+    term, ratio_bound, k = series
+    partial, used = Fraction(0), 0
     while True:
         t = term(k)
         partial += t
         used += 1
         rho = ratio_bound(k)
-        if rho < 1 and used >= min_terms:
-            tail = t * rho / (1 - rho)
-            if partial > 0 and tail <= rel_tol * partial:
-                return partial, tail, used
+        if positive_series_stops(partial, t, rho, bits):
+            return partial, t * rho / (1 - rho), used
         if used >= max_terms:
             raise RuntimeError(
                 f"series needed more than {max_terms} terms for the requested precision")
         k += 1
 
 
-def dobinski_polynomial_reference(r, s, n, t, bits, max_terms=200_000, min_terms=0):
-    """(lo, hi, terms_used) of e^(-t) sum_{k>=s} (t^k/k!) prod_j (k+(j-1)(r-s))^falling(s)."""
+def dobinski_polynomial_series(r, s, n, t):
+    """(term, ratio_bound, first k) of the weighted Dobinski series
+    sum_{k>=s} (t^k/k!) prod_j (k+(j-1)(r-s))^falling(s)."""
     t = Fraction(t)
     r, s = max(r, s), min(r, s)
 
@@ -185,13 +190,12 @@ def dobinski_polynomial_reference(r, s, n, t, bits, max_terms=200_000, min_terms
     def ratio_bound(k):
         return t * (1 + Fraction(s, k - s + 1)) ** n / (k + 1)
 
-    partial, tail, used = _positive_series_reference(term, ratio_bound, s, bits, max_terms, min_terms)
-    e_lo, e_hi = exp_bounds_reference(t, bits)
-    return partial / e_hi, (partial + tail) / e_lo, used
+    return term, ratio_bound, s
 
 
-def dobinski_gamma_form_reference(r, s, n, bits, max_terms=200_000, min_terms=0):
-    """(lo, hi, terms_used) of the Gamma-ratio series for B_{r,s}(n), r > s."""
+def dobinski_gamma_series(r, s, n):
+    """(term, ratio_bound, first k) of the Gamma-ratio series for
+    B_{r,s}(n), r > s, without its prefactor (r-s)^(s(n-1))."""
     d = r - s
 
     def term(k):
@@ -204,8 +208,22 @@ def dobinski_gamma_form_reference(r, s, n, bits, max_terms=200_000, min_terms=0)
     def ratio_bound(k):
         return (1 + Fraction(1, k + 1 + d)) ** (s * (n - 1)) / (k + 1)
 
-    partial, tail, used = _positive_series_reference(term, ratio_bound, 0, bits, max_terms, min_terms)
-    prefactor = Fraction(d) ** (s * (n - 1))
+    return term, ratio_bound, 0
+
+
+def dobinski_polynomial_reference(r, s, n, t, bits, max_terms=200_000):
+    """(lo, hi, terms_used) of e^(-t) sum_{k>=s} (t^k/k!) prod_j (k+(j-1)(r-s))^falling(s)."""
+    partial, tail, used = _positive_series_reference(dobinski_polynomial_series(r, s, n, t),
+                                                     bits, max_terms)
+    e_lo, e_hi = exp_bounds_reference(t, bits)
+    return partial / e_hi, (partial + tail) / e_lo, used
+
+
+def dobinski_gamma_form_reference(r, s, n, bits, max_terms=200_000):
+    """(lo, hi, terms_used) of the Gamma-ratio series for B_{r,s}(n), r > s."""
+    partial, tail, used = _positive_series_reference(dobinski_gamma_series(r, s, n),
+                                                     bits, max_terms)
+    prefactor = Fraction(r - s) ** (s * (n - 1))
     e_lo, e_hi = exp_bounds_reference(1, bits)
     return partial * prefactor / e_hi, (partial + tail) * prefactor / e_lo, used
 

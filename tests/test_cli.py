@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -216,6 +217,17 @@ def test_low_precision_keeps_every_name_and_verdict(capsys, prec):
     snapshot = pathlib.Path(__file__).with_name("verify_all_checks.json")
     assert got == [[c[key] for key in ("suite", "name", "ok")]
                    for c in json.loads(snapshot.read_text())]
+
+
+@pytest.mark.parametrize("suite", ["dobinski", "kummer", "family", "hgf"])
+def test_high_precision_output_matches_its_digest(capsys, suite):
+    """The whole ``--json`` output of a certified-series suite at 4096
+    bits, every value and tail bound in its details, is pinned by a sha256
+    in verify_series_digests.json; CI compares the file's 8192-bit digests."""
+    code, out, _ = run_cli(capsys, "--json", "--prec", "4096", "verify", suite)
+    assert code == 0
+    digests = json.loads(pathlib.Path(__file__).with_name("verify_series_digests.json").read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == digests["4096"][suite]
 
 
 @pytest.mark.parametrize("before,after,read", [

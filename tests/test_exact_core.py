@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import libmp
+from mpmath import libmp, mp
 
 from bosonbell.exact_core import (
     BigFloat,
@@ -240,6 +240,11 @@ class TestBigFloat:
         bf = BigFloat.from_fraction(x, 53)
         assert bf.to_fraction() == x
         assert mpf_to_fraction(bf.value) == x
+
+    @pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan])
+    def test_mpf_to_fraction_refuses_non_finite_values(self, x):
+        with pytest.raises(ValueError, match="^non-finite value"):
+            mpf_to_fraction(x)
 
     def test_precision_recorded(self):
         assert BigFloat.from_fraction(1, 128).precision_bits == 128

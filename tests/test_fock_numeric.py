@@ -431,6 +431,14 @@ class TestExpectationPower:
             expectation_table([(Params(1, 1), 3), (Params(3, 1), 3)], [1], 8)
         assert built == []
 
+    @pytest.mark.parametrize("precision", [-5, 0, 15])
+    def test_a_precision_below_the_floor_is_refused_before_any_work(self, monkeypatch, precision):
+        built = []
+        monkeypatch.setattr(fock_numeric, "build_ops", lambda dim, precision: built.append(dim))
+        with pytest.raises(ValueError, match=f"^precision must be >= 16 bits, got {precision}$"):
+            expectation_table([(Params(1, 1), 3)], [1], 128, precision)
+        assert built == []
+
     def test_one_table_for_many_words_equals_one_table_per_word(self):
         # the words share one sqrt table and one coherent vector per z, and
         # each value is the one its own one-word, one-z table gives, bit for bit

@@ -94,6 +94,12 @@ COLUMN_EGF = [f"column egf of S_({r},{r})(., k={k}) to order 6, exact"
     f"column egf of S_({r},1)(., k={k}) with k-th power, exact"
     for r in (2, 3) for k in (1, 2, 3)]
 
+# n! times the lambda^n coefficient, summed from the explicit sum over the band,
+# against the Bell number of the table
+DIAGONAL_COEFFICIENT = [
+    f"diagonal generating-function coefficient n={n} terminates to B_({r},{r})({n})/n!"
+    for r in (1, 2, 3) for n in (1, 2, 3)]
+
 
 def _verify_all():
     """Exit code and checks of ``verify all --json``, run in process."""
@@ -147,6 +153,13 @@ def test_the_table_mutant_fails_every_column_egf_check(mutant_runs):
     positions = {i for i, c in enumerate(clean) if c["name"] in COLUMN_EGF}
     assert len(positions) == len(COLUMN_EGF) == 13
     assert positions <= _failed_positions(mutant_runs["table"][1])
+
+
+def test_the_explicit_sum_mutant_fails_every_diagonal_coefficient_check(mutant_runs):
+    _, clean = mutant_runs[None]
+    positions = {i for i, c in enumerate(clean) if c["name"] in DIAGONAL_COEFFICIENT}
+    assert len(positions) == len(DIAGONAL_COEFFICIENT) == 9
+    assert positions <= _failed_positions(mutant_runs["explicit sum"][1])
 
 
 def _row_four_entries():

@@ -47,10 +47,13 @@ from bosonbell.stirling_bell import (
 
 from _oracles import (
     dobinski_gamma_form_reference,
+    dobinski_gamma_series,
     dobinski_polynomial_reference,
+    dobinski_polynomial_series,
     exp_bounds_reference,
     hgf_outer_sum_reference,
     hyp_enclosure_reference,
+    positive_series_stops,
 )
 
 TAIL_CAP_256 = Fraction(1, 2**200)
@@ -71,32 +74,89 @@ def _recorded_streams(monkeypatch):
     return seen
 
 
-def _member_streams(p, n_max, t, gamma, count):
-    """The (den_step, num, rho_num, rho_den) terms that the family loop
-    reads for each member n = 1, ..., n_max of one family, run past every
-    member's certified stop until it has read ``count`` + 1 terms."""
-    seen = []
-    series_eval._dobinski_family(p, range(1, n_max + 1), t, gamma, 256,
-                                 min_terms=count + 1, seen=seen)
+def _stop_calls(monkeypatch, stopping):
+    """Every call of the stop rule, as (num, partial, den, rho_num,
+    rho_den).  With ``stopping`` the rule decides as before; without it,
+    no sum stops."""
+    calls = []
+    stop = series_eval._stop
+
+    def recording(num, partial, den, rho_num, rho_den, bits, signed=False):
+        calls.append((num, partial, den, rho_num, rho_den))
+        return stop(num, partial, den, rho_num, rho_den, bits, signed) if stopping else None
+
+    monkeypatch.setattr(series_eval, "_stop", recording)
+    return calls
+
+
+def _family_den(t, k):
+    """The running denominator td^k k! that all members of a family share."""
+    return t.denominator**k * factorial(k)
+
+
+def _member_numerator(p, m, k, t, gamma):
+    """The numerator of term k of member m of a family over the running
+    denominator td^k k!, in closed form."""
+    r, s = max(p.r, p.s), min(p.r, p.s)
+    if gamma:
+        return prod(k + j + i * (r - s) for j in range(1, s + 1) for i in range(1, m))
+    return t.numerator**k * prod(perm(k + j * (r - s), s) for j in range(m))
+
+
+def _members(calls, p, n_max, t, gamma):
+    """The stop calls of one family run by member: {n: {k: call}} for n =
+    1, ..., n_max, with k read from the running denominator td^k k! and n
+    the one member whose closed-form numerator at k is the call's."""
+    ks, k, top = {}, 0 if gamma else min(p.r, p.s), max(call[2] for call in calls)
+    while _family_den(t, k) <= top:
+        ks[_family_den(t, k)] = k
+        k += 1
+    members = {}
+    for call in calls:
+        k = ks[call[2]]
+        ns = [m for m in range(1, n_max + 1) if _member_numerator(p, m, k, t, gamma) == call[0]]
+        assert len(ns) == 1, (k, ns)
+        terms = members.setdefault(ns[0], {})
+        assert k not in terms
+        terms[k] = call
+    return members
+
+
+def _member_streams(monkeypatch, p, n_max, t, gamma, count):
+    """The (den_step, num, rho_num, rho_den) terms for which the family
+    loop asks the stop rule, for each member n = 1, ..., n_max, with a stop
+    rule that never stops: the sum runs until it has ``count`` + 1 terms
+    of every member, from the first term the loop's screen passes on.  The
+    partial sum handed over with each term is the exact one."""
+    monkeypatch.setattr(series_eval, "_DOBINSKI_MAX_TERMS", 300 + count)
+    calls = _stop_calls(monkeypatch, stopping=False)
+    with pytest.raises(TermBudgetError):
+        series_eval._dobinski_family(p, range(1, n_max + 1), t, gamma, 256)
+    first = 0 if gamma else min(p.r, p.s)
     streams = {}
-    for k, n, *term in seen:
-        streams.setdefault(n, []).append((k, term))
-    for terms in streams.values():
-        ks = [k for k, _ in terms]
-        assert ks == list(range(ks[0], ks[0] + len(ks)))  # every k once, in order
-    return {n: iter([tuple(term) for _, term in terms]) for n, terms in streams.items()}
+    for m, terms in _members(calls, p, n_max, t, gamma).items():
+        ks = sorted(terms)
+        assert ks == list(range(ks[0], ks[0] + len(ks))) and len(ks) > count, m  # every k once
+        stream, partial = [], 0
+        for k in range(first, ks[-1] + 1):
+            num, step = _member_numerator(p, m, k, t, gamma), t.denominator * k
+            partial = partial * step + num if k > first else num
+            if k in terms:
+                assert terms[k][:3] == (num, partial, _family_den(t, k)), (m, k)
+                stream.append((step, num, *terms[k][3:]))
+        streams[m] = iter(stream)
+    return streams
 
 
 def _assert_ratio_bounds_hold(stream, count):
     """Over ``count`` consecutive terms, rho(k) bounds |term(k+1)/term(k)|
-    and does not increase; returns the numerators read."""
+    and does not increase."""
     tuples = list(islice(stream, count + 1))
     bounds = [Fraction(rho_num, rho_den) for _, _, rho_num, rho_den in tuples[:count]]
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
     for i, bound in enumerate(bounds):
         step, num = tuples[i + 1][:2]
         assert abs(Fraction(num, tuples[i][1] * step)) <= bound, i
-    return [num for _, num, _, _ in tuples]
 
 
 class TestDobinskiBell:
@@ -184,7 +244,8 @@ class TestDobinskiPolynomial:
 class TestDobinskiTermStreams:
     """The numerators of every member of a family against their closed
     forms, and each member's ratio bound against the terms it must bound,
-    200 terms past the first."""
+    over 200 terms from the first that the family's screen passes to the
+    stop rule."""
 
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
     @pytest.mark.parametrize("r,s,n", [
@@ -193,29 +254,24 @@ class TestDobinskiTermStreams:
         (3, 1, 4), (1, 3, 3),              # r - s = 2
         (5, 2, 2),
     ])
-    def test_weighted_series(self, r, s, n, t):
+    def test_weighted_series(self, monkeypatch, r, s, n, t):
         p = Params(r, s)
         for m, sv in enumerate(dobinski_polynomials(p, n, t), 1):
             assert sv.brackets(bell_polynomial(p, m, t))
-        streams = _member_streams(p, n, t, False, 200)
+        streams = _member_streams(monkeypatch, p, n, t, False, 200)
         assert sorted(streams) == list(range(1, n + 1))
-        r, s = max(r, s), min(r, s)
-        for m, stream in streams.items():
-            nums = _assert_ratio_bounds_hold(stream, 200)
-            assert nums == [t.numerator**k * prod(perm(k + j * (r - s), s) for j in range(m))
-                            for k in range(s, s + 201)], m
+        for stream in streams.values():
+            _assert_ratio_bounds_hold(stream, 200)
 
     @pytest.mark.parametrize("r,s,n", [(2, 1, 1), (2, 1, 3), (3, 2, 2), (3, 1, 4), (5, 2, 3)])
-    def test_gamma_form(self, r, s, n):
+    def test_gamma_form(self, monkeypatch, r, s, n):
         p = Params(r, s)
         for m, sv in enumerate(dobinski_gamma_forms(p, n), 1):
             assert sv.brackets(bell_number(p, m))
-        streams = _member_streams(p, n, Fraction(1), True, 200)
+        streams = _member_streams(monkeypatch, p, n, Fraction(1), True, 200)
         assert sorted(streams) == list(range(1, n + 1))
-        for m, stream in streams.items():
-            nums = _assert_ratio_bounds_hold(stream, 200)
-            assert nums == [prod(k + j + i * (r - s) for j in range(1, s + 1) for i in range(1, m))
-                            for k in range(201)], m
+        for stream in streams.values():
+            _assert_ratio_bounds_hold(stream, 200)
 
 
 class TestHypergeometric:
@@ -533,44 +589,66 @@ class TestAgainstFractionLoops:
         got = _enclosure_of(hypergeometric, enclosures, h, bits)
         assert got == _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, max_terms)
 
-    @pytest.mark.parametrize("r,s,n", [
-        (1, 1, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (3, 3, 4), (3, 1, 4), (1, 3, 3),
+    DOBINSKI_CASES = [
+        (1, 1, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (3, 3, 4), (3, 1, 4), (1, 3, 3), (5, 2, 2),
+    ]
+
+    @pytest.mark.parametrize("r,s,n", DOBINSKI_CASES)
+    @pytest.mark.parametrize("bits,max_terms", [
+        (16, 200_000), (256, 200_000), (4096, 200_000), (256, 5),
     ])
-    @pytest.mark.parametrize("bits,min_terms,max_terms", [
-        (16, 0, 200_000), (256, 0, 200_000), (4096, 0, 200_000),
-        (16, 40, 200_000), (256, 150, 200_000),  # min_terms past the certified stop
-        (256, 0, 5),
-    ])
-    def test_dobinski(self, monkeypatch, enclosures, r, s, n, min_terms, max_terms, bits):
+    def test_dobinski(self, monkeypatch, enclosures, r, s, n, max_terms, bits):
         monkeypatch.setattr(series_eval, "_DOBINSKI_MAX_TERMS", max_terms)
-        if min_terms:
-            # the Dobinski sums leave the family loop's min_terms at 0; force
-            # it here to run the loop past its certified stop
-            family = series_eval._dobinski_family
-            monkeypatch.setattr(series_eval, "_dobinski_family",
-                                lambda *args, **kwargs: family(*args, min_terms=min_terms, **kwargs))
-        # families n = 1..n where the loop's own stop rule is forced or cut
-        # short; TestDobinskiFamilies covers the rest against single calls
-        forced = min_terms or max_terms < 200_000
+        # families n = 1..n where the budget cuts the loop short;
+        # TestDobinskiFamilies covers the rest against single calls
+        cut = max_terms < 200_000
         p = Params(r, s)
         got = _enclosure_of(dobinski_bell, enclosures, p, n, bits)
-        assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms, min_terms)
+        assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms)
         for t in (Fraction(1, 3), Fraction(5, 2)):
             got = _enclosure_of(dobinski_polynomial, enclosures, p, n, t, bits)
-            assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms, min_terms)
-            if forced:
+            assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms)
+            if cut:
                 self._assert_family_matches(
                     enclosures, _outcome(dobinski_polynomials, p, n, t, bits),
-                    [_outcome(dobinski_polynomial_reference, r, s, m, t, bits, max_terms, min_terms)
+                    [_outcome(dobinski_polynomial_reference, r, s, m, t, bits, max_terms)
                      for m in range(1, n + 1)])
         if r > s:
             got = _enclosure_of(dobinski_gamma_form, enclosures, p, n, bits)
-            assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms, min_terms)
-            if forced:
+            assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms)
+            if cut:
                 self._assert_family_matches(
                     enclosures, _outcome(dobinski_gamma_forms, p, n, bits),
-                    [_outcome(dobinski_gamma_form_reference, r, s, m, bits, max_terms, min_terms)
+                    [_outcome(dobinski_gamma_form_reference, r, s, m, bits, max_terms)
                      for m in range(1, n + 1)])
+
+    @pytest.mark.parametrize("r,s,n", DOBINSKI_CASES)
+    @pytest.mark.parametrize("bits", PRECISIONS)
+    def test_the_dobinski_screen_skips_no_stop(self, monkeypatch, r, s, n, bits):
+        """Every term that a family's screen keeps from the stop rule, up
+        to each member's stop, fails the Fraction stop test."""
+        p = Params(r, s)
+        families = [(t, False) for t in (Fraction(1, 3), Fraction(1), Fraction(5, 2))]
+        if r > s:
+            families.append((Fraction(1), True))
+        calls, skipped = _stop_calls(monkeypatch, stopping=True), 0
+        for t, gamma in families:
+            series_eval._exp_bounds(t, bits)  # summed before, so its stop calls are not recorded
+            calls.clear()
+            series_eval._dobinski_family(p, range(1, n + 1), t, gamma, bits)
+            members = _members(calls, p, n, t, gamma)
+            assert sorted(members) == list(range(1, n + 1))
+            for m, asked in members.items():
+                term, ratio_bound, first = (dobinski_gamma_series(r, s, m) if gamma
+                                            else dobinski_polynomial_series(r, s, m, t))
+                partial = Fraction(0)
+                for k in range(first, max(asked) + 1):
+                    partial += term(k)
+                    if k not in asked:
+                        skipped += 1
+                        assert not positive_series_stops(partial, term(k), ratio_bound(k), bits), \
+                            (t, m, k)
+        assert skipped
 
     @staticmethod
     def _assert_family_matches(enclosures, got, references):
