@@ -49,7 +49,6 @@ from .series_eval import (
     hgf_check,
     hypergeometric,
     kummer_bell_check,
-    kummer_bell_value,
     laguerre_bell_check,
     laguerre_value,
 )

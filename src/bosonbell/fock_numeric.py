@@ -89,6 +89,7 @@ def build_ops(dim: int, precision: int = DEFAULT_PRECISION_BITS) -> Tuple[FockOp
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
+    _check_precision(precision)
     bits = precision + _GUARD_BITS
     roots = tuple(math.isqrt(n << 2 * bits) for n in range(dim))
     return (FockOperator(roots, 1, bits), FockOperator(roots, -1, bits))

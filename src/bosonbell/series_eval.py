@@ -37,6 +37,10 @@ integers are those of the running loop on the whole stream
 (:func:`_hyp_enclosure` holds the argument); the 1000-term 2F1 sums of
 the ``series`` benchmark run about 1.3x faster in process.
 
+Every pFq sum takes a :class:`HyperParams`, validated once when built,
+so the parts of the closed-form checks pass the guards of any pFq.  The
+Kummer checks are the (p, r) = (r, 1) member of :func:`family_bell_check`.
+
 Divisions by Gamma-function values never happen in floating point:
 all Gamma ratios that appear are reduced to rational Pochhammer products
 before evaluation.
@@ -443,7 +447,10 @@ def dobinski_polynomials(
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Parameters of pFq(upper; lower; argument) with rational data."""
+    """Parameters of pFq(upper; lower; argument) with rational data: the one
+    type a pFq sum takes.  The constructor turns every parameter into a
+    Fraction, refuses a nonpositive integer lower parameter with ValueError
+    and a divergent series with :class:`ConvergenceError`."""
 
     upper: tuple
     lower: tuple
@@ -456,21 +463,28 @@ class HyperParams:
         for b in self.lower:
             if b <= 0 and b.denominator == 1:
                 raise ValueError(f"lower parameter {b} is a nonpositive integer")
+        x, extra = self.argument, len(self.upper) - len(self.lower)
+        if extra == 1 and abs(x) >= 1 and not self.terminating:
+            raise ConvergenceError(f"pFq with p = q+1 needs |x| < 1, got {x}")
+        if extra > 1 and x != 0 and not self.terminating:
+            raise ConvergenceError("pFq with p > q+1 diverges for nonzero argument")
 
-
-def _is_terminating(uppers: tuple) -> bool:
-    return any(a <= 0 and a.denominator == 1 for a in uppers)
+    @property
+    def terminating(self) -> bool:
+        """Whether an upper parameter is a nonpositive integer."""
+        return any(a <= 0 and a.denominator == 1 for a in self.upper)
 
 
 # term budget of each pFq sum, read at call time
 _HYP_MAX_TERMS = 100_000
 
 
-def _hyp_enclosure(uppers: tuple, lowers: tuple, x: Fraction, bits: int) -> Tuple[_Interval, int]:
-    """Certified enclosure of pFq(uppers; lowers; x) with rational data,
-    within ``_HYP_MAX_TERMS`` terms, and the number of terms summed: the
-    enclosure integers and the stop index of :func:`_sum_series` run on the
-    whole term stream, reached in two phases.
+def _hyp_enclosure(h: HyperParams, bits: int) -> Tuple[_Interval, int]:
+    """Certified enclosure of the pFq of ``h``, within ``_HYP_MAX_TERMS``
+    terms, and the number of terms summed: the enclosure integers and the
+    stop index of :func:`_sum_series` run on the whole term stream, reached
+    in two phases.  ``h`` was converted and validated when it was built, so
+    nothing here converts a parameter or tests convergence again.
 
     The screen steps only the factors p_m/q_m of the term ratio, a float
     log2|term(m)| and a float A_m = sum_{j <= m} |term(j)| >= 1 (term 0 is
@@ -498,17 +512,8 @@ def _hyp_enclosure(uppers: tuple, lowers: tuple, x: Fraction, bits: int) -> Tupl
     stream, so only the full test decides where the sum stops.
     """
     _check_precision(bits)
-    uppers = tuple(Fraction(a) for a in uppers)
-    lowers = tuple(Fraction(b) for b in lowers)
-    x = Fraction(x)
-    terminating = _is_terminating(uppers)
-    if not terminating and x != 0:
-        if len(uppers) == len(lowers) + 1:
-            if abs(x) >= 1:
-                raise ConvergenceError(f"pFq with p = q+1 needs |x| < 1, got {x}")
-        elif len(uppers) > len(lowers) + 1:
-            raise ConvergenceError("pFq with p > q+1 diverges for nonzero argument")
-    factor, rho = _hyp_ratio(uppers, lowers, x, terminating)
+    terminating = h.terminating
+    factor, rho = _hyp_ratio(h.upper, h.lower, h.argument, terminating)
     max_terms = _HYP_MAX_TERMS
     ps, qs = [], []
     log_term, total, floor = 0.0, 1.0, -(bits + 5) + 2  # a 2-bit float margin
@@ -616,19 +621,20 @@ def _hyp_terms(factor, rho, terminating: bool, m: int, num: int,
 def hypergeometric(h: HyperParams, precision: int = DEFAULT_PRECISION_BITS) -> SeriesValue:
     """Evaluate pFq at a rational argument with a certified tail bound;
     past ``_HYP_MAX_TERMS`` terms it raises :class:`TermBudgetError`."""
-    iv, used = _hyp_enclosure(h.upper, h.lower, h.argument, precision)
+    iv, used = _hyp_enclosure(h, precision)
     return _series_value(iv, used, precision)
 
 
 def _hyp_combination(parts, x: Fraction, bits: int) -> Tuple[_Interval, int]:
     """Certified (1/e) sum coefficient * pFq(uppers; lowers; x) over the
     ``(uppers, lowers, coefficient)`` triples in ``parts``, with the total
-    number of terms summed.  Coefficients must be exact rationals.
+    number of terms summed.  Coefficients must be exact rationals.  Each
+    part is a :class:`HyperParams`, so every part passes its guards.
     """
     total = _Interval(0, 0, 1)
     used = 0
     for uppers, lowers, coefficient in parts:
-        iv, terms = _hyp_enclosure(uppers, lowers, x, bits)
+        iv, terms = _hyp_enclosure(HyperParams(uppers, lowers, x), bits)
         total += iv * coefficient
         used += terms
     return total.over_exp(_ONE, bits), used
@@ -664,22 +670,13 @@ def laguerre_bell_check(n: int) -> bool:
     return value == bell_number(Params(2, 1), n)
 
 
-def kummer_bell_value(r: int, n: int, precision: int = DEFAULT_PRECISION_BITS) -> SeriesValue:
-    """Certified evaluation of (rn)!/(e r!) 1F1(rn+1; r+1; 1).
-
-    This closed form equals B_{2r,r}(n); the returned interval must
-    bracket that exact integer.
-    """
+def kummer_bell_check(r: int, n: int, precision: int = DEFAULT_PRECISION_BITS) -> bool:
+    """B_{2r,r}(n) = (rn)!/(e r!) 1F1(rn+1; r+1; 1), within the certified
+    interval: the member (p, r) = (r, 1) of :func:`family_bell_check`, with
+    prefactor (rn)!/r!, upper rn+1 and lower r+1."""
     if r < 1 or n < 1:
         raise ValueError("r and n must be >= 1")
-    # the family part at (p, r) = (r, 1): (rn)!/r!, upper rn+1, lower r+1
-    iv, used = _hyp_combination([_family_part(r, 1, n)], _ONE, precision)
-    return _series_value(iv, used, precision)
-
-
-def kummer_bell_check(r: int, n: int, precision: int = DEFAULT_PRECISION_BITS) -> bool:
-    """B_{2r,r}(n) = (rn)!/(e r!) 1F1(rn+1; r+1; 1), within the certified interval."""
-    return kummer_bell_value(r, n, precision).brackets(bell_number(Params(2 * r, r), n))
+    return family_bell_check(r, 1, n, precision)
 
 
 def family_bell_check(p: int, r: int, n: int, precision: int = DEFAULT_PRECISION_BITS) -> bool:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 from bosonbell import boson_oracle, cli, fock_numeric, series_eval, stirling_bell
 from bosonbell.exact_core import binomial
@@ -106,9 +107,11 @@ def test_criterion_5_closed_forms():
         assert series_eval.laguerre_bell_check(n), n
     for r in (1, 2):
         for n in range(1, 5):
-            sv = series_eval.kummer_bell_value(r, n, precision=256)
-            assert sv.brackets(stirling_bell.bell_number(Params(2 * r, r), n)), (r, n)
-            assert sv.tail_bound.to_fraction() <= TAIL_CAP, (r, n)
+            assert series_eval.kummer_bell_check(r, n, precision=256), (r, n)
+            # B_(2r,r)(n) is (rn)!/r! times 1F1(rn+1; r+1; 1)/e
+            sv = series_eval.hypergeometric(series_eval.HyperParams((r * n + 1,), (r + 1,), 1), 256)
+            prefactor = Fraction(factorial(r * n), factorial(r))
+            assert sv.tail_bound.to_fraction() * prefactor <= TAIL_CAP, (r, n)
     for (p_, r_) in ((1, 1), (1, 2)):
         for n in range(1, 4):
             assert series_eval.family_bell_check(p_, r_, n, precision=256), (p_, r_, n)

@@ -112,6 +112,13 @@ class TestBuildOps:
         assert abs(comm[dim - 1] - ((1 - dim) << bits)) <= units
         assert all(c == 0 for c in comm[:-1])
 
+    @pytest.mark.parametrize("precision", [-100, -5, 0, 15])
+    def test_precision_below_the_floor_rejected(self, precision):
+        # checked before the table: -5 would build 59 fraction bits, and
+        # -100 a negative shift count
+        with pytest.raises(ValueError, match=f"^precision must be >= 16 bits, got {precision}$"):
+            build_ops(4, precision)
+
 
 class TestBandedOperators:
     @pytest.mark.parametrize("precision", [64, 300])

@@ -100,6 +100,40 @@ DIAGONAL_COEFFICIENT = [
     f"diagonal generating-function coefficient n={n} terminates to B_({r},{r})({n})/n!"
     for r in (1, 2, 3) for n in (1, 2, 3)]
 
+# The failing mutants of every check of ``verify all``, by position, as runs
+# of (start of the first check's name, number of checks, the mutants that
+# fail each check of the run).  A comment says why a run has fewer than two.
+ROUTE_MATRIX = [
+    ("S_(1,1)(n=1,.): finite sum", 4, {"explicit sum", "differential operator", "table", "rewriter"}),
+    ("S_(1,1): diagonal recurrence", 1, {"explicit sum", "table"}),
+    ("S_(2,1)(n=1,.): finite sum", 8, {"explicit sum", "differential operator", "table", "rewriter"}),
+    ("S_(2,2): diagonal recurrence", 1, {"explicit sum", "table"}),
+    ("S_(3,1)(n=1,.): finite sum", 12, {"explicit sum", "differential operator", "table", "rewriter"}),
+    ("S_(3,3): diagonal recurrence", 1, {"explicit sum", "table"}),
+    # the rewriter against itself under three strategies
+    ("rewrite confluence", 1, set()),
+    ("S_(1,2) = S_(2,1) on the common band", 6, {"explicit sum", "table"}),
+    # each word normalized twice
+    ("word rewriting row for (1,1) equals its conjugate", 36, set()),
+    ("anti-row (1,1, n=1)", 18, {"explicit sum", "rewriter"}),
+    ("series B_(1,1)(1) brackets", 75, {"table", "Dobinski stream"}),
+    ("B_(2,1)(1) = (n-1)! L^(1)_(n-1)(-1)", 20, {"table", "Laguerre"}),
+    ("B_(2,1)(1) = (rn)!/(e r!) 1F1(rn+1; r+1; 1)", 8, {"table", "pFq"}),
+    ("family series for B_(2,1)(1)", 9, {"table", "pFq"}),
+    ("B_(2,1)(1) from the 1F1 combination", 12, {"table", "pFq"}),
+    ("egf of B_(1,1)", 16, {"table", "egf power series"}),
+    ("diagonal generating-function coefficient n=1", 9, {"explicit sum", "table"}),
+    # the k-sum side is hgf_check's own stream
+    ("hgf G_(3,2)", 2, {"table"}),
+    ("<z|[(a+)^1 a^1]^1|z> at z=1/2", 36, {"table", "Fock"}),
+    # the other sides are bell_recurrence_r1, one sum coded twice,
+    # bell_diag_from_classical and a second coding of the falling factorials
+    ("B_(1,1) recursion reproduces the row sums", 3, {"table"}),
+    ("r=1 recursion is the plain binomial transform", 1, set()),
+    ("B_(2,2)(n) from classical Bell numbers", 1, {"table"}),
+    ("falling-factorial connection identity for (1,1)", 6, {"explicit sum"}),
+]
+
 
 def _verify_all():
     """Exit code and checks of ``verify all --json``, run in process."""
@@ -146,6 +180,17 @@ def test_the_checks_no_mutant_fails_are_the_listed_ones(mutant_runs):
                            for route, (_, checks) in mutant_runs.items() if route))
     assert [c["name"] for i, c in enumerate(clean) if i not in caught] == UNCAUGHT
     assert not set(REROUTED) & set(UNCAUGHT)
+
+
+def test_the_failing_mutants_of_every_check_are_pinned(mutant_runs):
+    _, clean = mutant_runs[None]
+    expected = []
+    for first, count, routes in ROUTE_MATRIX:
+        assert clean[len(expected)]["name"].startswith(first), (len(expected), first)
+        expected += [routes] * count
+    failing = [{route for route, (_, checks) in mutant_runs.items() if route and not checks[i]["ok"]}
+               for i in range(len(clean))]
+    assert failing == expected
 
 
 def test_the_table_mutant_fails_every_column_egf_check(mutant_runs):

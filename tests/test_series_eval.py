@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import islice, tee
 from math import ceil, factorial, lcm, perm, prod
@@ -300,14 +301,21 @@ class TestHypergeometric:
         assert sv.terms_used == 4
 
     def test_divergent_argument_rejected(self):
-        with pytest.raises(ConvergenceError):
-            hypergeometric(HyperParams(upper=(1, 1), lower=(2,), argument=Fraction(3, 2)))
-        with pytest.raises(ConvergenceError):
-            hypergeometric(HyperParams(upper=(1, 1, 1), lower=(2,), argument=Fraction(1, 2)))
+        with pytest.raises(ConvergenceError, match="needs [|]x[|] < 1, got 3/2"):
+            HyperParams(upper=(1, 1), lower=(2,), argument=Fraction(3, 2))
+        with pytest.raises(ConvergenceError, match="p > q[+]1 diverges"):
+            HyperParams(upper=(1, 1, 1), lower=(2,), argument=Fraction(1, 2))
 
     def test_bad_lower_parameter_rejected(self):
         with pytest.raises(ValueError):
             HyperParams(upper=(1,), lower=(0,), argument=Fraction(1, 2))
+
+    @pytest.mark.parametrize("lower", [-2, 0])
+    def test_a_combination_part_passes_the_lower_guard(self, lower):
+        # each part of a closed-form check is a HyperParams, so it is refused
+        # before the screen takes the log of a zero factor
+        with pytest.raises(ValueError, match=f"^lower parameter {lower} is a nonpositive integer$"):
+            series_eval._hyp_combination([((1,), (lower,), 1)], Fraction(1), 64)
 
 
 class TestLaguerre:
@@ -585,9 +593,13 @@ class TestAgainstFractionLoops:
     @pytest.mark.parametrize("uppers,lowers,x,max_terms", HYPER_CASES)
     def test_hypergeometric(self, monkeypatch, enclosures, uppers, lowers, x, max_terms, bits):
         monkeypatch.setattr(series_eval, "_HYP_MAX_TERMS", max_terms)
-        h = HyperParams(uppers, lowers, x)
-        got = _enclosure_of(hypergeometric, enclosures, h, bits)
-        assert got == _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, max_terms)
+        got = _enclosure_of(lambda: hypergeometric(HyperParams(uppers, lowers, x), bits), enclosures)
+        want = _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, max_terms)
+        assert got == want
+        if want[0] is ValueError:
+            # a divergent series is refused when its parameters are built
+            with pytest.raises(ConvergenceError, match=re.escape(want[1])):
+                HyperParams(uppers, lowers, x)
 
     DOBINSKI_CASES = [
         (1, 1, 3), (2, 1, 3), (1, 2, 2), (3, 2, 2), (3, 3, 4), (3, 1, 4), (1, 3, 3), (5, 2, 2),
@@ -793,10 +805,10 @@ class TestHypergeometricTermStreams:
 
 def _hyp_outcome(uppers, lowers, x, bits):
     """(lo, hi, terms_used) of the package's pFq enclosure, or its error."""
-    def ends(*args):
-        iv, used = series_eval._hyp_enclosure(*args)
+    def ends():
+        iv, used = series_eval._hyp_enclosure(HyperParams(uppers, lowers, x), bits)
         return iv.lo, iv.hi, used
-    return _outcome(ends, uppers, lowers, Fraction(x), bits)
+    return _outcome(ends)
 
 
 def _random_hyper_cases(count, seed):
@@ -874,7 +886,7 @@ class TestHypergeometricSplit:
     def test_where_the_screen_hands_over(self, starts, uppers, lowers, x, bits, handed_over):
         """The screen leaves the long sums' last few terms to the certified
         loop, and a sum past 2^1000 or with a zero factor from there on."""
-        series_eval._hyp_enclosure(uppers, lowers, x, bits)
+        series_eval._hyp_enclosure(HyperParams(uppers, lowers, x), bits)
         [(partial, den, used)] = starts
         assert used == handed_over
         assert (partial, den) == _running_sum(uppers, lowers, x, used)
@@ -981,9 +993,9 @@ class TestCombinationParts:
         seen = []
         enclosing = series_eval._hyp_enclosure
 
-        def recording(uppers, lowers, x, bits):
-            iv, used = enclosing(uppers, lowers, x, bits)
-            seen.append(((uppers, lowers, x, bits), (iv.lo, iv.hi, used)))
+        def recording(h, bits):
+            iv, used = enclosing(h, bits)
+            seen.append(((h.upper, h.lower, h.argument, bits), (iv.lo, iv.hi, used)))
             return iv, used
 
         monkeypatch.setattr(series_eval, "_hyp_enclosure", recording)
@@ -1207,7 +1219,7 @@ class TestPrecisionFloor:
         lambda b: dobinski_polynomials(Params(2, 2), 3, 2, precision=b),
         lambda b: dobinski_gamma_form(Params(3, 1), 3, precision=b),
         lambda b: dobinski_gamma_forms(Params(3, 1), 3, precision=b),
-        lambda b: series_eval.kummer_bell_value(2, 3, precision=b),
+        lambda b: family_bell_check(2, 1, 3, precision=b),  # kummer_bell_check(2, 3)
         lambda b: kummer_bell_check(2, 3, precision=b),
         lambda b: family_bell_check(1, 1, 2, precision=b),
         lambda b: bell_r1_hypergeometric_check(3, 2, precision=b),
