@@ -14,7 +14,8 @@ after k words is the input to word k+1, so expectation_table reads the
 inner product after every word and returns the values for 1, ..., n from
 one pass.  The stability re-check always widens the truncation by
 STABILITY_STEP; the narrow vector differs from the wide one only in its top
-s + (n-1)*max(0, s-r) entries, so it is stepped on that strip alone.  One
+s + (n-1)*max(0, s-r) entries, so it is stepped on that strip alone, and
+for r >= s, where it equals the wide one after every word, not at all.  One
 table and one coherent vector per z serve every word that
 expectation_table is given.
 
@@ -157,13 +158,15 @@ def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tupl
     Below lo the two vectors agree at every letter: the strip's bottom
     entry is copied from the wide vector before each letter, and both sums
     share the head sum_{i<lo}.  For s > r the bound is tight: a strip from
-    lo + 1 up changes some narrow sum.  (For r >= s each word ends at L =
-    dim, so the narrow sums, read after whole words, would not show it.)
-    The strip's operators hold the table slice roots[lo-1:dim], on which
-    FockOperator.entry would read sqrt(i) wrongly, so they never leave this
-    function.
+    lo + 1 up changes some narrow sum.  For r >= s each word ends at L =
+    dim, so after every word the narrow vector is the wide one cut at dim:
+    such a word steps no strip, and its narrow sums read the wide vector's
+    entries [lo, dim).  The strip's operators hold the table slice
+    roots[lo-1:dim], on which FockOperator.entry would read sqrt(i)
+    wrongly, so they never leave this function.
     """
     lo = _strip_bottom(p, n, dim)
+    stepped = p.s > p.r
     strip_ops = [replace(op, roots=op.roots[lo - 1:dim]) for op in ops]
     word = [(ops[0], strip_ops[0])] * p.s + [(ops[1], strip_ops[1])] * p.r
     vec, strip = list(amps), list(amps[lo - 1:dim])
@@ -171,12 +174,13 @@ def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tupl
     wide_sums, narrow_sums = [], []
     for _ in range(n):
         for op, strip_op in word:
-            strip[0] = vec[lo - 1]
-            strip = apply_operator(strip_op, strip)
+            if stepped:
+                strip[0] = vec[lo - 1]
+                strip = apply_operator(strip_op, strip)
             vec = apply_operator(op, vec)
         head = sum(map(operator.mul, amps, vec[:lo]))
         wide_sums.append(head + sum(map(operator.mul, tail, vec[lo:])))
-        narrow_sums.append(head + sum(map(operator.mul, tail, strip[1:])))
+        narrow_sums.append(head + sum(map(operator.mul, tail, strip[1:] if stepped else vec[lo:dim])))
     return wide_sums, narrow_sums
 
 

@@ -512,8 +512,7 @@ def _hyp_enclosure(h: HyperParams, bits: int) -> Tuple[_Interval, int]:
     stream, so only the full test decides where the sum stops.
     """
     _check_precision(bits)
-    terminating = h.terminating
-    factor, rho = _hyp_ratio(h.upper, h.lower, h.argument, terminating)
+    factor, rho = _hyp_ratio(h.upper, h.lower, h.argument, h.terminating)
     max_terms = _HYP_MAX_TERMS
     ps, qs = [], []
     log_term, total, floor = 0.0, 1.0, -(bits + 5) + 2  # a 2-bit float margin
@@ -535,7 +534,7 @@ def _hyp_enclosure(h: HyperParams, bits: int) -> Tuple[_Interval, int]:
     else:
         start, num, step = (0, 1, 0), 1, 1
     try:
-        return _sum_series(_hyp_terms(factor, rho, terminating, k, num, step), bits, max_terms,
+        return _sum_series(_hyp_terms(factor, rho, k, num, step), bits, max_terms,
                            signed=True, start=start)
     except TermBudgetError:
         raise TermBudgetError(f"pFq did not converge within {max_terms} terms") from None
@@ -603,14 +602,13 @@ def _hyp_ratio(uppers: tuple, lowers: tuple, x: Fraction, terminating: bool):
     return factor, rho
 
 
-def _hyp_terms(factor, rho, terminating: bool, m: int, num: int,
-               step: int) -> Iterator[Tuple[int, int, int, int]]:
+def _hyp_terms(factor, rho, m: int, num: int, step: int) -> Iterator[Tuple[int, int, int, int]]:
     """The term stream of a pFq for :func:`_sum_series` from term m on,
-    whose numerator is ``num`` and den_step ``step``.  The zero term of a
-    terminating series comes with rho = 0: every later term is 0, so it
-    ends the sum exactly."""
+    whose numerator is ``num`` and den_step ``step``.  The first zero term,
+    of a terminating series or at x = 0, comes with rho = 0: every later
+    term is 0, so it ends the sum exactly."""
     for m in count(m):
-        if terminating and num == 0:
+        if num == 0:
             yield step, 0, 0, 1
             return
         yield (step, num, *rho(m))

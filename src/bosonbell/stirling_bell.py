@@ -9,7 +9,8 @@ the Wick recurrence of ``_next_row``, the one recurrence for S_{r,s} here;
 independent routes check them:
 
 * the explicit alternating finite sum, also the route of ``stirling``,
-* a differential-operator route (apply x^r d^s/dx^s repeatedly),
+  whose falling factorials, all at x >= 0, are math.perm calls,
+* a differential-operator route (x^r d^s/dx^s, one pass per application),
 * and, in :mod:`bosonbell.boson_oracle`, literal rewriting of boson words.
 
 ``stirling`` and ``_next_row`` both take the larger exponent as r, so
@@ -27,7 +28,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
 from typing import Dict
 
 from .exact_core import RationalLike, binomial, falling_factorial
@@ -131,7 +132,8 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
     because q >= s.  Only the first d products are built directly, so a
     read takes O(k) big-int steps instead of O(n s k), and only the last
     d products are kept.  The signed binomial (-1)^q C(k,q) is carried
-    along q by the exact step C(k, q+1) = C(k, q) (k-q) / (q+1).
+    along q by the exact step C(k, q+1) = C(k, q) (k-q) / (q+1).  Every
+    x^falling(s) here has x >= s and is the C builtin math.perm(x, s).
     """
     r, s = p.r, p.s
     if r < s:
@@ -146,26 +148,15 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
     c = (-1) ** s * binomial(k, s)  # (-1)^q C(k, q)
     for q in range(s, k + 1):
         if d == 0:
-            prod = falling_factorial(q, s) ** n
+            product = perm(q, s) ** n
         elif q < s + d:
-            prod = 1
-            for j in range(n):
-                prod *= falling_factorial(q + j * d, s)
+            product = prod(perm(q + j * d, s) for j in range(n))
         else:
-            prod = last[0] * falling_factorial(q + (n - 1) * d, s) // falling_factorial(q - d, s)
-        last.append(prod)
-        total += c * prod
+            product = last[0] * perm(q + (n - 1) * d, s) // perm(q - d, s)
+        last.append(product)
+        total += c * product
         c = -c * (k - q) // (q + 1)
     return _exact_quotient((-1) ** k * total, k)
-
-
-def _poly_diff(coeffs: list, s: int) -> list:
-    """s-th derivative of an integer-coefficient polynomial."""
-    for _ in range(s):
-        coeffs = [i * c for i, c in enumerate(coeffs)][1:]
-        if not coeffs:
-            return [0]
-    return coeffs
 
 
 def stirling_diffop(p: Params, n: int, k: int) -> int:
@@ -175,7 +166,8 @@ def stirling_diffop(p: Params, n: int, k: int) -> int:
     evaluate at x = 1, and multiply by (-1)^k / k!.
 
     The subtracted partial sum cancels the coefficients below degree s,
-    so the whole computation stays in integer polynomials.
+    so the whole computation stays in integer polynomials.  An application
+    is one pass, d^s x^i = i^falling(s) x^(i-s) with math.perm(i, s).
     """
     r, s = p.r, p.s
     if r < s:
@@ -187,7 +179,7 @@ def stirling_diffop(p: Params, n: int, k: int) -> int:
     # (1-x)^k with the first s coefficients removed
     coeffs = [0] * s + [(-1) ** i * binomial(k, i) for i in range(s, k + 1)]
     for _ in range(n):
-        coeffs = [0] * r + _poly_diff(coeffs, s)
+        coeffs = [0] * r + [perm(i, s) * c for i, c in enumerate(coeffs[s:], s)]
     return _exact_quotient((-1) ** k * sum(coeffs), k)
 
 
@@ -347,19 +339,23 @@ def connection_identity_check(p: Params, n: int, x: int, *more: int) -> bool:
     evaluated at the integer x and at each further integer in ``more``;
     true iff it holds at every point.  Row n is read through ``stirling``
     once for all points, which are tested in order up to the first that
-    fails.  Must hold identically (r >= s).
+    fails; at each point the right side steps y^falling(k) along the row,
+    one multiply per k.  Must hold identically (r >= s).
     """
     r, s = p.r, p.s
     if r < s:
         raise ValueError("connection_identity_check requires r >= s")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    row = [(k, stirling(p, n, k)) for k in p.band(n)]
+    band = p.band(n)
+    row = [stirling(p, n, k) for k in band]
     for y in (x, *more):
-        lhs = 1
-        for j in range(n):
-            lhs *= falling_factorial(y + j * (r - s), s)
-        if lhs != sum(v * falling_factorial(y, k) for k, v in row):
+        lhs = prod(falling_factorial(y + j * (r - s), s) for j in range(n))
+        rhs, fall = 0, falling_factorial(y, band.start)  # fall = y^falling(k)
+        for k, v in zip(band, row):
+            rhs += v * fall
+            fall *= y - k
+        if lhs != rhs:
             return False
     return True
 

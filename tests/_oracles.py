@@ -259,7 +259,7 @@ def hyp_enclosure_reference(uppers, lowers, x, bits, max_terms):
     partial, term, m = Fraction(0), Fraction(1), 0
     while True:
         partial += term
-        if terminating and term == 0:
+        if term == 0:  # terminating, or x = 0: every later term is 0 too
             return partial, partial, m + 1
         if not terminating and m >= m_start:
             rho = _hyp_ratio_bound_reference(uppers, lowers_full, abs(x), m)

@@ -332,14 +332,16 @@ class TestFockSuiteComputesEachValueOnce:
         assert built == [144]
         assert coherent == [Fraction(1, 2), Fraction(1)]
         assert roots == [n << 2 * (256 + 64) for n in range(144)]
-        # each letter steps the dim-144 vector and the strip of the dim-128
-        # one, s + (n-1)*max(0, s-r) + 1 entries: 2 for (1,1,6) and (2,1,3),
-        # 3 for (2,2,3) and 5 for (1,2,3), each word at z = 1/2 and 1
-        assert applied == [2, 144] * 24 + [2, 144] * 18 + [3, 144] * 24 + [5, 144] * 18
+        # each letter steps the dim-144 vector; only an s > r word also steps
+        # the strip of the dim-128 one, s + (n-1)*(s-r) + 1 entries: 5 for
+        # (1,2,3).  (1,1,6), (2,1,3) and (2,2,3) read their narrow sums off
+        # the wide vector.  Each word runs at z = 1/2 and 1
+        assert applied == [144] * 24 + [144] * 18 + [144] * 24 + [5, 144] * 18
 
     def test_every_word_is_applied_one_letter_per_step(self, capsys, monkeypatch):
-        # per word and z: 2 passes x n x (r + s) letters, (1,1) to n = 6 and
-        # (2,1), (2,2), (1,2) to n = 3: 2 x (24 + 18 + 24 + 18) = 168 steps
+        # per word and z: n x (r + s) letters, (1,1) to n = 6 and (2,1),
+        # (2,2), (1,2) to n = 3, and a second pass on the strip for the s > r
+        # word (1,2) only: 24 + 18 + 24 + 2 x 18 = 102 steps
         letters = []
         apply_operator = fock_numeric.apply_operator
 
@@ -350,7 +352,7 @@ class TestFockSuiteComputesEachValueOnce:
         monkeypatch.setattr(fock_numeric, "apply_operator", recording_apply)
         code, _, _ = run_cli(capsys, "verify", "fock")
         assert code == 0
-        assert len(letters) == 168 and set(letters) == {1, -1}
+        assert len(letters) == 102 and set(letters) == {1, -1}
 
     def test_katriel_checks_read_the_suite_value(self, capsys, monkeypatch):
         calls = self.recording(monkeypatch, shifted=(1, 1, 3, 1))

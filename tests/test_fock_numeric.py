@@ -264,6 +264,31 @@ class TestNarrowStrip:
         wide, narrow = fock_numeric._expectation_prefixes(p, n, amps, ops, dim)
         assert wide == exact[0] and narrow != exact[1]
 
+    @pytest.mark.parametrize("r,s,n", [(r, s, n) for r, s, n in STRIP_WORDS if r >= s])
+    def test_a_word_with_r_at_least_s_steps_no_strip(self, monkeypatch, r, s, n):
+        # each such word ends with the narrow vector equal to the wide one
+        # below dim, so only the wide vector is stepped and every narrow sum
+        # is that vector cut at dim; z = 2 leaves weight above dim
+        p = Params(r, s)
+        dim = 64
+        ops = build_ops(dim + fock_numeric.STABILITY_STEP, 256)
+        amps = fock_numeric._coherent(2, ops[0].roots, ops[0].bits, dim, 1)
+        vec, cut = list(amps), []
+        for _ in range(n):
+            for op in [ops[0]] * s + [ops[1]] * r:
+                vec = apply_operator(op, vec)
+            cut.append(sum(b * x for b, x in zip(amps[:dim], vec[:dim])))
+        dims = []
+
+        def recording_apply(op, vec):
+            dims.append(op.dim)
+            return apply_operator(op, vec)
+
+        monkeypatch.setattr(fock_numeric, "apply_operator", recording_apply)
+        wide, narrow = fock_numeric._expectation_prefixes(p, n, amps, ops, dim)
+        assert dims == [dim + fock_numeric.STABILITY_STEP] * (n * (r + s))
+        assert narrow == cut and narrow != wide
+
 
 class TestExpectationPower:
     @pytest.mark.parametrize("r,s,n,z,expected", [
@@ -354,9 +379,9 @@ class TestExpectationPower:
                     assert abs(amp - mp.ldexp(exact, bits)) < 5, (precision, n)
 
     def test_apply_and_build_counts_of_one_expectation(self, monkeypatch):
-        # 2 passes x n = 3 x (s + r) = 3 letters: 18 applications, each letter
-        # on the dim-144 table, built once, after the 2-entry strip [lo - 1,
-        # 128) of the narrow vector, lo = 128 - s = 127; the values for
+        # n = 3 x (s + r) = 3 letters: 9 applications, each letter on the
+        # dim-144 table, built once; an r >= s word steps no strip of the
+        # narrow vector, whose sums are read off the wide one; the values for
         # n = 1 and 2 come from the same pass at no extra step
         built, applied = [], []
         build_ops_, apply_operator_ = fock_numeric.build_ops, fock_numeric.apply_operator
@@ -373,7 +398,7 @@ class TestExpectationPower:
         monkeypatch.setattr(fock_numeric, "apply_operator", counting_apply)
         expectation_table([(Params(2, 1), 3)], [Fraction(1, 2)], 128)
         assert built == [144]
-        assert applied == [2, 144] * 9
+        assert applied == [144] * 9
 
     @pytest.mark.parametrize("precision", [64, 256])
     def test_every_fock_suite_case_is_exact(self, precision):

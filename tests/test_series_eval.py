@@ -286,6 +286,19 @@ class TestHypergeometric:
         sv = hypergeometric(HyperParams(upper=upper, lower=lower, argument=Fraction(0)))
         assert sv.value.to_fraction() == 1
 
+    def test_argument_zero_ends_at_the_first_zero_term(self):
+        # a negative non-integer lower parameter puts m_start past term 1, where
+        # rho is 1; the zero term 1 still ends the sum, exactly
+        sv = hypergeometric(HyperParams((Fraction(-7, 2),), (Fraction(-5, 2),), Fraction(0)))
+        assert sv.value.to_fraction() == 1 and sv.tail_bound.to_fraction() == 0
+        assert sv.terms_used == 2
+
+    def test_argument_zero_fits_a_two_term_budget(self, monkeypatch):
+        monkeypatch.setattr(series_eval, "_HYP_MAX_TERMS", 2)
+        h = HyperParams((), (Fraction(-2, 5), Fraction(-1, 3), 1), Fraction(0))
+        sv = hypergeometric(h)
+        assert sv.value.to_fraction() == 1 and sv.terms_used == 2
+
     def test_gauss_value_two_log_two(self):
         sv = hypergeometric(HyperParams(upper=(1, 1), lower=(2,), argument=Fraction(1, 2)))
         with mpmath.workprec(300):

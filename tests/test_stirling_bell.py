@@ -25,6 +25,8 @@ from bosonbell.stirling_bell import (
     triangle,
 )
 
+from bosonbell.exact_core import falling_factorial
+
 from _oracles import bell_brute, lah_brute, stirling_brute
 
 
@@ -220,6 +222,45 @@ class TestConnectionIdentity:
     def test_no_point_is_an_error(self):
         with pytest.raises(TypeError):
             connection_identity_check(Params(1, 1), 2)
+
+
+class TestRoutesEqualTheTableAtRowTen:
+    """The differential route and the connection identity against the memo
+    row n = 10, for every r, s <= 3."""
+
+    # the points of the connection checks in verify all
+    SUITE_POINTS = (-3, -1, 0, 1, 2, 5)
+
+    @pytest.mark.parametrize("r,s", [(r, s) for r in (1, 2, 3) for s in (1, 2, 3)])
+    def test_diffop_at_every_k(self, r, s):
+        clear_perturbations()
+        p = Params(r, s)
+        row = triangle(p, 10).row(10)
+        big = Params(max(r, s), min(r, s))  # the route needs r >= s; S_(r,s) = S_(s,r)
+        for k in range(10 * min(r, s) + 2):
+            assert stirling_diffop(big, 10, k) == row.get(k, 0), k
+
+    @pytest.mark.parametrize("r,s", [(r, s) for r in (1, 2, 3) for s in range(1, r + 1)])
+    def test_connection_identity_at_the_suite_points(self, r, s):
+        clear_perturbations()
+        p = Params(r, s)
+        row = triangle(p, 10).row(10)
+        for y in self.SUITE_POINTS:
+            lhs = 1
+            for j in range(10):
+                lhs *= falling_factorial(y + j * (r - s), s)
+            assert lhs == sum(v * falling_factorial(y, k) for k, v in row.items()), y
+            assert connection_identity_check(p, 10, y), y
+        assert connection_identity_check(p, 10, *self.SUITE_POINTS)
+        # y^falling(k) is nonzero at y < 0, so every entry of the row counts there
+        try:
+            for k in row:
+                set_perturbation(p, 10, k, 1)
+                assert not connection_identity_check(p, 10, -3), k
+                assert not connection_identity_check(p, 10, -1), k
+                clear_perturbations()
+        finally:
+            clear_perturbations()
 
 
 class TestBellRecurrence:
@@ -446,12 +487,19 @@ class TestTelescopedPointReads:
                     for k in range(band.start - 1, band.stop + 1):
                         assert stirling(p, n, k) == tri.value(n, k), (r, s, n, k)
 
-    @pytest.mark.parametrize("r,s,n", [(1, 1, 250), (2, 1, 230), (3, 1, 240), (4, 1, 200)])
+    # every pair the benchmark reads far, at its n, and (4,1); r < s reads
+    # the swapped pair
+    @pytest.mark.parametrize("r,s,n", [
+        (1, 1, 250), (2, 1, 230), (3, 1, 240), (4, 1, 200), (1, 2, 250), (2, 2, 180),
+        (1, 3, 250), (3, 2, 170), (2, 3, 175), (3, 3, 140),
+    ])
     def test_far_read_per_d_equals_the_memo_row(self, r, s, n):
         clear_perturbations()
         p = Params(r, s)
         row = triangle(p, n).row(n)
-        for k in (s, r, r + 1, n * s // 2, n * s):  # q = r = s + d is the first telescoped product
+        low, high = min(r, s), max(r, s)
+        # q = high = low + d is the first telescoped product
+        for k in (low, high, high + 1, n * low // 2, n * low):
             assert stirling(p, n, k) == row[k], k
 
     def test_point_reads_leave_the_memo_alone(self):
