@@ -8,8 +8,9 @@ certified: a term-ratio upper bound that is valid for *all* later terms
 and non-increasing in the index turns the remainder into a geometric
 series, giving an exact rational tail bound.  The only irrational
 constant, e, enters through an exact rational enclosure of exp(t), so
-every :class:`SeriesValue` brackets the true sum of the identity it
-evaluates.
+every :class:`SeriesValue` keeps an exact enclosure of the true sum of
+the identity it evaluates beside its rounded value, and every check
+(:meth:`SeriesValue.brackets` among them) decides on that enclosure.
 
 Two loops sum the series, and :func:`_stop` is the one stop rule of
 both.  :func:`_dobinski_family` sums the Dobinski series, weighted and
@@ -48,7 +49,7 @@ before evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -157,28 +158,21 @@ class _Interval:
 class SeriesValue:
     """A rounded series value together with a certified absolute error.
 
-    The true sum lies in [value - tail_bound, value + tail_bound]; the
-    bound already includes the final rounding step.
+    ``interval`` is the exact enclosure the value was rounded from, and the
+    true sum lies in it; [value - tail_bound, value + tail_bound] holds it,
+    the bound including the final rounding step.  The interval takes no
+    part in equality or the repr.
     """
 
     value: BigFloat
     tail_bound: BigFloat
     terms_used: int
     precision_bits: int
+    interval: _Interval = field(compare=False, repr=False)
 
     def brackets(self, target: RationalLike) -> bool:
-        """Whether the exact target p/q lies inside the certified interval.
-
-        With value m_v 2^e_v and tail bound m_t 2^e_t, that is
-        |m_v 2^e_v q - p| <= m_t 2^e_t q, compared in integers after a
-        shift by 2^-min(e_v, e_t, 0)."""
-        if not isinstance(target, (int, Fraction)):
-            target = Fraction(target)
-        p, q = target.numerator, target.denominator
-        mv, ev = _man_exp(self.value.value)
-        mt, et = _man_exp(self.tail_bound.value)
-        low = min(ev, et, 0)
-        return abs(((mv * q) << (ev - low)) - (p << -low)) <= (mt * q) << (et - low)
+        """Whether the exact target lies inside the exact enclosure."""
+        return self.interval.contains(target)
 
 
 def _series_value(iv: _Interval, terms_used: int, bits: int) -> SeriesValue:
@@ -196,7 +190,7 @@ def _series_value(iv: _Interval, terms_used: int, bits: int) -> SeriesValue:
         half, den = half << -exp, den << -exp
     tail = BigFloat.from_rational(half + error, den, bits, "c")
     return SeriesValue(value=value, tail_bound=tail, terms_used=terms_used,
-                       precision_bits=bits)
+                       precision_bits=bits, interval=iv)
 
 
 @lru_cache(maxsize=None)
@@ -825,11 +819,13 @@ def bell_diag_egf_coefficient_check(r: int, n: int) -> bool:
 class HgfCheckResult:
     """Outcome of comparing the two routes to the degree-N hgf truncation."""
 
-    ok: bool
     lhs: SeriesValue
     rhs_exact: Fraction
     difference: BigFloat
-    t_power: int
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs.brackets(self.rhs_exact)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -920,12 +916,8 @@ def hgf_check(
         (Fraction(bells[n], factorial(n) ** s) * lam**n for n in range(1, order + 1)),
         _ZERO,
     )
-    lhs = _series_value(iv, used, precision)
-    diff = abs(iv.midpoint - rhs)
     return HgfCheckResult(
-        ok=iv.contains(rhs),
-        lhs=lhs,
+        lhs=_series_value(iv, used, precision),
         rhs_exact=rhs,
-        difference=BigFloat.from_fraction(diff, precision, "c"),
-        t_power=s - 1,
+        difference=BigFloat.from_fraction(abs(iv.midpoint - rhs), precision, "c"),
     )

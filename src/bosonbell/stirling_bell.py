@@ -295,9 +295,10 @@ def bell_number(p: Params, n: int) -> int:
 
 def bell_sequence(p: Params, n_max: int) -> BellSequence:
     """B_{r,s}(0..n_max) as the row sums of one triangle."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     tri = triangle(p, n_max) if n_max >= 1 else None
-    values = (1,) + tuple(sum(tri.row(n).values()) for n in range(1, n_max + 1))
-    return BellSequence(values=values[:n_max + 1])
+    return BellSequence(values=(1,) + tuple(sum(tri.row(n).values()) for n in range(1, n_max + 1)))
 
 
 def bell_polynomial(p: Params, n: int, t: RationalLike) -> Fraction:

@@ -43,12 +43,14 @@ def _top_term_plus_one(real):
 
 
 def _values_moved(real):
+    # the verdicts read the exact enclosure, so it moves by the value's shift
     def family(*args, **kwargs):
         moved = []
         for sv in real(*args, **kwargs):
             v = sv.value.to_fraction()
-            moved.append(replace(sv, value=BigFloat.from_fraction(v + SMALL * max(abs(v), 1),
-                                                                  sv.precision_bits)))
+            shift = SMALL * max(abs(v), 1)
+            moved.append(replace(sv, value=BigFloat.from_fraction(v + shift, sv.precision_bits),
+                                 interval=sv.interval + shift))
         return moved
     return family
 

@@ -419,6 +419,14 @@ def _radius(r, s):
     return Fraction(1, abs(r - s) ** min(r, s))
 
 
+def _hgf_truncation(r, s, lam, order):
+    """The degree-``order`` truncation of G_{r,s}(lam): B_{r,s}(n)/(n!)^t
+    lam^n/n! summed, t = min(r, s) - 1, B(0) = 1."""
+    t = min(r, s) - 1
+    return 1 + sum(Fraction(bell_number(Params(r, s), n), factorial(n) ** (t + 1)) * lam**n
+                   for n in range(1, order + 1))
+
+
 class TestHgf:
     def test_lambda_zero_gives_one_on_both_sides(self):
         res = hgf_check(3, 2, Fraction(0), 8)
@@ -446,7 +454,9 @@ class TestHgf:
     def test_lah_egf_family(self):
         # (2, 1) is the r' = 1 member: a plain egf with 1F0 inner sums
         res = hgf_check(2, 1, Fraction(1, 5), 10)
-        assert res.ok and res.t_power == 0
+        assert res.ok and res.rhs_exact == 1 + sum(
+            Fraction(bell_number(Params(2, 1), n), factorial(n)) * Fraction(1, 5)**n
+            for n in range(1, 11))
 
     def test_divergent_lambda_rejected(self):
         with pytest.raises(ConvergenceError):
@@ -463,7 +473,7 @@ class TestHgf:
         # lambda may be as large as the exact side can be summed
         for lam in (Fraction(1, 100), Fraction(10), Fraction(1000)):
             res = hgf_check(r, r, lam, 4)
-            assert res.ok and res.t_power == r - 1, lam
+            assert res.ok and res.rhs_exact == _hgf_truncation(r, r, lam, 4), lam
 
     def test_one_one_matches_the_bell_egf(self):
         """G_{1,1} is exp(e^x - 1), the egf of the Bell numbers, at x = lambda."""
@@ -564,23 +574,12 @@ def _outcome(fn, *args):
         return (RuntimeError if isinstance(exc, RuntimeError) else ValueError), str(exc)
 
 
-@pytest.fixture
-def enclosures(monkeypatch):
-    """Every (lo, hi, terms_used) passed to the final rounding step."""
-    seen = []
-    rounding = series_eval._series_value
-
-    def recording(iv, terms_used, bits):
-        seen.append((iv.lo, iv.hi, terms_used))
-        return rounding(iv, terms_used, bits)
-
-    monkeypatch.setattr(series_eval, "_series_value", recording)
-    return seen
-
-
-def _enclosure_of(fn, seen, *args):
-    outcome = _outcome(fn, *args)
-    return seen.pop() if isinstance(outcome, SeriesValue) else outcome
+def _ends(outcome):
+    """A SeriesValue as its exact enclosure ends and terms used, as the
+    reference loops return them; an error outcome as it is."""
+    if isinstance(outcome, SeriesValue):
+        return outcome.interval.lo, outcome.interval.hi, outcome.terms_used
+    return outcome
 
 
 class TestAgainstFractionLoops:
@@ -604,9 +603,9 @@ class TestAgainstFractionLoops:
 
     @pytest.mark.parametrize("bits", PRECISIONS)
     @pytest.mark.parametrize("uppers,lowers,x,max_terms", HYPER_CASES)
-    def test_hypergeometric(self, monkeypatch, enclosures, uppers, lowers, x, max_terms, bits):
+    def test_hypergeometric(self, monkeypatch, uppers, lowers, x, max_terms, bits):
         monkeypatch.setattr(series_eval, "_HYP_MAX_TERMS", max_terms)
-        got = _enclosure_of(lambda: hypergeometric(HyperParams(uppers, lowers, x), bits), enclosures)
+        got = _ends(_outcome(lambda: hypergeometric(HyperParams(uppers, lowers, x), bits)))
         want = _outcome(hyp_enclosure_reference, uppers, lowers, x, bits, max_terms)
         assert got == want
         if want[0] is ValueError:
@@ -622,28 +621,28 @@ class TestAgainstFractionLoops:
     @pytest.mark.parametrize("bits,max_terms", [
         (16, 200_000), (256, 200_000), (4096, 200_000), (256, 5),
     ])
-    def test_dobinski(self, monkeypatch, enclosures, r, s, n, max_terms, bits):
+    def test_dobinski(self, monkeypatch, r, s, n, max_terms, bits):
         monkeypatch.setattr(series_eval, "_DOBINSKI_MAX_TERMS", max_terms)
         # families n = 1..n where the budget cuts the loop short;
         # TestDobinskiFamilies covers the rest against single calls
         cut = max_terms < 200_000
         p = Params(r, s)
-        got = _enclosure_of(dobinski_bell, enclosures, p, n, bits)
+        got = _ends(_outcome(dobinski_bell, p, n, bits))
         assert got == _outcome(dobinski_polynomial_reference, r, s, n, 1, bits, max_terms)
         for t in (Fraction(1, 3), Fraction(5, 2)):
-            got = _enclosure_of(dobinski_polynomial, enclosures, p, n, t, bits)
+            got = _ends(_outcome(dobinski_polynomial, p, n, t, bits))
             assert got == _outcome(dobinski_polynomial_reference, r, s, n, t, bits, max_terms)
             if cut:
                 self._assert_family_matches(
-                    enclosures, _outcome(dobinski_polynomials, p, n, t, bits),
+                    _outcome(dobinski_polynomials, p, n, t, bits),
                     [_outcome(dobinski_polynomial_reference, r, s, m, t, bits, max_terms)
                      for m in range(1, n + 1)])
         if r > s:
-            got = _enclosure_of(dobinski_gamma_form, enclosures, p, n, bits)
+            got = _ends(_outcome(dobinski_gamma_form, p, n, bits))
             assert got == _outcome(dobinski_gamma_form_reference, r, s, n, bits, max_terms)
             if cut:
                 self._assert_family_matches(
-                    enclosures, _outcome(dobinski_gamma_forms, p, n, bits),
+                    _outcome(dobinski_gamma_forms, p, n, bits),
                     [_outcome(dobinski_gamma_form_reference, r, s, m, bits, max_terms)
                      for m in range(1, n + 1)])
 
@@ -676,15 +675,14 @@ class TestAgainstFractionLoops:
         assert skipped
 
     @staticmethod
-    def _assert_family_matches(enclosures, got, references):
+    def _assert_family_matches(got, references):
         """A family's members against their references, or the error of
         the first member that raised (all budget errors read alike)."""
         errors = [ref for ref in references if ref[0] in (RuntimeError, ValueError)]
         if errors:
             assert got == errors[0]
         else:
-            assert enclosures[-len(references):] == references
-            del enclosures[-len(references):]
+            assert [_ends(sv) for sv in got] == references
 
     @pytest.mark.parametrize("bits", PRECISIONS)
     @pytest.mark.parametrize("r,s,lam,order", [
@@ -692,66 +690,57 @@ class TestAgainstFractionLoops:
         (2, 1, Fraction(1, 5), 10), (6, 3, Fraction(1, 135), 6),
         (3, 1, Fraction(9, 20), 12), (4, 3, Fraction(9, 10), 12), (5, 2, Fraction(1, 10), 12),
     ])
-    def test_hgf_inner_sums(self, enclosures, r, s, lam, order, bits):
+    def test_hgf_inner_sums(self, r, s, lam, order, bits):
         res = hgf_check(r, s, lam, order, precision=bits)
-        lo, _, terms_used = enclosures.pop()
-        acc = hgf_outer_sum_reference(r, s, lam, order, terms_used - 1)
-        assert lo == acc / exp_bounds_reference(1, bits)[1] + 1
+        acc = hgf_outer_sum_reference(r, s, lam, order, res.lhs.terms_used - 1)
+        assert res.lhs.interval.lo == acc / exp_bounds_reference(1, bits)[1] + 1
         assert res.ok
-        assert res.rhs_exact == 1 + sum(
-            Fraction(bell_number(Params(r, s), n), factorial(n) ** (res.t_power + 1)) * lam**n
-            for n in range(1, order + 1))
+        assert res.rhs_exact == _hgf_truncation(r, s, lam, order)
 
 
 def _bits_of(sv):
-    return sv.value.value._mpf_, sv.tail_bound.value._mpf_, sv.terms_used, sv.precision_bits
+    iv = sv.interval
+    return (sv.value.value._mpf_, sv.tail_bound.value._mpf_, sv.terms_used, sv.precision_bits,
+            iv.lo_num, iv.hi_num, iv.den)
 
 
 class TestDobinskiFamilies:
     """Every member of a family summed in one pass over k equals its
     one-member call bit for bit: value, tail bound, terms used, and the
-    exact enclosure ends handed to the final rounding."""
+    integers of the exact enclosure the verdicts read."""
 
-    def _assert_members_are_single_calls(self, enclosures, family_call, single_call, ns):
-        family = family_call()
-        family_ends = enclosures[-len(family):]
-        del enclosures[:]
+    @staticmethod
+    def _assert_members_are_single_calls(family_call, single_call, ns):
         singles = [single_call(n) for n in ns]
-        assert [_bits_of(sv) for sv in family] == [_bits_of(sv) for sv in singles]
-        assert family_ends == enclosures
-        del enclosures[:]
-        return singles, family_ends
+        assert [_bits_of(sv) for sv in family_call()] == [_bits_of(sv) for sv in singles]
+        return singles
 
     @pytest.mark.parametrize("bits", PRECISIONS)
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
     @pytest.mark.parametrize("r,s", [(r, s) for r in (1, 2, 3) for s in (1, 2, 3)])
-    def test_weighted_members(self, enclosures, r, s, t, bits):
+    def test_weighted_members(self, r, s, t, bits):
         p = Params(r, s)
-        singles, ends = self._assert_members_are_single_calls(
-            enclosures, lambda: dobinski_polynomials(p, 6, t, bits),
+        singles = self._assert_members_are_single_calls(
+            lambda: dobinski_polynomials(p, 6, t, bits),
             lambda n: dobinski_polynomial(p, n, t, bits), range(1, 7))
         # a family sums only the members asked for, in the order asked
         for ns in ((2,), (5,), (5, 2)):
             got = series_eval._dobinski_family(p, ns, t, False, bits)
             assert [_bits_of(sv) for sv in got] == [_bits_of(singles[n - 1]) for n in ns]
-            assert enclosures == [ends[n - 1] for n in ns]
-            del enclosures[:]
         if t == 1:
             assert [_bits_of(dobinski_bell(p, n, bits)) for n in range(1, 7)] == \
                 [_bits_of(sv) for sv in singles]
 
     @pytest.mark.parametrize("bits", PRECISIONS)
     @pytest.mark.parametrize("r,s", [(2, 1), (3, 1), (3, 2)])
-    def test_gamma_members(self, enclosures, r, s, bits):
+    def test_gamma_members(self, r, s, bits):
         p = Params(r, s)
-        singles, ends = self._assert_members_are_single_calls(
-            enclosures, lambda: dobinski_gamma_forms(p, 6, bits),
+        singles = self._assert_members_are_single_calls(
+            lambda: dobinski_gamma_forms(p, 6, bits),
             lambda n: dobinski_gamma_form(p, n, bits), range(1, 7))
         for ns in ((2,), (5,), (5, 2)):
             got = series_eval._dobinski_family(p, ns, Fraction(1), True, bits)
             assert [_bits_of(sv) for sv in got] == [_bits_of(singles[n - 1]) for n in ns]
-            assert enclosures == [ends[n - 1] for n in ns]
-            del enclosures[:]
 
     def test_family_sizes_and_arguments_are_checked(self):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
@@ -1047,9 +1036,17 @@ ROUNDING_CASES = [
 ]
 
 
+def _assert_rounding_holds(sv):
+    """[value - tail_bound, value + tail_bound] holds the exact enclosure
+    the value was rounded from.  No verdict reads the rounded interval, so
+    this is what shows that the value and bound printed are sound."""
+    v, tail = sv.value.to_fraction(), sv.tail_bound.to_fraction()
+    assert v - tail <= sv.interval.lo and sv.interval.hi <= v + tail
+
+
 class TestSeriesValueRounding:
     """The rounding of an enclosure over unreduced integer ends against the
-    Fraction formula it replaced."""
+    Fraction formula it replaced, and its soundness."""
 
     @staticmethod
     def _by_fractions(iv, bits):
@@ -1064,14 +1061,27 @@ class TestSeriesValueRounding:
         sv = series_eval._series_value(iv, 1, bits)
         return sv.value.value._mpf_, sv.tail_bound.value._mpf_
 
-    @pytest.mark.parametrize("bits", (16, 64, 256))
+    @pytest.mark.parametrize("bits", (16, 64, 256, 4096))
     @pytest.mark.parametrize("lo,hi", ROUNDING_CASES)
     def test_matches_the_fraction_formula(self, lo, hi, bits):
         iv = _over_one_den(lo, hi)
         sv = series_eval._series_value(iv, 7, bits)
         assert (sv.value.value._mpf_, sv.tail_bound.value._mpf_) == self._by_fractions(iv, bits)
-        assert (sv.terms_used, sv.precision_bits) == (7, bits)
-        assert sv.brackets(lo) and sv.brackets(hi)
+        assert (sv.terms_used, sv.precision_bits, sv.interval) == (7, bits, iv)
+        _assert_rounding_holds(sv)
+
+    @pytest.mark.parametrize("bits", (16, 64, 256, 4096))
+    def test_a_seeded_sweep_rounds_soundly(self, bits):
+        # ends and denominators of up to 6000 bits, some with thousands of
+        # trailing zero bits, some intervals of zero width
+        rng = random.Random(bits)
+        for _ in range(500):
+            den = rng.getrandbits(rng.randint(1, 3000)) | 1
+            den <<= rng.choice((0, rng.randint(1, 3000)))
+            lo = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 6000))
+            hi = lo + rng.choice((0, rng.getrandbits(rng.randint(1, 6000))))
+            iv = series_eval._Interval(lo, hi, den)
+            _assert_rounding_holds(series_eval._series_value(iv, 1, bits))
 
     @pytest.mark.parametrize("bits", (16, 256, 4096))
     @pytest.mark.parametrize("scale", (3**500, 1 << 3000, 3**500 << 3000),
@@ -1089,42 +1099,6 @@ class TestSeriesValueRounding:
 
         assert rounded(Fraction(-1, 3), Fraction(1, 3))[1] == 0
         assert rounded(Fraction(3**200, 7), Fraction(3**200 + 5, 7))[2] >= 0
-
-
-class TestBrackets:
-    """SeriesValue.brackets in integers against the Fraction form
-    |value - target| <= tail_bound it replaced."""
-
-    @staticmethod
-    def _by_fractions(sv, target):
-        return abs(sv.value.to_fraction() - Fraction(target)) <= sv.tail_bound.to_fraction()
-
-    @staticmethod
-    def _float(man, exp):
-        return BigFloat(mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(man, exp)), 64)
-
-    def test_seeded_values_tails_and_targets(self):
-        rng = random.Random(27)
-        for _ in range(2000):
-            mv = rng.choice((0, 1, -1)) * rng.getrandbits(rng.randint(1, 300))
-            mt = rng.choice((0, 1, 1)) * rng.getrandbits(rng.randint(1, 64))
-            ev, et = rng.randint(-4000, 4000), rng.randint(-4000, 4000)
-            sv = SeriesValue(self._float(mv, ev), self._float(mt, et), 1, 64)
-            v, tail = sv.value.to_fraction(), sv.tail_bound.to_fraction()
-            nudge = Fraction(1, rng.choice((3, 2**4100, 3 * 2**4100)))
-            targets = [v, v - tail, v + tail, v - tail - nudge, v + tail + nudge,
-                       v + tail - nudge, round(v), round(v) + rng.choice((-1, 1)),
-                       Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))]
-            for target in targets:
-                assert sv.brackets(target) == self._by_fractions(sv, target), (mv, ev, mt, et, target)
-
-    def test_both_ends_are_inside(self):
-        sv = SeriesValue(self._float(-3, -4000), self._float(1, -4001), 1, 64)
-        v, tail = Fraction(-3, 2**4000), Fraction(1, 2**4001)
-        assert sv.brackets(v - tail) and sv.brackets(v + tail)
-        assert not sv.brackets(v + tail + Fraction(1, 2**5000))
-        big = SeriesValue(self._float(5, 4000), self._float(0, 0), 1, 64)
-        assert big.brackets(5 << 4000) and not big.brackets((5 << 4000) + 1)
 
 
 class TestInterval:

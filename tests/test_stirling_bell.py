@@ -574,6 +574,12 @@ class TestBellSequence:
             assert bell_sequence(p, 7).values == tuple(bell_number(p, n) for n in range(8))
         assert bell_sequence(Params(2, 1), 0).values == (1,)
 
+    @pytest.mark.parametrize("n_max", [-1, -5])
+    def test_negative_size_is_refused(self, n_max):
+        # as bell_number(p, -1) and bell_recurrence_r1(1, -1) refuse theirs
+        with pytest.raises(ValueError, match=f"n_max must be >= 0, got {n_max}"):
+            bell_sequence(Params(2, 1), n_max)
+
     def test_perturbed_entry_read_once_per_sequence(self):
         p = Params(1, 1)
         clear_perturbations()
