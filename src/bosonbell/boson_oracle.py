@@ -9,12 +9,15 @@ eagerly, processing them in order of decreasing inversion count, which
 both guarantees termination and keeps the live set small.
 
 The input string is validated and capped as a string; inside the engine
-each live word is one int, its letters as bits ("A" = 1, "a" = 0, the
-first letter highest) under a marker 1 that keeps leading annihilators.
-A pair "aA" is then a set bit under a clear one, found with bit
-operations, and both children are cut from the parent's bits without
-building a string.  The normal words left at the end are read back by
-bit count and bit length.
+each live word is one int, its letters as bits ("a" = 1, "A" = 0, the
+first letter highest) with no marker bit.  A pair "aA" is then a set bit
+over a clear one, found with bit operations, and both children are cut
+from the parent's bits without building a string.  Leading creators are
+leading zeros and drop out of the int, but neither rewrite changes the
+surplus #A - #a, so the input's surplus restores them: each normal word
+A^i a^j left at the end is the int 2^j - 1, read back as j = its bit
+length and i = j + surplus.  The levels are a list indexed by inversion
+count, walked downward from the input's count.
 
 Only the input word's inversion count is counted letter by letter; each
 child's count is stepped from its parent's.  Rewriting the "aA" at
@@ -45,7 +48,7 @@ DEFAULT_WORD_CAP = 64
 RANDOM_WORD_CAP = 24
 
 _SWAP_LETTERS = str.maketrans({ANNIHILATE: CREATE, CREATE: ANNIHILATE})
-_BITS = str.maketrans({ANNIHILATE: "0", CREATE: "1"})
+_BITS = str.maketrans({ANNIHILATE: "1", CREATE: "0"})
 
 
 class WordLengthError(ValueError):
@@ -111,62 +114,73 @@ def normalize(word: str, strategy: str = "leftmost", rng: random.Random | None =
     ``words_rewritten`` counts those visits.
 
     The live words are held as ints: letter ``i`` of an ``L``-letter word
-    is bit ``L-1-i``, 1 for "A" and 0 for "a", under a marker 1 at bit
-    ``L`` that keeps leading annihilators.  The pair at letters i, i+1 is
-    bit ``j = L-2-i`` set and bit ``j+1`` clear, so the pairs are the set
-    bits of ``(w & ~(w >> 1)) ^ (1 << L)``; rewriting one flips both bits
-    for the swapped child and cuts both out for the deleted one.
+    is bit ``L-1-i``, 1 for "a" and 0 for "A", with no marker bit.  The
+    pair at letters i, i+1 is bit ``j = L-2-i`` clear and bit ``j+1``
+    set, so the pairs are the set bits of ``(w >> 1) & ~w``; rewriting
+    one flips both bits for the swapped child and cuts both out for the
+    deleted one.  Leading creators are leading zeros and drop out of the
+    int, but both rewrites keep the surplus ``#A - #a``, so a word is
+    fixed by its int and the input's surplus.  A normal word ``A^i a^j``
+    is the int ``2^j - 1``: ``j`` is its bit length and ``i = j +
+    surplus``.
 
     ``strategy`` picks which reducible pair is rewritten: "leftmost",
     "rightmost", or "random" (requires ``rng``; it draws from the pairs
     in increasing letter position).  The result is the same for every
     strategy; the choice exists so tests can confirm that.  Words longer
     than ``DEFAULT_WORD_CAP`` letters, or than ``RANDOM_WORD_CAP`` for
-    "random", raise :class:`WordLengthError` before any rewriting.
+    "random", raise :class:`WordLengthError` before any rewriting.  A
+    word filed under a wrong inversion count raises rather than giving a
+    wrong form: a word without a pair above level 0 raises ValueError
+    (IndexError for "random"), and a child below level 0, or a word left
+    at level 0 that is not normal, :class:`OracleStructureError`.
     """
     word = _validate_word(word, RANDOM_WORD_CAP if strategy == "random" else DEFAULT_WORD_CAP)
-    # the set bits of a word's pair mask m are the bits j of its "aA"
-    # pairs.  A word without a pair filed in a bucket above 0 has m == 0,
-    # so j == -1 and the shift 3 << j raises (rng.choice raises on an
-    # empty list) instead of rewriting a pair that is not there
-    if strategy == "leftmost":
-        def find(m: int) -> int:
-            return m.bit_length() - 1
-    elif strategy == "rightmost":
-        def find(m: int) -> int:
-            return (m & -m).bit_length() - 1
-    elif strategy != "random":
+    if strategy not in ("leftmost", "rightmost", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    elif rng is None:
+    if strategy == "random" and rng is None:
         raise ValueError("strategy='random' needs an rng")
-    else:
-        def find(m: int) -> int:
-            # highest bit first: the pairs in increasing letter position
-            return rng.choice([j for j in range(m.bit_length() - 1, -1, -1) if m >> j & 1])
-
-    buckets: Dict[int, Dict[int, int]] = {
-        _inversions(word): {int("1" + word.translate(_BITS), 2): 1}}
+    leftmost, rightmost = strategy == "leftmost", strategy == "rightmost"
+    surplus = word.count(CREATE) - word.count(ANNIHILATE)
+    top = _inversions(word)
+    # levels[k] holds the words with k inversions, each word once
+    levels = [{} for _ in range(top + 1)]
+    levels[top][int("0" + word.translate(_BITS), 2)] = 1
     words_rewritten = 0
-    while True:
-        inv = max(buckets)
-        level = buckets.pop(inv)
-        if inv == 0:
-            break
+    for inv in range(top, 0, -1):
+        level, swap_level = levels[inv], levels[inv - 1]
         words_rewritten += len(level)
-        swap_level = buckets.setdefault(inv - 1, {})
         for w, c in level.items():
-            j = find((w & ~(w >> 1)) ^ (1 << (w.bit_length() - 1)))
+            # the pair mask m has bit j set for each pair at bits j+1, j.  A
+            # word without a pair filed above level 0 has m == 0, so j == -1
+            # and the shift 3 << j raises (rng.choice raises on an empty
+            # list) instead of rewriting a pair that is not there
+            m = (w >> 1) & ~w
+            if leftmost:
+                j = m.bit_length() - 1
+            elif rightmost:
+                j = (m & -m).bit_length() - 1
+            else:
+                # highest bit first: the pairs in increasing letter position
+                j = rng.choice([b for b in range(m.bit_length() - 1, -1, -1) if m >> b & 1])
             child = w ^ (3 << j)
             swap_level[child] = swap_level.get(child, 0) + c
             high, low = w >> (j + 2), w & ((1 << j) - 1)
             child = high << j | low
-            # less the creators right of the pair and the annihilators
-            # left of it: the zero bits of the high part below its marker
-            dropped = buckets.setdefault(
-                inv - 1 - low.bit_count() - high.bit_length() + high.bit_count(), {})
+            # less the creators right of the pair (the zero bits of low) and
+            # the annihilators left of it (the set bits of high)
+            k = inv - 1 - j + low.bit_count() - high.bit_count()
+            if k < 0:
+                raise OracleStructureError(f"a child of {w:b} falls to level {k}")
+            dropped = levels[k]
             dropped[child] = dropped.get(child, 0) + c
     # the words left are A^i a^j, one per (i, j), with positive weights
-    terms = {(w.bit_count() - 1, w.bit_length() - w.bit_count()): c for w, c in level.items()}
+    terms = {}
+    for w, c in levels[0].items():
+        if w & (w + 1):
+            raise OracleStructureError(f"word {w:b} left at level 0 is not normal")
+        j = w.bit_length()
+        terms[(j + surplus, j)] = c
     return NormalForm(terms=terms, words_rewritten=words_rewritten)
 
 

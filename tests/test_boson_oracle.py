@@ -31,6 +31,8 @@ words = st.text(alphabet="aA", min_size=0, max_size=10)
 # the power words [(a+)^r a^s]^n of 24-64 letters the rewrite benchmark times
 POWER_ROWS = ((1, 1, 28), (2, 1, 19), (1, 2, 19), (2, 2, 14), (3, 1, 15),
               (1, 3, 15), (3, 2, 11), (2, 3, 11), (3, 3, 9))
+# and its anti words [a^s (a+)^r]^n
+ANTI_ROWS = ((1, 1, 26), (2, 1, 18), (2, 1, 12), (2, 2, 13), (3, 1, 15), (3, 2, 10), (3, 3, 8))
 
 
 def balanced_word(rng: random.Random, length: int) -> str:
@@ -148,6 +150,13 @@ class TestMerging:
         nf = normalize(word, strategy=strategy)
         assert (nf.terms, nf.words_rewritten) == rescanning_normalize(word, strategy, None)
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    @pytest.mark.parametrize("r,s,n", ANTI_ROWS)
+    def test_anti_rows_of_the_benchmark(self, r, s, n, strategy):
+        word = ("a" * s + "A" * r) * n
+        nf = normalize(word, strategy=strategy)
+        assert (nf.terms, nf.words_rewritten) == rescanning_normalize(word, strategy, None)
+
     def test_power_word_passes_the_count_through(self):
         word = "AAa" * 5
         assert power_word(Params(2, 1), 5).words_rewritten == \
@@ -155,11 +164,12 @@ class TestMerging:
 
 
 class TestBitCoding:
-    """The engine holds each word as an int under a marker bit: words with
-    no letter, no creator, no annihilator, a long run of leading
-    annihilators, and the two extreme orders at the length cap: the
-    normal one rewrites no word, the other has the most inversions a
-    capped word can have."""
+    """The engine holds each word as an int, "a" a set bit and "A" a clear
+    one, with no marker bit: leading creators drop out of the int and are
+    restored from the creator surplus.  Edge words: no letter, no
+    creator, no annihilator, a long run of leading annihilators, and the
+    two extreme orders at the length cap: the normal one rewrites no
+    word, the other has the most inversions a capped word can have."""
 
     @pytest.mark.parametrize("word", [
         "", "a", "A", "aaaa", "AAAA", "aaaaaA", "A" * 32 + "a" * 32, "a" * 32 + "A" * 32])
@@ -182,6 +192,38 @@ class TestBitCoding:
         monkeypatch.setattr(boson_oracle, "_inversions", lambda w: counted(w) + 1)
         with pytest.raises((ValueError, IndexError)):
             normalize(word, strategy=strategy, rng=random.Random(1))
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "random"])
+    @pytest.mark.parametrize("word", ["aA", "aAA", "aAaA"])
+    def test_a_word_filed_too_low_raises(self, monkeypatch, word, strategy):
+        # with every inversion count one too low, a word with a pair is left
+        # at level 0 ("aA") or a child falls below it ("aAA"); either must
+        # raise, not drop the word's contractions from the form
+        counted = _inversions
+        monkeypatch.setattr(boson_oracle, "_inversions", lambda w: counted(w) - 1)
+        with pytest.raises(OracleStructureError):
+            normalize(word, strategy=strategy, rng=random.Random(1))
+
+    @settings(max_examples=60)
+    @given(words, st.integers(min_value=0, max_value=boson_oracle.DEFAULT_WORD_CAP),
+           st.integers(min_value=0, max_value=2**30))
+    def test_leading_creators_shift_every_term(self, word, k, seed):
+        # leading creators are no bits of the int; the surplus restores them
+        for strategy in ("leftmost", "rightmost", "random"):
+            cap = boson_oracle.RANDOM_WORD_CAP if strategy == "random" else boson_oracle.DEFAULT_WORD_CAP
+            shift = min(k, cap - len(word))
+            nf = normalize(word, strategy=strategy, rng=random.Random(seed))
+            shifted = normalize("A" * shift + word, strategy=strategy, rng=random.Random(seed))
+            assert shifted.terms == {(i + shift, j): c for (i, j), c in nf.terms.items()}, strategy
+            assert shifted.words_rewritten == nf.words_rewritten, strategy
+
+    @pytest.mark.parametrize("word", ["A" * 64, "A" * 63 + "a", "a" + "A" * 63, ""])
+    def test_leading_creators_at_the_cap(self, word):
+        for strategy in ("leftmost", "rightmost"):
+            nf = normalize(word, strategy=strategy)
+            assert nf.terms == wick_normal_form(word), strategy
+            assert (nf.terms, nf.words_rewritten) == rescanning_normalize(word, strategy, None)
+        assert antinormalize(word).terms == wick_normal_form(word, anti=True)
 
 
 class TestAntinormalize:
