@@ -20,7 +20,6 @@ from .exact_core import (
     DEFAULT_PRECISION_BITS,
     BigFloat,
     PowerSeries,
-    binomial,
     falling_factorial,
     rising_factorial,
     series_binomial_power,
@@ -63,7 +62,6 @@ from .stirling_bell import (
     bell_recurrence_r1,
     bell_sequence,
     connection_identity_check,
-    lah_closed_form,
     stirling,
     stirling_diffop,
     stirling_explicit,

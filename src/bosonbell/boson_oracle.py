@@ -77,9 +77,6 @@ class AntiNormalForm:
 
     terms: Dict[Tuple[int, int], int]
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
 
 def _validate_word(word: str, max_len: int) -> str:
     if not isinstance(word, str):
@@ -130,10 +127,10 @@ def normalize(word: str, strategy: str = "leftmost", rng: random.Random | None =
     strategy; the choice exists so tests can confirm that.  Words longer
     than ``DEFAULT_WORD_CAP`` letters, or than ``RANDOM_WORD_CAP`` for
     "random", raise :class:`WordLengthError` before any rewriting.  A
-    word filed under a wrong inversion count raises rather than giving a
-    wrong form: a word without a pair above level 0 raises ValueError
-    (IndexError for "random"), and a child below level 0, or a word left
-    at level 0 that is not normal, :class:`OracleStructureError`.
+    word filed under a wrong inversion count raises
+    :class:`OracleStructureError` rather than giving a wrong form: a word
+    without a pair above level 0, a child below level 0, or a word left at
+    level 0 that is not normal.
     """
     word = _validate_word(word, RANDOM_WORD_CAP if strategy == "random" else DEFAULT_WORD_CAP)
     if strategy not in ("leftmost", "rightmost", "random"):
@@ -147,33 +144,36 @@ def normalize(word: str, strategy: str = "leftmost", rng: random.Random | None =
     levels = [{} for _ in range(top + 1)]
     levels[top][int("0" + word.translate(_BITS), 2)] = 1
     words_rewritten = 0
-    for inv in range(top, 0, -1):
-        level, swap_level = levels[inv], levels[inv - 1]
-        words_rewritten += len(level)
-        for w, c in level.items():
-            # the pair mask m has bit j set for each pair at bits j+1, j.  A
-            # word without a pair filed above level 0 has m == 0, so j == -1
-            # and the shift 3 << j raises (rng.choice raises on an empty
-            # list) instead of rewriting a pair that is not there
-            m = (w >> 1) & ~w
-            if leftmost:
-                j = m.bit_length() - 1
-            elif rightmost:
-                j = (m & -m).bit_length() - 1
-            else:
-                # highest bit first: the pairs in increasing letter position
-                j = rng.choice([b for b in range(m.bit_length() - 1, -1, -1) if m >> b & 1])
-            child = w ^ (3 << j)
-            swap_level[child] = swap_level.get(child, 0) + c
-            high, low = w >> (j + 2), w & ((1 << j) - 1)
-            child = high << j | low
-            # less the creators right of the pair (the zero bits of low) and
-            # the annihilators left of it (the set bits of high)
-            k = inv - 1 - j + low.bit_count() - high.bit_count()
-            if k < 0:
-                raise OracleStructureError(f"a child of {w:b} falls to level {k}")
-            dropped = levels[k]
-            dropped[child] = dropped.get(child, 0) + c
+    try:
+        for inv in range(top, 0, -1):
+            level, swap_level = levels[inv], levels[inv - 1]
+            words_rewritten += len(level)
+            for w, c in level.items():
+                # the pair mask m has bit j set for each pair at bits j+1, j.  A
+                # word without a pair filed above level 0 has m == 0, so j == -1:
+                # 3 << j raises ValueError (rng.choice([]) IndexError), which the
+                # except below reports instead of rewriting a missing pair
+                m = (w >> 1) & ~w
+                if leftmost:
+                    j = m.bit_length() - 1
+                elif rightmost:
+                    j = (m & -m).bit_length() - 1
+                else:
+                    # highest bit first: the pairs in increasing letter position
+                    j = rng.choice([b for b in range(m.bit_length() - 1, -1, -1) if m >> b & 1])
+                child = w ^ (3 << j)
+                swap_level[child] = swap_level.get(child, 0) + c
+                high, low = w >> (j + 2), w & ((1 << j) - 1)
+                child = high << j | low
+                # less the creators right of the pair (the zero bits of low) and
+                # the annihilators left of it (the set bits of high)
+                k = inv - 1 - j + low.bit_count() - high.bit_count()
+                if k < 0:
+                    raise OracleStructureError(f"a child of {w:b} falls to level {k}")
+                dropped = levels[k]
+                dropped[child] = dropped.get(child, 0) + c
+    except (ValueError, IndexError) as exc:
+        raise OracleStructureError(f"word {w:b} at level {inv} has no pair to rewrite") from exc
     # the words left are A^i a^j, one per (i, j), with positive weights
     terms = {}
     for w, c in levels[0].items():

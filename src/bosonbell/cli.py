@@ -23,10 +23,11 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 
 from . import boson_oracle, fock_numeric, series_eval, stirling_bell
 from .boson_oracle import OracleStructureError
-from .exact_core import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, binomial
+from .exact_core import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS
 from .fock_numeric import FockTruncationError
 from .series_eval import TermBudgetError
 from .stirling_bell import DivisibilityError, Params
@@ -376,7 +377,7 @@ def _suite_recurrence(args) -> list:
     seq = stirling_bell.bell_recurrence_r1(1, nmax)
     transform = [1]
     for n in range(nmax):
-        transform.append(sum(binomial(n, k) * transform[k] for k in range(n + 1)))
+        transform.append(sum(comb(n, k) * transform[k] for k in range(n + 1)))
     checks.append(Check(
         "r=1 recursion is the plain binomial transform",
         list(seq.values) == transform))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Iterable, Tuple, Union
 
 import mpmath
@@ -32,15 +32,6 @@ RationalLike = Union[int, Fraction]
 def _check_precision(bits: int) -> None:
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def falling_factorial(x, s: int):
@@ -72,12 +63,6 @@ def _man_exp(x: mpmath.mpf) -> Tuple[int, int]:
     if man == 0 and x != 0:
         raise ValueError(f"non-finite value {x!r}")
     return (-int(man) if sign else int(man)), exp
-
-
-def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    """Exact rational value of a finite binary float."""
-    man, exp = _man_exp(x)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 @dataclass(frozen=True)
@@ -126,7 +111,9 @@ class BigFloat:
         return cls(mpmath.mp.make_mpf(libmp.mpf_shift(raw, zn - zd)), precision_bits)
 
     def to_fraction(self) -> Fraction:
-        return mpf_to_fraction(self.value)
+        """Exact rational value of a finite binary float."""
+        man, exp = _man_exp(self.value)
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
     def __str__(self) -> str:
         return mpmath.nstr(self.value, int(self.precision_bits * 0.3010) + 2)

@@ -72,12 +72,6 @@ class FockOperator:
     def dim(self) -> int:
         return len(self.roots)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """The exact matrix entry: roots[max(i, j)] / 2^bits on the band, else 0."""
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexError(f"entry ({i}, {j}) outside dim {self.dim}")
-        return Fraction(self.roots[max(i, j)], 1 << self.bits) if j - i == self.shift else Fraction(0)
-
 
 def build_ops(dim: int, precision: int = DEFAULT_PRECISION_BITS) -> Tuple[FockOperator, FockOperator]:
     """Truncated (annihilator, creator) pair on dimension ``dim``.
@@ -162,8 +156,8 @@ def _expectation_prefixes(p: Params, n: int, amps: tuple, ops, dim: int) -> Tupl
     dim, so after every word the narrow vector is the wide one cut at dim:
     such a word steps no strip, and its narrow sums read the wide vector's
     entries [lo, dim).  The strip's operators hold the table slice
-    roots[lo-1:dim], on which FockOperator.entry would read sqrt(i)
-    wrongly, so they never leave this function.
+    roots[lo-1:dim], whose entry i is the root of lo - 1 + i, so they
+    never leave this function.
     """
     lo = _strip_bottom(p, n, dim)
     stepped = p.s > p.r

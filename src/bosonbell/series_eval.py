@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import ceil, factorial, gcd, log2, perm, prod
+from math import ceil, comb, factorial, gcd, log2, perm, prod
 from typing import Iterable, Iterator, Tuple
 
 from . import stirling_bell
@@ -65,7 +65,6 @@ from .exact_core import (
     RationalLike,
     _check_precision,
     _man_exp,
-    binomial,
     falling_factorial,
     rising_factorial,
     series_binomial_power,
@@ -205,14 +204,15 @@ def _exp_bounds(t: Fraction, bits: int) -> _Interval:
         num = 1
         for k in count():
             # once t/(k+1) <= 1/2, rho = 2t/(k+1+2t) bounds every later t/(j+1),
-            # and the tail is term(k) rho/(1-rho) = term(k) 2t/(k+1)
-            if 2 * tn <= (k + 1) * td:
+            # and the tail is term(k) rho/(1-rho) = term(k) 2t/(k+1); term 0
+            # gets rho = 1, so the sum never stops on it
+            if k and 2 * tn <= (k + 1) * td:
                 yield max(td * k, 1), num, 2 * tn, (k + 1) * td + 2 * tn
             else:
                 yield max(td * k, 1), num, 1, 1
             num *= tn
 
-    return _sum_series(terms(), bits, 64 * bits + 1026, min_terms=2)[0]
+    return _sum_series(terms(), bits, 64 * bits + 1026)[0]
 
 
 def _stop(num: int, partial: int, den: int, rho_num: int, rho_den: int, bits: int,
@@ -251,7 +251,6 @@ def _sum_series(
     terms: Iterable[Tuple[int, int, int, int]],
     bits: int,
     max_terms: int,
-    min_terms: int = 0,
     signed: bool = False,
     start: Tuple[int, int, int] = (0, 1, 0),
 ) -> Tuple[_Interval, int]:
@@ -262,9 +261,9 @@ def _sum_series(
     rho_den > 0) per term, in order.  term(k) = num / den(k), where the
     running denominator den(k) > 0 is the product of the den_step values up
     to and including term k, and rho = rho_num/rho_den is the ratio bound
-    of :func:`_stop`.  The sum stops at the first term from ``min_terms``
-    on where :func:`_stop` does, and returns its enclosure and the number
-    of terms used; ``signed`` allows terms of either sign.
+    of :func:`_stop`.  The sum stops at the first term where :func:`_stop`
+    does, and returns its enclosure and the number of terms used;
+    ``signed`` allows terms of either sign.
 
     ``start`` = (partial, den, used) resumes a sum after its first ``used``
     terms, with the partial sum partial/den; the stream then yields term
@@ -276,10 +275,9 @@ def _sum_series(
         partial = partial * step + num
         den *= step
         used += 1
-        if used >= min_terms:
-            iv = _stop(num, partial, den, rho_num, rho_den, bits, signed)
-            if iv is not None:
-                return iv, used
+        iv = _stop(num, partial, den, rho_num, rho_den, bits, signed)
+        if iv is not None:
+            return iv, used
         if used >= max_terms:
             raise TermBudgetError(
                 f"series needed more than {max_terms} terms for the requested precision"
@@ -760,7 +758,7 @@ def egf_stirling_diag_check(r: int, k: int, order: int) -> bool:
     one = PowerSeries.one(order)
     for q in range(r, k + 1):
         growth = falling_factorial(q, r)
-        acc += ((-1) ** q * binomial(k, q)) * (series_exp_linear(growth, order) - one)
+        acc += ((-1) ** q * comb(k, q)) * (series_exp_linear(growth, order) - one)
     egf = acc * Fraction((-1) ** k, factorial(k))
     table = triangle(Params(r, r), order)
     return all(egf.coeff(n) * factorial(n) == table.value(n, k) for n in range(order + 1))

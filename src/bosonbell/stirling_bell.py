@@ -28,10 +28,10 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 from typing import Dict
 
-from .exact_core import RationalLike, binomial, falling_factorial
+from .exact_core import RationalLike, falling_factorial
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def stirling_explicit(p: Params, n: int, k: int) -> int:
     d = r - s
     last = deque(maxlen=d)  # P(q - d) .. P(q - 1)
     total = 0
-    c = (-1) ** s * binomial(k, s)  # (-1)^q C(k, q)
+    c = (-1) ** s * comb(k, s)  # (-1)^q C(k, q)
     for q in range(s, k + 1):
         if d == 0:
             product = perm(q, s) ** n
@@ -177,7 +177,7 @@ def stirling_diffop(p: Params, n: int, k: int) -> int:
     if k < s or k > n * s:
         return 0
     # (1-x)^k with the first s coefficients removed
-    coeffs = [0] * s + [(-1) ** i * binomial(k, i) for i in range(s, k + 1)]
+    coeffs = [0] * s + [(-1) ** i * comb(k, i) for i in range(s, k + 1)]
     for _ in range(n):
         coeffs = [0] * r + [perm(i, s) * c for i, c in enumerate(coeffs[s:], s)]
     return _exact_quotient((-1) ** k * sum(coeffs), k)
@@ -324,13 +324,6 @@ def bell_polynomial(p: Params, n: int, t: RationalLike) -> Fraction:
     return Fraction(num, den)
 
 
-def lah_closed_form(n: int, k: int) -> int:
-    """Unsigned Lah numbers n!/k! C(n-1, k-1), the closed form of S_{2,1}."""
-    if not 1 <= k <= n:
-        raise ValueError(f"lah_closed_form requires 1 <= k <= n, got n={n}, k={k}")
-    return factorial(n) // factorial(k) * binomial(n - 1, k - 1)
-
-
 def connection_identity_check(p: Params, n: int, x: int, *more: int) -> bool:
     """Triangle entries as connection coefficients between falling factorials:
 
@@ -382,7 +375,7 @@ def bell_recurrence_r1(r: int, n_max: int) -> BellSequence:
     weights = weights[1:]  # weight(m) = weights[m]
     values = [1]
     for n in range(n_max):
-        nxt = sum(binomial(n, k) * weights[n - k] * values[k] for k in range(n + 1))
+        nxt = sum(comb(n, k) * weights[n - k] * values[k] for k in range(n + 1))
         values.append(nxt)
     return BellSequence(values=tuple(values))
 
@@ -396,4 +389,4 @@ def bell_diag_from_classical(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     classical = Params(1, 1)
-    return sum(binomial(n - 1, k) * bell_number(classical, n + k) for k in range(n))
+    return sum(comb(n - 1, k) * bell_number(classical, n + k) for k in range(n))

@@ -486,6 +486,16 @@ class TestExitCodes:
         assert out == ""
         assert "tail mass" in err and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_broken_rewriter_exits_three_not_as_bad_input(self, capsys, monkeypatch):
+        # every inversion count one too high files "Aa" at level 1, where it
+        # has no pair to rewrite: a fault of the oracle, not of the word
+        counted = boson_oracle._inversions
+        monkeypatch.setattr(boson_oracle, "_inversions", lambda w: counted(w) + 1)
+        code, out, err = run_cli(capsys, "normalize", "aA")
+        assert code == 3
+        assert out == ""
+        assert "no pair to rewrite" in err and err.startswith("error: ") and err.count("\n") == 1
+
     def test_fock_dimension_follows_precision(self, capsys):
         # dim 128 holds the coherent vector only to about 1400 bits
         code, out, err = run_cli(capsys, "--prec", "2048", "verify", "fock")

@@ -11,9 +11,7 @@ from bosonbell.exact_core import (
     BigFloat,
     PowerSeries,
     TruncationOrderMismatch,
-    binomial,
     falling_factorial,
-    mpf_to_fraction,
     rising_factorial,
     series_binomial_power,
     series_exp,
@@ -22,7 +20,6 @@ from bosonbell.exact_core import (
 
 from _oracles import (
     bell_brute,
-    pascal_binomial,
     series_exp_reference,
     series_mul_reference,
     series_pow_reference,
@@ -30,26 +27,6 @@ from _oracles import (
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=12)
-
-
-class TestBinomial:
-    def test_small_case(self):
-        assert binomial(5, 2) == 10
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 40])
-    def test_k_zero(self, n):
-        assert binomial(n, 0) == 1
-
-    def test_against_pascal_triangle(self):
-        assert binomial(30, 15) == pascal_binomial(30, 15) == 155117520
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(4, -1) == 0
-        assert binomial(4, 5) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestFallingFactorial:
@@ -239,12 +216,11 @@ class TestBigFloat:
         x = Fraction(-7, 32)
         bf = BigFloat.from_fraction(x, 53)
         assert bf.to_fraction() == x
-        assert mpf_to_fraction(bf.value) == x
 
     @pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan])
     def test_mpf_to_fraction_refuses_non_finite_values(self, x):
         with pytest.raises(ValueError, match="^non-finite value"):
-            mpf_to_fraction(x)
+            BigFloat(x, 53).to_fraction()
 
     def test_precision_recorded(self):
         assert BigFloat.from_fraction(1, 128).precision_bits == 128

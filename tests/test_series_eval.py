@@ -33,7 +33,6 @@ from bosonbell import series_eval
 from bosonbell.exact_core import (
     BigFloat,
     PowerSeries,
-    mpf_to_fraction,
     series_binomial_power,
     series_exp,
     series_exp_linear,
@@ -1188,6 +1187,14 @@ class TestExpBounds:
         iv = series_eval._exp_bounds(t, 64)
         assert (iv.lo, iv.hi) == exp_bounds_reference(t, 64)
 
+    @pytest.mark.parametrize("bits", (16, 256, 4096))
+    def test_term_zero_never_stops_the_sum(self, bits):
+        # at t = 2^-(bits+20) term 0 would meet the stop test with the ratio
+        # bound 2t/(1+2t); the stream gives it rho = 1, so term 1 is summed
+        t = Fraction(1, 2 ** (bits + 20))
+        iv = series_eval._exp_bounds(t, bits)
+        assert (iv.lo, iv.hi) == exp_bounds_reference(t, bits)
+
     def test_term_budget_exhaustion_reported(self):
         # t/(k+1) stays above 1/2 for all 64*16 + 1026 budgeted terms
         with pytest.raises(TermBudgetError):
@@ -1251,7 +1258,7 @@ class TestAlternatingHypergeometric:
         sv = hypergeometric(HyperParams(uppers, lowers, x), precision=bits)
         with mpmath.workprec(bits + 128):
             ref = mpmath.hyper([mpmath.mpf(1) / 2, 1], [mpmath.mpf(5) / 2], mpmath.mpf(-3) / 4)
-            self._assert_within_tail(sv, mpf_to_fraction(ref))
+            self._assert_within_tail(sv, BigFloat(ref, bits + 128).to_fraction())
 
     @pytest.mark.parametrize("bits", (64, 512))
     def test_negative_non_integer_lower_parameter(self, bits):
@@ -1259,4 +1266,4 @@ class TestAlternatingHypergeometric:
         sv = hypergeometric(HyperParams(uppers, lowers, x), precision=bits)
         with mpmath.workprec(bits + 128):
             ref = mpmath.hyper([mpmath.mpf(1) / 3], [mpmath.mpf(-5) / 3], 2)
-            self._assert_within_tail(sv, mpf_to_fraction(ref))
+            self._assert_within_tail(sv, BigFloat(ref, bits + 128).to_fraction())

@@ -16,7 +16,6 @@ from bosonbell.stirling_bell import (
     bell_sequence,
     clear_perturbations,
     connection_identity_check,
-    lah_closed_form,
     perturbation_reads,
     set_perturbation,
     stirling,
@@ -48,7 +47,7 @@ class TestExplicit:
         p = Params(2, 1)
         for n in range(1, 8):
             for k in range(1, n + 1):
-                assert stirling(p, n, k) == lah_brute(n, k) == lah_closed_form(n, k)
+                assert stirling(p, n, k) == lah_brute(n, k)
 
     def test_frozen_examples(self):
         assert stirling_explicit(Params(1, 1), 3, 2) == 3
@@ -159,18 +158,6 @@ class TestBell:
     def test_convention_at_zero(self):
         assert bell_number(Params(3, 2), 0) == 1
         assert bell_polynomial(Params(3, 2), 0, Fraction(7, 3)) == 1
-
-
-class TestLah:
-    def test_frozen_examples(self):
-        assert lah_closed_form(3, 2) == 6
-        assert lah_closed_form(4, 1) == 24
-        for n in range(1, 9):
-            assert lah_closed_form(n, n) == 1
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            lah_closed_form(3, 0)
 
 
 class TestConnectionIdentity:
