@@ -217,6 +217,14 @@ class TestBigFloat:
         bf = BigFloat.from_fraction(x, 53)
         assert bf.to_fraction() == x
 
+    @pytest.mark.parametrize("x", [
+        Fraction(0),
+        Fraction(3 << 300),                    # exponent >= 0: man << exp
+        Fraction(-(2**53 - 1), 2**1100),       # exponent < 0: man / 2^-exp
+    ], ids=["zero", "positive-exponent", "negative-exponent"])
+    def test_to_fraction_is_exact_on_either_exponent_sign(self, x):
+        assert BigFloat.from_fraction(x, 53).to_fraction() == x
+
     @pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan])
     def test_mpf_to_fraction_refuses_non_finite_values(self, x):
         with pytest.raises(ValueError, match="^non-finite value"):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -26,7 +27,7 @@ from bosonbell.stirling_bell import (
 
 from bosonbell.exact_core import falling_factorial
 
-from _oracles import bell_brute, lah_brute, stirling_brute
+from _oracles import bell_brute, lah_brute, pascal_binomial, stirling_brute
 
 
 def test_params_validation():
@@ -49,6 +50,14 @@ class TestExplicit:
             for k in range(1, n + 1):
                 assert stirling(p, n, k) == lah_brute(n, k)
 
+    def test_lah_frozen_examples(self):
+        # unsigned Lah numbers n!/k! C(n-1, k-1)
+        lah = Params(2, 1)
+        assert stirling_explicit(lah, 3, 2) == 6
+        assert stirling_explicit(lah, 4, 1) == 24
+        for n in range(1, 9):
+            assert stirling_explicit(lah, n, n) == 1
+
     def test_frozen_examples(self):
         assert stirling_explicit(Params(1, 1), 3, 2) == 3
         assert stirling_explicit(Params(2, 1), 3, 2) == 6
@@ -70,6 +79,28 @@ class TestExplicit:
                     for k in band:
                         assert stirling(p, n, k) > 0
                     assert stirling(p, n, band.stop - 1) == 1
+
+
+def explicit_sum_reference(p, n, k):
+    """The explicit sum coded directly, with Pascal-triangle binomials."""
+    total = 0
+    for q in range(p.s, k + 1):
+        product = 1
+        for j in range(n):
+            product *= falling_factorial(q + j * (p.r - p.s), p.s)
+        total += (-1) ** q * pascal_binomial(k, q) * product
+    return (-1) ** k * total // factorial(k)
+
+
+@pytest.mark.parametrize("r,s", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (3, 3)])
+def test_both_routes_match_the_explicit_sum_with_pascal_binomials(r, s):
+    # every k of rows 1..4, the band's ends and one entry past each end included
+    p = Params(r, s)
+    for n in range(1, 5):
+        for k in range(0, n * s + 2):
+            want = explicit_sum_reference(p, n, k) if k in p.band(n) else 0
+            assert stirling_explicit(p, n, k) == want, (n, k)
+            assert stirling_diffop(p, n, k) == want, (n, k)
 
 
 class TestDiffop:
