@@ -5,16 +5,17 @@ Unbounded integers are plain Python ints.  Rationals are
 pair coprime by construction.  :class:`BigFloat` couples an mpmath binary
 float with the precision it was computed at, so no value ever carries an
 implicit precision.  :class:`PowerSeries` is a truncated formal power
-series with exact rational coefficients: they are reduced ``Fraction``s
-at the API, while products and ``series_exp`` work on integer numerators
-over one common denominator and reduce each output coefficient once.
+series with exact rational coefficients, held as integer numerators over
+one denominator in lowest terms: every operation works on the integers
+and reduces its result with one gcd, and the coefficients are reduced
+``Fraction``s only where they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Tuple, Union
 
 import mpmath
@@ -123,50 +124,83 @@ class TruncationOrderMismatch(ValueError):
     """Binary operation between series truncated at different orders."""
 
 
-@dataclass(frozen=True)
+def _nonnegative_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+
+@dataclass(frozen=True, init=False)
 class PowerSeries:
     """Sum_i c_i x^i + O(x^(K+1)) with exact rational coefficients.
+
+    The coefficients are integer numerators ``nums`` over one positive
+    denominator ``den``, in lowest terms as a whole: gcd(den, *nums) = 1,
+    so the zero series has den = 1 and equal values have equal fields.
+    Every operation works on the integers and reduces its result with one
+    gcd; ``coeffs`` and ``coeff(n)`` give reduced ``Fraction``s.
 
     The truncation order K is part of the value; mixing two series with
     different K raises :class:`TruncationOrderMismatch` instead of silently
     re-truncating.
     """
 
-    coeffs: tuple
+    nums: tuple
+    den: int
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[RationalLike]) -> None:
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        if not cs:
             raise ValueError("a PowerSeries needs at least the constant term")
-        object.__setattr__(
-            self, "coeffs",
-            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
-        )
+        # over the lcm of the reduced denominators no prime divides them all
+        den = lcm(*(c.denominator for c in cs))
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, nums, den: int) -> "PowerSeries":
+        """The series with numerators ``nums`` over ``den`` > 0, divided
+        through by gcd(den, *nums)."""
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [a // g for a in nums]
+            den //= g
+        series = object.__new__(cls)
+        object.__setattr__(series, "nums", tuple(nums))
+        object.__setattr__(series, "den", den)
+        return series
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[RationalLike], order: int | None = None) -> "PowerSeries":
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
+            _nonnegative_order(order)
             if len(cs) > order + 1:
                 raise ValueError("more coefficients than the truncation order allows")
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        return cls(tuple(cs))
+            cs.extend([0] * (order + 1 - len(cs)))
+        return cls(cs)
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
-        return cls.from_coeffs([], order)
+        _nonnegative_order(order)
+        return cls._reduced((0,) * (order + 1), 1)
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
-        return cls.from_coeffs([1], order)
+        _nonnegative_order(order)
+        return cls._reduced((1,) + (0,) * order, 1)
 
     @property
     def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.truncation_order:
             raise IndexError(f"coefficient {n} outside truncation order {self.truncation_order}")
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
 
     def _check_order(self, other: "PowerSeries") -> None:
         if self.truncation_order != other.truncation_order:
@@ -174,24 +208,27 @@ class PowerSeries:
                 f"orders differ: {self.truncation_order} vs {other.truncation_order}"
             )
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
+    def _combine(self, other: "PowerSeries", sign: int) -> "PowerSeries":
+        """self + sign * other over the lcm of the two denominators."""
         self._check_order(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        g = gcd(self.den, other.den)
+        ua, ub = other.den // g, sign * (self.den // g)
+        return PowerSeries._reduced([a * ua + b * ub for a, b in zip(self.nums, other.nums)],
+                                    self.den * ua)
+
+    def __add__(self, other: "PowerSeries") -> "PowerSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-a for a in self.coeffs))
+        return PowerSeries._reduced([-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             self._check_order(other)
-            # a_i = A_i / la and b_j = B_j / lb: convolve the integer
-            # numerators and reduce each product coefficient once
-            a, la = _numerators(self.coeffs)
-            b, lb = _numerators(other.coeffs)
+            a, b = self.nums, other.nums
             n = len(a)
             out = [0] * n
             for i, ai in enumerate(a):
@@ -199,8 +236,7 @@ class PowerSeries:
                     continue
                 for j in range(n - i):
                     out[i + j] += ai * b[j]
-            den = la * lb
-            return PowerSeries(tuple(Fraction(c, den) for c in out))
+            return PowerSeries._reduced(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -209,7 +245,8 @@ class PowerSeries:
 
     def scale(self, c: RationalLike) -> "PowerSeries":
         c = Fraction(c)
-        return PowerSeries(tuple(a * c for a in self.coeffs))
+        p = c.numerator
+        return PowerSeries._reduced([a * p for a in self.nums], self.den * c.denominator)
 
     def __pow__(self, k: int) -> "PowerSeries":
         if k < 0:
@@ -220,10 +257,16 @@ class PowerSeries:
         return result
 
 
-def _numerators(coeffs) -> tuple:
-    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _over_factorials(t: list, step: int) -> PowerSeries:
+    """sum_n t_n x^n / (step^n n!) for integers t_n with t_0 = 1, over the
+    one denominator step^K K!: numerators t_n step^(K-n) K!/n!."""
+    out = [0] * len(t)
+    w = 1  # step^(K-n) K!/n!
+    for n in range(len(t) - 1, 0, -1):
+        out[n] = t[n] * w
+        w *= step * n
+    out[0] = w
+    return PowerSeries._reduced(out, w)
 
 
 def series_exp(f: PowerSeries) -> PowerSeries:
@@ -232,18 +275,19 @@ def series_exp(f: PowerSeries) -> PowerSeries:
     A nonzero constant term would make the coefficients transcendental,
     so it is rejected.  Uses g' = f' g, i.e.
     g_n = (1/n) sum_{i=1}^{n} i f_i g_{n-i}, on integers: with
-    i! f_i = F_i / L over one common denominator L,
+    i! f_i = F_i / L in lowest terms as a whole (one gcd),
     g_n = H_n / (L^n n!) where H_0 = 1 and
     H_n = sum_{i=1}^{n} C(n-1, i-1) F_i L^(i-1) H_{n-i}.
     Scaling by i! first keeps L small for egf-shaped f: exp(e^x - 1)
-    has L = 1.
+    has L = 1.  The result is written over L^K K! and reduced once.
     """
-    if f.coeffs[0] != 0:
+    if f.nums[0]:
         raise ValueError("series_exp requires a zero constant term")
     order = f.truncation_order
-    scaled = [c * factorial(i) for i, c in enumerate(f.coeffs)]
-    num, den = _numerators(scaled)
-    term = [0] + [num[i] * den ** (i - 1) for i in range(1, order + 1)]  # F_i L^(i-1)
+    scaled = [a * factorial(i) for i, a in enumerate(f.nums)]
+    g = gcd(f.den, *scaled)
+    den = f.den // g
+    term = [0] + [scaled[i] // g * den ** (i - 1) for i in range(1, order + 1)]  # F_i L^(i-1)
     h = [1] + [0] * order
     for n in range(1, order + 1):
         acc = 0
@@ -253,36 +297,30 @@ def series_exp(f: PowerSeries) -> PowerSeries:
                 acc += c * term[i] * h[n - i]
             c = c * (n - i) // i
         h[n] = acc
-    g = []
-    scale = 1  # L^n n!
-    for n, hn in enumerate(h, 1):
-        g.append(Fraction(hn, scale))
-        scale *= den * n
-    return PowerSeries(tuple(g))
+    return _over_factorials(h, den)
 
 
 def series_binomial_power(alpha: RationalLike, c: RationalLike, order: int) -> PowerSeries:
-    """(1 - c x)^alpha = sum_i C(alpha, i) (-c)^i x^i, truncated at ``order``."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    """(1 - c x)^alpha = sum_i C(alpha, i) (-c)^i x^i, truncated at ``order``.
+
+    With alpha = p/q and c = u/v, C(alpha, i) (-c)^i
+    = prod_{j<i} (p - j q)(-u) / ((q v)^i i!).
+    """
+    _nonnegative_order(order)
     alpha = Fraction(alpha)
     c = Fraction(c)
     p, q = alpha.numerator, alpha.denominator
     u, v = c.numerator, c.denominator
-    coeffs = []
-    term = Fraction(1)
-    for i in range(order + 1):
-        coeffs.append(term)
-        # C(alpha, i+1)(-c)^(i+1) = C(alpha, i)(-c)^i * (alpha - i)(-c)/(i + 1);
-        # one product with a small step keeps each gcd small
-        term *= Fraction((p - i * q) * -u, q * v * (i + 1))
-    return PowerSeries(tuple(coeffs))
+    t = [1]
+    for i in range(order):
+        t.append(t[-1] * (p - i * q) * -u)
+    return _over_factorials(t, q * v)
 
 
 def series_exp_linear(c: RationalLike, order: int) -> PowerSeries:
-    """exp(c x) truncated at ``order``; coefficients c^n / n!."""
+    """exp(c x) truncated at ``order``; coefficients c^n / n!, which are
+    u^n / (v^n n!) for c = u/v."""
+    _nonnegative_order(order)
     c = Fraction(c)
-    coeffs = [Fraction(1)]
-    for n in range(1, order + 1):
-        coeffs.append(coeffs[-1] * Fraction(c.numerator, c.denominator * n))
-    return PowerSeries(tuple(coeffs))
+    u = c.numerator
+    return _over_factorials([u**n for n in range(order + 1)], c.denominator)

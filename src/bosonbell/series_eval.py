@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import ceil, comb, factorial, gcd, log2, perm, prod
+from math import ceil, comb, factorial, gcd, lcm, log2, perm, prod
 from typing import Iterable, Iterator, Tuple
 
 from . import stirling_bell
@@ -638,18 +638,26 @@ def laguerre_value(degree: int, alpha: RationalLike, y: RationalLike) -> Fractio
     """Associated Laguerre polynomial L^(alpha)_degree(y), exactly.
 
     Three-term recurrence:
-    (m+1) L_{m+1} = (2m + 1 + alpha - y) L_m - (m + alpha) L_{m-1}.
+    (m+1) L_{m+1} = (2m + 1 + alpha - y) L_m - (m + alpha) L_{m-1},
+    stepped on the integers N_m = D^m m! L_m, where D = lcm(den alpha,
+    den y), A = alpha D and Y = y D:
+    N_0 = 1, N_1 = D + A - Y and
+    N_{m+1} = ((2m+1)D + A - Y) N_m - (mD + A) m D N_{m-1}.
+    The value is the one ``Fraction`` N_degree / (D^degree degree!).
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     alpha = Fraction(alpha)
     y = Fraction(y)
-    prev, cur = _ONE, 1 + alpha - y
     if degree == 0:
-        return prev
+        return _ONE
+    d = lcm(alpha.denominator, y.denominator)
+    a = alpha.numerator * (d // alpha.denominator)
+    shift = a - y.numerator * (d // y.denominator)  # A - Y
+    prev, cur = 1, d + shift
     for m in range(1, degree):
-        prev, cur = cur, ((2 * m + 1 + alpha - y) * cur - (m + alpha) * prev) / (m + 1)
-    return cur
+        prev, cur = cur, ((2 * m + 1) * d + shift) * cur - (m * d + a) * m * d * prev
+    return Fraction(cur, d**degree * factorial(degree))
 
 
 def laguerre_bell_check(n: int) -> bool:

@@ -332,3 +332,26 @@ def series_exp_reference(f):
         g[n] = sum((i * Fraction(f[i]) * g[n - i] for i in range(1, n + 1)),
                    Fraction(0)) / n
     return g
+
+
+# --- Fraction Laguerre recurrence ------------------------------------------
+# laguerre_value in its first form, one reduced Fraction step per degree.
+# The package steps the integers D^m m! L_m and must give the same value.
+
+
+def laguerre_value_reference(degree: int, alpha, y) -> Fraction:
+    """Associated Laguerre polynomial L^(alpha)_degree(y), exactly.
+
+    Three-term recurrence:
+    (m+1) L_{m+1} = (2m + 1 + alpha - y) L_m - (m + alpha) L_{m-1}.
+    """
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    alpha = Fraction(alpha)
+    y = Fraction(y)
+    prev, cur = Fraction(1), 1 + alpha - y
+    if degree == 0:
+        return prev
+    for m in range(1, degree):
+        prev, cur = cur, ((2 * m + 1 + alpha - y) * cur - (m + alpha) * prev) / (m + 1)
+    return cur

@@ -53,6 +53,7 @@ from _oracles import (
     exp_bounds_reference,
     hgf_outer_sum_reference,
     hyp_enclosure_reference,
+    laguerre_value_reference,
     positive_series_stops,
 )
 
@@ -342,6 +343,31 @@ class TestLaguerre:
 
     def test_identity_to_twenty(self):
         assert all(laguerre_bell_check(n) for n in range(1, 21))
+
+    def test_integer_recurrence_equals_the_fraction_recurrence(self):
+        # degrees 0-40 at seeded rational alpha and y of either sign, with
+        # denominators that share factors with each other and with m
+        rng = random.Random(35)
+        rationals = [Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 7, 12, 35)))
+                     for _ in range(24)]
+        for degree in range(41):
+            for _ in range(6):
+                alpha, y = rng.choice(rationals), rng.choice(rationals)
+                got = laguerre_value(degree, alpha, y)
+                assert type(got) is Fraction
+                assert got == laguerre_value_reference(degree, alpha, y), (degree, alpha, y)
+
+    @pytest.mark.parametrize("alpha", [-1, -2, -5, Fraction(-7, 3)])
+    @pytest.mark.parametrize("y", [0, 1, -1, Fraction(5, 2), Fraction(-3, 4)])
+    def test_where_m_plus_alpha_vanishes(self, alpha, y):
+        # at a negative-integer alpha the term (m + alpha) L_{m-1} drops out
+        # at m = -alpha; alpha = -1 and y = 0 make L_1 = 0
+        for degree in range(41):
+            assert laguerre_value(degree, alpha, y) == laguerre_value_reference(degree, alpha, y)
+
+    def test_alpha_minus_one_at_zero(self):
+        # L^(-1)_n(0) = C(n - 1, n) is 1 at n = 0 and 0 after
+        assert [laguerre_value(n, -1, 0) for n in range(6)] == [1, 0, 0, 0, 0, 0]
 
 
 class TestKummerAndFamily:
