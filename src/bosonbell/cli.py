@@ -224,21 +224,23 @@ def _suite_dobinski(args) -> list:
     def series(r, s, n, t):
         return sums[max(r, s), min(r, s), t][n - 1]
 
+    # the sums stop at a tail relative to the value, so the cap
+    # max(1, B) / 2^cap_bits is too
+    cap_bits = max(prec - 56, 8)
     for r in range(1, args.rmax + 1):
         for s in range(1, args.rmax + 1):
             p = Params(r, s)
             for n in range(1, args.nmax + 1):
                 exact = stirling_bell.bell_number(p, n)
-                # the sums stop at a tail relative to the value, so the cap is too
-                tail_cap = Fraction(max(1, exact), 2 ** max(prec - 56, 8))
+                cap = max(1, exact)
                 sv = series(r, s, n, Fraction(1))
-                ok = sv.brackets(exact) and sv.tail_bound.to_fraction() <= tail_cap
+                ok = sv.brackets(exact) and sv.tail_bound.at_most(cap, cap_bits)
                 checks.append(Check(
                     f"series B_({r},{s})({n}) brackets the exact value {exact}", ok,
                     f"tail={sv.tail_bound}"))
                 if r > s:
                     sv2 = gammas[r, s][n - 1]
-                    ok2 = sv2.brackets(exact) and sv2.tail_bound.to_fraction() <= tail_cap
+                    ok2 = sv2.brackets(exact) and sv2.tail_bound.at_most(cap, cap_bits)
                     checks.append(Check(
                         f"Gamma-ratio series B_({r},{s})({n}) brackets {exact}", ok2))
     for t in _WEIGHTS:
@@ -314,11 +316,12 @@ def _suite_hgf(args) -> list:
     checks = []
     cases = ((3, 2, Fraction(1, 5)), (4, 2, Fraction(1, 20)))
     # the certified tail is the final rounding, about 2^-prec of a value near 1,
-    # plus a k-sum tail below 2^-(prec+8) of the sum; the cap leaves 16 bits
-    target = Fraction(1, 2 ** (args.prec - MIN_PRECISION_BITS))
+    # plus a k-sum tail below 2^-(prec+8) of the sum; the cap 1 / 2^(prec-16)
+    # leaves 16 bits
+    cap_bits = args.prec - MIN_PRECISION_BITS
     for (r, s, lam) in cases:
         res = series_eval.hgf_check(r, s, lam, 12, precision=args.prec)
-        ok = res.ok and res.lhs.tail_bound.to_fraction() <= target
+        ok = res.ok and res.lhs.tail_bound.at_most(1, cap_bits)
         checks.append(Check(
             f"hgf G_({r},{s}) at lambda={lam}, order 12: k-sum route equals exact route",
             ok, f"diff={res.difference} tail={res.lhs.tail_bound}"))

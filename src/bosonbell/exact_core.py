@@ -4,11 +4,14 @@ Unbounded integers are plain Python ints.  Rationals are
 :class:`fractions.Fraction`, which keeps the denominator positive and the
 pair coprime by construction.  :class:`BigFloat` couples an mpmath binary
 float with the precision it was computed at, so no value ever carries an
-implicit precision.  :class:`PowerSeries` is a truncated formal power
-series with exact rational coefficients, held as integer numerators over
-one denominator in lowest terms: every operation works on the integers
-and reduces its result with one gcd, and the coefficients are reduced
-``Fraction``s only where they are read.
+implicit precision.  The package rounds a rational to it on the integers,
+in five modes of its own (nearest with ties to even, toward +inf, toward
+-inf, toward zero, away from zero) that give mpmath's results bit for
+bit; mpmath only holds and prints the result.  :class:`PowerSeries` is a
+truncated formal power series with exact rational coefficients, held as
+integer numerators over one denominator in lowest terms: every operation
+works on the integers and reduces its result with one gcd, and the
+coefficients are reduced ``Fraction``s only where they are read.
 """
 
 from __future__ import annotations
@@ -66,6 +69,56 @@ def _man_exp(x: mpmath.mpf) -> Tuple[int, int]:
     return (-int(man) if sign else int(man)), exp
 
 
+# the rounding modes, as mpmath names them: nearest with ties to even,
+# toward +inf (ceiling), toward -inf (floor), toward zero, away from zero
+_ROUNDINGS = frozenset("ncfdu")
+
+
+def _round_rational(num: int, den: int, bits: int, rounding: str) -> Tuple[int, int]:
+    """num/den rounded to ``bits`` bits in the mode ``rounding``, as the
+    integers (m, e) of m 2^e with m signed and odd, or (0, 0).
+
+    One ``divmod`` shifts the quotient to bits + 2 or bits + 3 bits; the
+    bits dropped below the kept ``bits`` and the remainder decide the
+    rounding, and the trailing zeros of m move into e, mpmath's normal form.
+    """
+    if rounding not in _ROUNDINGS:
+        raise ValueError(f"unknown rounding mode {rounding!r}, expected one of n, c, f, d, u")
+    if den < 0:
+        num, den = -num, -den
+    elif not den:
+        raise ZeroDivisionError("rational with a zero denominator")
+    if not num:
+        return 0, 0
+    negative = num < 0
+    if negative:
+        num = -num
+    # the powers of two of den leave as an exponent: a dyadic quotient, as
+    # the Fock sums are, then divides by 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    # num 2^s / den lies in (2^(bits+1), 2^(bits+3))
+    s = bits + 2 - num.bit_length() + den.bit_length()
+    if s >= 0:
+        q, rem = divmod(num << s, den)
+    else:
+        # floor(num / (den 2^-s)) = floor(floor(num / 2^-s) / den)
+        q, rem = divmod(num >> -s, den)
+        rem = rem or num & ((1 << -s) - 1)
+    drop = q.bit_length() - bits
+    man, low = q >> drop, q & ((1 << drop) - 1)
+    if rounding == "n":
+        half = 1 << (drop - 1)
+        up = low > half or (low == half and (rem or man & 1))
+    else:
+        up = (low or rem) and (rounding == "u" or rounding == ("f" if negative else "c"))
+    if up:
+        man += 1
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (-man if negative else man), drop - s - twos + zeros
+
+
 @dataclass(frozen=True)
 class BigFloat:
     """An arbitrary-precision binary float tagged with its precision."""
@@ -84,8 +137,8 @@ class BigFloat:
     ) -> "BigFloat":
         """Round an exact rational to ``precision_bits``.
 
-        ``rounding`` is an mpmath mode: "n" nearest, "c" toward +inf,
-        "f" toward -inf.  Directed modes give safe one-sided bounds.
+        ``rounding`` is one of the five modes of :meth:`from_rational`;
+        the directed ones give safe one-sided bounds.
         """
         q = Fraction(q)
         return cls.from_rational(q.numerator, q.denominator, precision_bits, rounding)
@@ -95,21 +148,34 @@ class BigFloat:
         cls, num: int, den: int, precision_bits: int = DEFAULT_PRECISION_BITS,
         rounding: str = "n",
     ) -> "BigFloat":
-        """Round num/den (den > 0, the pair need not be coprime) to
-        ``precision_bits`` in the mpmath mode ``rounding``.
+        """Round num/den (den nonzero, the pair need not be coprime) to
+        ``precision_bits`` in the mode ``rounding``: "n" nearest with ties
+        to even, "c" toward +inf, "f" toward -inf, "d" toward zero or "u"
+        away from zero.
 
-        The powers of two of num and den leave as one exact exponent shift,
-        so mpmath rounds odd/odd (or 0): binary rounding commutes with
-        scaling by 2^k, and mpmath's python backend would strip trailing
-        zero bits one byte per loop.  Any other common factor stays.
+        The package rounds on the integers, by one ``divmod``, to the value
+        mpmath's own rounding gives bit for bit; mpmath only holds the
+        result.  A zero denominator raises ZeroDivisionError and an unknown
+        mode ValueError.
         """
         if precision_bits < 2:
-            # checked before mpmath, whose from_rational loops on a negative one
             raise ValueError("precision_bits must be at least 2")
-        zd = (den & -den).bit_length() - 1
-        zn = (num & -num).bit_length() - 1 if num else zd
-        raw = libmp.from_rational(num >> zn, den >> zd, precision_bits, rounding)
-        return cls(mpmath.mp.make_mpf(libmp.mpf_shift(raw, zn - zd)), precision_bits)
+        man, exp = _round_rational(num, den, precision_bits, rounding)
+        return cls._from_man_exp(man, exp, precision_bits)
+
+    @classmethod
+    def _from_man_exp(cls, man: int, exp: int, precision_bits: int) -> "BigFloat":
+        """The float man 2^exp, with man odd or (man, exp) = (0, 0), as the
+        rounding kernel gives it: mpmath's normal form, held unchanged."""
+        mag = abs(man)
+        return cls(mpmath.mp.make_mpf((int(man < 0), libmp.MPZ(mag), exp, mag.bit_length())),
+                   precision_bits)
+
+    def at_most(self, num: int, shift: int) -> bool:
+        """Whether this finite value is at most num / 2^shift, on the integers."""
+        man, exp = _man_exp(self.value)
+        k = exp + shift
+        return (man << k) <= num if k >= 0 else man <= (num << -k)
 
     def to_fraction(self) -> Fraction:
         """Exact rational value of a finite binary float."""

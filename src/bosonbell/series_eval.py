@@ -64,7 +64,7 @@ from .exact_core import (
     PowerSeries,
     RationalLike,
     _check_precision,
-    _man_exp,
+    _round_rational,
     falling_factorial,
     rising_factorial,
     series_binomial_power,
@@ -176,11 +176,11 @@ class SeriesValue:
 
 def _series_value(iv: _Interval, terms_used: int, bits: int) -> SeriesValue:
     # the midpoint is mid/den and the half-width half/den over the interval's
-    # own denominator, unreduced: mpmath rounds a quotient correctly whatever
-    # its form, and from_rational moves the powers of two into the exponent
+    # own denominator, unreduced: the rounding is correct whatever the form
+    # of the quotient, and gives the integers man 2^exp of the value
     mid, half, den = iv.lo_num + iv.hi_num, iv.hi_num - iv.lo_num, 2 * iv.den
-    value = BigFloat.from_rational(mid, den, bits, "n")
-    man, exp = _man_exp(value.value)
+    man, exp = _round_rational(mid, den, bits, "n")
+    value = BigFloat._from_man_exp(man, exp, bits)
     # the rounding error |mid/den - man 2^exp| joins the half-width
     if exp >= 0:
         error = abs(mid - den * (man << exp))

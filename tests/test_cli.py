@@ -219,6 +219,17 @@ def test_low_precision_keeps_every_name_and_verdict(capsys, prec):
                    for c in json.loads(snapshot.read_text())]
 
 
+@pytest.mark.parametrize("prec,suite", [("16", "all"), ("64", "all"), ("2048", "fock")])
+def test_low_precision_output_matches_its_digest(capsys, prec, suite):
+    """Where ``bits`` is smallest a rounding slip moves a detail and no
+    verdict: the whole ``--json`` output, every value, tail bound and Fock
+    error in its details, is pinned by a sha256 in verify_series_digests.json."""
+    code, out, _ = run_cli(capsys, "--json", "--prec", prec, "verify", suite)
+    assert code == 0
+    digests = json.loads(pathlib.Path(__file__).with_name("verify_series_digests.json").read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[prec][suite]
+
+
 @pytest.mark.parametrize("suite", ["dobinski", "kummer", "family", "hgf"])
 def test_high_precision_output_matches_its_digest(capsys, suite):
     """The whole ``--json`` output of a certified-series suite at 4096

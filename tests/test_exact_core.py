@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
+from mpmath.libmp import libmpf
 
 from bosonbell.exact_core import (
     BigFloat,
     PowerSeries,
     TruncationOrderMismatch,
+    _round_rational,
     falling_factorial,
     rising_factorial,
     series_binomial_power,
@@ -345,17 +347,83 @@ class TestBigFloat:
                                          (-(7 << 3), 9 << 3000), (2**64, 2**64), (-1, 3)],
                              ids=("zero", "zero-over-even", "even-over-even", "negative",
                                   "one", "odd-over-odd"))
-    def test_mpmath_rounds_odd_over_odd(self, monkeypatch, num, den):
+    def test_mpmath_never_rounds(self, monkeypatch, num, den):
+        # mpmath's rounding and normalizing entry points, by either module
         seen = []
-        rounding = libmp.from_rational
-        expected = rounding(num, den, 53, "n")
+        expected = libmp.from_rational(num, den, 53, "n")
 
-        def spy(p, q, *rest):
-            seen.append((p, q))
-            return rounding(p, q, *rest)
+        def spy(name, fn):
+            def recorded(*args):
+                seen.append(name)
+                return fn(*args)
+            return recorded
 
-        monkeypatch.setattr(libmp, "from_rational", spy)
+        for module in (libmp, libmpf):
+            for name in ("from_rational", "mpf_div", "mpf_shift", "from_man_exp",
+                         "normalize", "normalize1"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         assert BigFloat.from_rational(num, den, 53).value._mpf_ == expected
-        assert len(seen) == 1
-        p, q = seen[0]
-        assert (p == 0 or p % 2) and q % 2
+        assert seen == []
+
+    def test_zero_denominator_raises_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            BigFloat.from_rational(3, 0, 53)
+
+    @pytest.mark.parametrize("num", [0, 3, 4])
+    def test_unknown_mode_is_a_value_error_naming_it(self, num):
+        # refused before any rounding, exact quotients and zero included
+        with pytest.raises(ValueError, match="'x'"):
+            BigFloat.from_rational(num, 4, 53, "x")
+
+    @pytest.mark.parametrize("mode", "ncfdu")
+    def test_negative_denominator_negates_the_quotient(self, mode):
+        assert BigFloat.from_rational(3, -4, 53, mode).value == mp.mpf(-0.75)
+        got = BigFloat.from_rational(1, -3, 53, mode)
+        assert got.value._mpf_ == libmp.from_rational(-1, 3, 53, mode)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rounding_kernel_matches_mpmath(self, data):
+        # exact ties (2m+1) 2^e / 2^f at ``bits``, bare or times a shared odd
+        # factor, and quotients of any size, sign and denominator sign
+        bits = data.draw(st.integers(2, 4096), label="bits")
+        mode = data.draw(st.sampled_from("ncfdu"), label="mode")
+        if data.draw(st.booleans(), label="tie"):
+            m = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1), label="m")
+            e, f = data.draw(st.integers(0, 64), label="e"), data.draw(st.integers(0, 64), label="f")
+            odd = data.draw(st.sampled_from([1, 1, 3, 15, 2**61 - 1]), label="odd")
+            sign = data.draw(st.sampled_from([1, -1]), label="sign")
+            num, den = sign * (2 * m + 1) * odd << e, odd << f
+        else:
+            size = data.draw(st.integers(1, 2 * bits + 64), label="size")
+            num = data.draw(st.integers(-(2**size), 2**size), label="num")
+            den = data.draw(st.integers(-(2**size), 2**size).filter(bool), label="den")
+        sign, man, exp, bc = libmp.from_rational(num, den, bits, mode)
+        assert _round_rational(num, den, bits, mode) == ((-man if sign else man), exp)
+        assert BigFloat.from_rational(num, den, bits, mode).value._mpf_ == (sign, man, exp, bc)
+
+    @pytest.mark.parametrize("value,num,shift,expected", [
+        (Fraction(3, 8), 3, 3, True),              # equal: exponent + shift = 0
+        (Fraction(3, 8), 5, 4, False),             # 6/16 > 5/16
+        (Fraction(3, 8), 3, 4, False),             # 3/8 > 3/16
+        (Fraction(3, 1 << 40), 3, 40, True),       # equal
+        (Fraction(3, 1 << 40), 5, 39, True),       # exponent + shift < 0
+        (Fraction(3, 1 << 40), 5, 42, False),      # 12/2^42 > 5/2^42
+        (Fraction(3, 1 << 40), 3, 41, False),      # 6/2^41 > 3/2^41
+        (Fraction(3 << 20), 3 << 28, 8, True),     # equal: exponent + shift > 0
+        (Fraction(3 << 20), (3 << 28) - 1, 8, False),
+        (Fraction(0), 0, 100, True),
+        (Fraction(-5, 4), -5, 2, True),
+        (Fraction(-5, 4), -6, 2, False),
+    ])
+    def test_at_most_compares_with_a_dyadic_cap(self, value, num, shift, expected):
+        bf = BigFloat.from_fraction(value, 64)
+        assert bf.to_fraction() == value
+        assert bf.at_most(num, shift) is expected
+
+    @given(st.fractions(max_denominator=2**70), st.integers(-2**80, 2**80), st.integers(-80, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_at_most_is_the_fraction_comparison(self, x, num, shift):
+        bf = BigFloat.from_fraction(x, 53, "c")
+        assert bf.at_most(num, shift) == (bf.to_fraction() <= Fraction(num) / Fraction(2) ** shift)
