@@ -7,14 +7,11 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
 
 from bosonbell import boson_oracle, cli, fock_numeric, series_eval, stirling_bell
-from bosonbell.exact_core import BigFloat
 from bosonbell.fock_numeric import FockTruncationError
 from bosonbell.stirling_bell import Params, stirling
 
@@ -312,10 +309,9 @@ class TestFockSuiteComputesEachValueOnce:
             table = expectation_table(words, zs, *args, **kwargs)
             calls.append([(p.r, p.s, n, Fraction(z)) for (p, n, z) in table])
             for (p, n, z), values in table.items():
-                for k, value in enumerate(values, 1):
+                for k, (value, bound) in enumerate(values, 1):
                     if (p.r, p.s, k, Fraction(z)) == shifted:
-                        with mp.workprec(value.precision_bits + 64):
-                            values[k - 1] = replace(value, value=value.value + mp.mpf(2) ** -70)
+                        values[k - 1] = (value + Fraction(1, 2**70), bound)
             return table
 
         monkeypatch.setattr(fock_numeric, "expectation_table", wrapper)
@@ -332,22 +328,42 @@ class TestFockSuiteComputesEachValueOnce:
         assert len({(r, s, z) for (r, s, _, z) in calls[0]}) == len(calls[0]) == 8
 
     def test_one_table_and_one_coherent_vector_per_z_for_the_suite(self, capsys, monkeypatch):
-        # one build_ops at dim 128 + 16 takes all 144 roots; the two coherent
-        # vectors (z = 1/2 and 1) step from that table, and every word reads them
-        built = counting(monkeypatch, fock_numeric, "build_ops", lambda dim, precision: dim)
+        # one build_ops at dim 128 + 16 takes all 144 roots at F = 180, the
+        # last isqrt calls after a few small ones of the error budget; the
+        # two coherent vectors (z = 1/2 and 1) step from that table, and
+        # every word reads them
+        built = counting(monkeypatch, fock_numeric, "build_ops", lambda dim, bits: (dim, bits))
         coherent = counting(monkeypatch, fock_numeric, "_coherent", lambda z, *rest: Fraction(z))
         roots = counting(monkeypatch, math, "isqrt", lambda x: x)
         applied = counting(monkeypatch, fock_numeric, "apply_operator", lambda op, vec: op.dim)
         code, out, _ = run_cli(capsys, "verify", "fock")
         assert code == 0 and out.endswith("36 passed, 0 failed\n")
-        assert built == [144]
+        assert built == [(144, 180)]
         assert coherent == [Fraction(1, 2), Fraction(1)]
-        assert roots == [n << 2 * (256 + 64) for n in range(144)]
-        # each letter steps the dim-144 vector; only an s > r word also steps
-        # the strip of the dim-128 one, s + (n-1)*(s-r) + 1 entries: 5 for
-        # (1,2,3).  (1,1,6), (2,1,3) and (2,2,3) read their narrow sums off
-        # the wide vector.  Each word runs at z = 1/2 and 1
-        assert applied == [144] * 24 + [144] * 18 + [144] * 24 + [5, 144] * 18
+        assert roots[-144:] == [n << 2 * 180 for n in range(144)]
+        assert max(roots[:-144]) < 1 << 16
+        # each letter steps a cut of the dim-144 table that spans the
+        # support, which starts at 56 entries for z = 1/2 and 75 for z = 1:
+        # an a steps the support and lowers it by one, an a+ raises it and
+        # steps the raised one.  Only an s > r word also steps the strip of
+        # the dim-128 vector before each letter, s + (n-1)*(s-r) + 1
+        # entries: 5 for (1,2,3).  (1,1,6), (2,1,3) and (2,2,3) read their
+        # narrow sums off the wide vector
+        want = []
+        for r, s, n in ((1, 1, 6), (2, 1, 3), (2, 2, 3), (1, 2, 3)):
+            for top in (56, 75):
+                for _ in range(n):
+                    for lowers in [True] * s + [False] * r:
+                        if s > r:
+                            want.append(5)
+                        if lowers:
+                            want.append(top)
+                            top -= 1
+                        else:
+                            top = min(top + 1, 144)
+                            want.append(top)
+        assert applied == want and len(applied) == 102
+        assert sum(applied) < 144 * 84 // 2
 
     def test_every_word_is_applied_one_letter_per_step(self, capsys, monkeypatch):
         # per word and z: n x (r + s) letters, (1,1) to n = 6 and (2,1),
@@ -453,9 +469,12 @@ class TestSuitesComputeEachValueOnce:
 
 class TestFockToleranceFollowsPrecision:
     @staticmethod
-    def run_offset(capsys, monkeypatch, prec, offset):
+    def run_offset(capsys, monkeypatch, prec, offset, bound=None):
         """verify fock at ``prec`` with every value moved off its exact
-        polynomial by offset(exact); returns the CLI result and the calls."""
+        polynomial by offset(exact) and bound(exact) as its bound, by
+        default the offset itself, so only the tolerance decides; returns
+        the CLI result and the calls."""
+        bound = bound or offset
         calls = []
 
         def moved(words, zs, dim, precision):
@@ -465,8 +484,7 @@ class TestFockToleranceFollowsPrecision:
                     calls.append((p.r, p.s, n, z))
                     exact = [z ** (k * abs(p.r - p.s)) * stirling_bell.bell_polynomial(p, k, z * z)
                              for k in range(1, n + 1)]
-                    table[p, n, z] = [BigFloat.from_fraction(x + offset(x), precision + 128)
-                                      for x in exact]
+                    table[p, n, z] = [(x + offset(x), bound(x)) for x in exact]
             return table
 
         monkeypatch.setattr(fock_numeric, "expectation_table", moved)
@@ -483,6 +501,27 @@ class TestFockToleranceFollowsPrecision:
             capsys, monkeypatch, 256, lambda exact: max(abs(exact), Fraction(1)) / 2**100)
         assert code == 1 and out.endswith("0 passed, 36 failed\n")
         assert len(calls) == 8
+
+    # the verdict is err <= bound <= tol * max(1, |exact|): each half of the
+    # chain fails on its own, and both hold with equality
+    @staticmethod
+    def tol_scale(exact):
+        return fock_numeric.tolerance(256) * max(abs(exact), Fraction(1))
+
+    def test_an_exact_value_with_a_bound_past_the_tolerance_fails(self, capsys, monkeypatch):
+        (code, out, _), _ = self.run_offset(
+            capsys, monkeypatch, 256, lambda exact: 0, lambda exact: 2 * self.tol_scale(exact))
+        assert code == 1 and out.endswith("0 passed, 36 failed\n")
+
+    def test_a_value_twice_its_bound_off_fails_well_inside_the_tolerance(self, capsys, monkeypatch):
+        (code, out, _), _ = self.run_offset(
+            capsys, monkeypatch, 256, lambda exact: self.tol_scale(exact) / 2**9,
+            lambda exact: self.tol_scale(exact) / 2**10)
+        assert code == 1 and out.endswith("0 passed, 36 failed\n")
+
+    def test_an_error_at_its_bound_at_the_tolerance_passes(self, capsys, monkeypatch):
+        (code, out, _), _ = self.run_offset(capsys, monkeypatch, 256, self.tol_scale)
+        assert code == 0 and out.endswith("36 passed, 0 failed\n")
 
 
 class TestExitCodes:
@@ -508,10 +547,11 @@ class TestExitCodes:
         assert "no pair to rewrite" in err and err.startswith("error: ") and err.count("\n") == 1
 
     def test_fock_dimension_follows_precision(self, capsys):
-        # dim 128 holds the coherent vector only to about 1400 bits
+        # dim 128 holds the truncation part of the bound to 2^-1025 only up
+        # to 1024 bits; at 2048 the suite's words need 177 states
         code, out, err = run_cli(capsys, "--prec", "2048", "verify", "fock")
         assert code == 0, err
-        assert "dim 256(+16)" in out and out.endswith("36 passed, 0 failed\n")
+        assert "dim 177(+16)" in out and out.endswith("36 passed, 0 failed\n")
 
     @pytest.mark.parametrize("spec", ["1,2", "1,1,2,x", "1,1,2,1,1,1"])
     def test_malformed_perturbation_names_the_form(self, capsys, monkeypatch, spec):
